@@ -52,12 +52,9 @@ ChaosRun RunDay(uint64_t seed, bool with_chaos) {
   hivemind::TrainerConfig config;
   config.model = models::ModelId::kConvNextLarge;
   config.seed = seed;
-  // Churn hardening: abort rounds frozen by the partition after 2
-  // minutes and degrade to the surviving partition after two retries.
-  config.averaging_round_timeout_sec = 120;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
-  hivemind::Trainer trainer(&network, config);
+  // Churn hardening: rounds frozen by the partition abort and degrade to
+  // the surviving partition.
+  hivemind::Trainer trainer(&network, hivemind::ChurnHardened(config));
 
   constexpr int kVmsPerSite = 4;
   const net::SiteId sites[2] = {net::kGcUs, net::kGcEu};

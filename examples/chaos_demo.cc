@@ -32,12 +32,9 @@ int main(int argc, char** argv) {
   hivemind::TrainerConfig config;
   config.model = models::ModelId::kConvNextLarge;
   config.seed = seed;
-  // The churn-hardened averaging loop: stuck rounds abort after 90 s and
-  // degrade to the largest reachable peer group after two retries.
-  config.averaging_round_timeout_sec = 90;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
-  hivemind::Trainer trainer(&network, config);
+  // The churn-hardened averaging loop: stuck rounds abort after 2 minutes
+  // and degrade to the largest reachable peer group after two retries.
+  hivemind::Trainer trainer(&network, hivemind::ChurnHardened(config));
 
   std::cout << "Fleet: 2x T4 in GC us-central1 + 2x T4 in GC europe-west1, "
                "ConvNext-Large.\n";

@@ -80,12 +80,9 @@ int main(int argc, char** argv) {
   hivemind::TrainerConfig config;
   config.model = models::ModelId::kConvNextLarge;
   config.seed = seed;
-  config.averaging_round_timeout_sec = 90;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
   config.dht = &dht;
 
-  hivemind::Trainer trainer(&network, config);
+  hivemind::Trainer trainer(&network, hivemind::ChurnHardened(config));
   for (const auto& peer : peers) {
     if (auto s = trainer.AddPeer(peer); !s.ok()) {
       std::cerr << s.ToString() << "\n";

@@ -11,8 +11,26 @@
 
 namespace hivesim::core {
 
+namespace {
+
+/// The scenario view of a provisioned cluster: member order is peer
+/// order, continents come from the topology's sites.
+scenario::FleetView FleetViewOf(const Cluster& cluster,
+                                const net::Topology& topology) {
+  std::vector<scenario::FleetMember> members;
+  members.reserve(cluster.members().size());
+  for (const Cluster::Member& member : cluster.members()) {
+    members.push_back({member.node, member.site,
+                       topology.site(member.site).continent});
+  }
+  return scenario::MakeFleetView(std::move(members));
+}
+
+}  // namespace
+
 Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
-    const ClusterSpec& cluster_spec, const ExperimentConfig& config) {
+    const ClusterSpec& cluster_spec, const ExperimentConfig& config,
+    const scenario::ScenarioPack* pack) {
   // Trace-segment marker: every world is a fresh simulation restarting
   // at t=0, and `hivesim run`/`fleet` record several of them into one
   // recorder. The critical-path analyzer splits the trace at these
@@ -34,21 +52,25 @@ Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
   trainer_config.strategy = config.strategy;
   trainer_config.streams_per_transfer = config.streams_per_transfer;
   trainer_config.seed = config.seed;
-  if (config.averaging_round_timeout_sec > 0) {
-    trainer_config.averaging_round_timeout_sec =
-        config.averaging_round_timeout_sec;
-  }
-  if (config.averaging_retry_base_sec > 0) {
-    trainer_config.averaging_retry_base_sec = config.averaging_retry_base_sec;
-  }
-  if (config.averaging_max_retries > 0) {
-    trainer_config.averaging_max_retries = config.averaging_max_retries;
+  if (pack != nullptr) {
+    trainer_config = hivemind::ChurnHardened(trainer_config);
   }
 
   world->trainer =
       std::make_unique<hivemind::Trainer>(world->network.get(), trainer_config);
   for (const hivemind::PeerSpec& peer : world->cluster.PeerSpecs()) {
     HIVESIM_RETURN_IF_ERROR(world->trainer->AddPeer(peer));
+  }
+  if (pack != nullptr) {
+    faults::ChaosSchedule schedule;
+    HIVESIM_ASSIGN_OR_RETURN(
+        schedule,
+        scenario::Compile(*pack, FleetViewOf(world->cluster, world->topology),
+                          config.duration_sec));
+    world->chaos = std::make_unique<faults::ChaosInjector>(
+        &world->sim, &world->topology, world->network.get(), config.seed);
+    world->chaos->AttachTrainer(world->trainer.get());
+    HIVESIM_RETURN_IF_ERROR(world->chaos->Arm(schedule));
   }
   return world;
 }
@@ -107,14 +129,16 @@ Result<ExperimentResult> CompleteExperiment(ExperimentWorld& world,
       result.fleet_cost_per_hour, result.train.throughput_sps);
   result.cost_per_million_excl_data = cloud::CostPerMillionSamples(
       result.fleet_cost_per_hour_excl_data, result.train.throughput_sps);
+  if (world.chaos) result.chaos_fingerprint = world.chaos->TraceFingerprint();
   return result;
 }
 
 Result<ExperimentResult> RunHivemindExperiment(
-    const ClusterSpec& cluster_spec, const ExperimentConfig& config) {
+    const ClusterSpec& cluster_spec, const ExperimentConfig& config,
+    const scenario::ScenarioPack* pack) {
   std::unique_ptr<ExperimentWorld> world;
   HIVESIM_ASSIGN_OR_RETURN(world,
-                           BuildExperimentWorld(cluster_spec, config));
+                           BuildExperimentWorld(cluster_spec, config, pack));
   return CompleteExperiment(*world, config);
 }
 

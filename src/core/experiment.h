@@ -8,9 +8,11 @@
 #include "cloud/cost.h"
 #include "common/result.h"
 #include "core/cluster.h"
+#include "faults/chaos.h"
 #include "hivemind/trainer.h"
 #include "models/model_zoo.h"
 #include "net/network.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
 
 namespace hivesim::core {
@@ -26,13 +28,6 @@ struct ExperimentConfig {
   collective::Strategy strategy = collective::Strategy::kAuto;
   int streams_per_transfer = 1;
   uint64_t seed = 1;
-
-  // --- Churn hardening (forwarded to TrainerConfig; the sweep engine's
-  // chaos cells tighten these so partitions degrade instead of stall) ---
-  /// 0 keeps the trainer's default; see TrainerConfig for semantics.
-  double averaging_round_timeout_sec = 0;
-  double averaging_retry_base_sec = 0;
-  int averaging_max_retries = 0;
 };
 
 /// Everything a bench needs to print a paper row.
@@ -49,6 +44,9 @@ struct ExperimentResult {
   std::vector<cloud::VmUsage> usages;      ///< Per-VM billing inputs.
   std::vector<double> peak_egress_bps;     ///< Per-VM peak egress rate.
   std::vector<double> avg_egress_bps;      ///< Per-VM average egress rate.
+  /// The armed scenario pack's injector trace FNV (the replay handle
+  /// sweep manifests and `hivesim run --scenario` print); 0 without one.
+  uint64_t chaos_fingerprint = 0;
 };
 
 /// A fully provisioned experiment universe: its own simulator, a private
@@ -59,27 +57,37 @@ struct ExperimentResult {
 /// inputs (VM/pricing catalog, model calibration tables, site profiles)
 /// are const lookup tables and may be read from any number of worlds.
 ///
-/// The world is built paused between provisioning and training so callers
-/// can attach machinery that must observe the run from t=0 — the sweep
-/// engine arms a `faults::ChaosInjector` against `sim`/`topology`/
-/// `network`/`trainer` here. Not movable (the simulator pins itself as
-/// the thread's log-clock), so it lives behind a unique_ptr.
+/// A world built with a scenario pack also owns the `faults::ChaosInjector`
+/// armed with that pack, compiled against this fleet; `chaos` is null
+/// without one. The world is built paused between provisioning and
+/// training so callers can still schedule machinery that must observe the
+/// run from t=0 (the fuzzer's monotone-clock probes). Not movable (the
+/// simulator pins itself as the thread's log-clock), so it lives behind a
+/// unique_ptr.
 struct ExperimentWorld {
   sim::Simulator sim;
   net::Topology topology;
   Cluster cluster;
   std::unique_ptr<net::Network> network;
   std::unique_ptr<hivemind::Trainer> trainer;
+  /// Declared last so it is destroyed first: it points into everything
+  /// above.
+  std::unique_ptr<faults::ChaosInjector> chaos;
 };
 
 /// Provisions the fleet on a fresh copy of the standard world and joins
 /// every peer to a configured trainer; training has not started yet.
+/// With `pack`, the trainer gets the churn hardening
+/// (`hivemind::ChurnHardened`) and `world->chaos` is armed with the pack
+/// compiled against the provisioned fleet, seeded by `config.seed`.
 Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
-    const ClusterSpec& cluster, const ExperimentConfig& config);
+    const ClusterSpec& cluster, const ExperimentConfig& config,
+    const scenario::ScenarioPack* pack = nullptr);
 
 /// Trains the built world for the configured duration and prices the run
-/// (instance + egress split + B2 data). Consumes the world's simulation
-/// (call once per world).
+/// (instance + egress split + B2 data), recording the chaos fingerprint
+/// of an armed world. Consumes the world's simulation (call once per
+/// world).
 Result<ExperimentResult> CompleteExperiment(ExperimentWorld& world,
                                             const ExperimentConfig& config);
 
@@ -87,8 +95,9 @@ Result<ExperimentResult> CompleteExperiment(ExperimentWorld& world,
 /// the standard world: provisions the fleet, trains for the configured
 /// duration, and prices the run (instance + egress split + B2 data).
 /// Equivalent to BuildExperimentWorld + CompleteExperiment.
-Result<ExperimentResult> RunHivemindExperiment(const ClusterSpec& cluster,
-                                               const ExperimentConfig& config);
+Result<ExperimentResult> RunHivemindExperiment(
+    const ClusterSpec& cluster, const ExperimentConfig& config,
+    const scenario::ScenarioPack* pack = nullptr);
 
 /// A centralized single-node competitor (for Figs. 1, 15, 17).
 struct CentralizedResult {

@@ -18,55 +18,6 @@ bool HasDuplicates(const std::vector<T>& values) {
 
 }  // namespace
 
-scenario::FleetView FleetViewOf(const Cluster& cluster,
-                                const net::Topology& topology) {
-  std::vector<scenario::FleetMember> members;
-  members.reserve(cluster.members().size());
-  for (const Cluster::Member& member : cluster.members()) {
-    members.push_back({member.node, member.site,
-                       topology.site(member.site).continent});
-  }
-  return scenario::MakeFleetView(std::move(members));
-}
-
-Result<ChaosPreset> ParseChaosPreset(std::string_view name) {
-  if (name == "none") return ChaosPreset::kNone;
-  if (name == "wan-degrade") return ChaosPreset::kWanDegrade;
-  if (name == "partition") return ChaosPreset::kPartition;
-  if (name == "churn") return ChaosPreset::kChurn;
-  return Status::InvalidArgument(
-      StrCat("unknown chaos preset '", name,
-             "' (none, wan-degrade, partition, churn)"));
-}
-
-std::string_view ChaosPresetName(ChaosPreset preset) {
-  switch (preset) {
-    case ChaosPreset::kNone:
-      return "none";
-    case ChaosPreset::kWanDegrade:
-      return "wan-degrade";
-    case ChaosPreset::kPartition:
-      return "partition";
-    case ChaosPreset::kChurn:
-      return "churn";
-  }
-  return "?";
-}
-
-Result<faults::ChaosSchedule> BuildChaosSchedule(ChaosPreset preset,
-                                                 const Cluster& cluster,
-                                                 const net::Topology& topology,
-                                                 double duration_sec) {
-  if (preset == ChaosPreset::kNone || cluster.members().empty()) {
-    return faults::ChaosSchedule();
-  }
-  scenario::ScenarioPack pack;
-  HIVESIM_ASSIGN_OR_RETURN(pack,
-      scenario::BuiltinScenario(ChaosPresetName(preset)));
-  return scenario::Compile(pack, FleetViewOf(cluster, topology),
-                           duration_sec);
-}
-
 Status SweepSpec::Validate() const {
   if (clusters.empty()) {
     return Status::InvalidArgument("sweep spec has no cluster layouts");
@@ -112,34 +63,41 @@ Status SweepSpec::Validate() const {
   if (HasDuplicates(seeds)) {
     return Status::InvalidArgument("duplicate seed in sweep spec");
   }
-  if (HasDuplicates(chaos)) {
-    return Status::InvalidArgument("duplicate chaos preset in sweep spec");
-  }
-  // Scenario labels share the chaos axis namespace: a label that is
-  // empty, repeated, or shadows a preset would expand into colliding
-  // cell names.
+  // Chaos labels name cells and reports: an empty or repeated label
+  // would expand into colliding cell names, and a label that reads as
+  // "none" or a builtin pack must mean exactly that pack.
   std::vector<std::string> labels;
-  labels.reserve(scenarios.size());
-  for (const ScenarioAxisEntry& entry : scenarios) {
+  labels.reserve(chaos.size());
+  for (const ChaosAxisEntry& entry : chaos) {
     if (entry.label.empty()) {
-      return Status::InvalidArgument("scenario axis entry needs a label");
+      return Status::InvalidArgument("chaos axis entry needs a label");
     }
-    if (ParseChaosPreset(entry.label).ok()) {
+    if ((entry.label == "none") == entry.pack.has_value()) {
       return Status::InvalidArgument(
-          StrCat("scenario label '", entry.label,
-                 "' collides with a chaos preset name"));
+          StrCat("chaos label '", entry.label, "' ",
+                 entry.pack ? "names the no-chaos entry but has a pack"
+                            : "has no scenario pack"));
+    }
+    if (entry.pack) {
+      auto builtin = scenario::BuiltinScenario(entry.label);
+      if (builtin.ok() && scenario::ScenarioToJson(*builtin) !=
+                              scenario::ScenarioToJson(*entry.pack)) {
+        return Status::InvalidArgument(
+            StrCat("chaos label '", entry.label,
+                   "' names a builtin pack but the pack differs from it"));
+      }
     }
     labels.push_back(entry.label);
   }
   if (HasDuplicates(labels)) {
-    return Status::InvalidArgument("duplicate scenario label in sweep spec");
+    return Status::InvalidArgument("duplicate chaos label in sweep spec");
   }
   return Status::OK();
 }
 
 size_t SweepSpec::NumCells() const {
   return clusters.size() * models.size() * target_batch_sizes.size() *
-         seeds.size() * (chaos.size() + scenarios.size());
+         seeds.size() * chaos.size();
 }
 
 std::vector<SweepCell> ExpandSweep(const SweepSpec& spec) {
@@ -149,30 +107,14 @@ std::vector<SweepCell> ExpandSweep(const SweepSpec& spec) {
     for (const models::ModelId model : spec.models) {
       for (const int tbs : spec.target_batch_sizes) {
         for (const uint64_t seed : spec.seeds) {
-          // The chaos axis innermost: presets first, then scenario
-          // packs, in spec order.
-          const size_t chaos_axis = spec.chaos.size() + spec.scenarios.size();
-          for (size_t c = 0; c < chaos_axis; ++c) {
-            const bool is_pack = c >= spec.chaos.size();
+          for (const ChaosAxisEntry& chaos : spec.chaos) {
             SweepCell cell;
             cell.index = cells.size();
             cell.cluster = cluster;
-            if (is_pack) {
-              const ScenarioAxisEntry& entry =
-                  spec.scenarios[c - spec.chaos.size()];
-              cell.has_scenario = true;
-              cell.scenario_pack = entry.pack;
-              cell.chaos_label = entry.label;
-            } else {
-              cell.chaos = spec.chaos[c];
-              cell.chaos_label = std::string(ChaosPresetName(cell.chaos));
-            }
-            const bool chaotic = is_pack || cell.chaos != ChaosPreset::kNone;
+            cell.chaos = chaos;
             cell.name = StrCat(cluster.name, "/", models::ModelName(model),
                                "/tbs", tbs, "/seed", seed);
-            if (chaotic) {
-              cell.name = StrCat(cell.name, "/", cell.chaos_label);
-            }
+            if (chaos.pack) cell.name = StrCat(cell.name, "/", chaos.label);
             cell.slug = Slugify(cell.name);
 
             cell.config.model = model;
@@ -184,13 +126,6 @@ std::vector<SweepCell> ExpandSweep(const SweepSpec& spec) {
             cell.config.strategy = spec.strategy;
             cell.config.streams_per_transfer = spec.streams_per_transfer;
             cell.config.seed = seed;
-            if (chaotic) {
-              // Section 7 hardening: abort rounds a partition froze and
-              // degrade to the surviving peers after two retries.
-              cell.config.averaging_round_timeout_sec = 120;
-              cell.config.averaging_retry_base_sec = 1.0;
-              cell.config.averaging_max_retries = 2;
-            }
             cells.push_back(std::move(cell));
           }
         }
@@ -286,12 +221,7 @@ std::string SweepAggregator::ManifestJson() const {
   }
   json.EndArray();
   json.Key("chaos").BeginArray();
-  for (const ChaosPreset preset : spec_.chaos) {
-    json.String(std::string(ChaosPresetName(preset)));
-  }
-  for (const ScenarioAxisEntry& entry : spec_.scenarios) {
-    json.String(entry.label);
-  }
+  for (const ChaosAxisEntry& entry : spec_.chaos) json.String(entry.label);
   json.EndArray();
   json.Key("duration_sec").Number(spec_.duration_sec);
   json.EndObject();
@@ -309,14 +239,13 @@ std::string SweepAggregator::ManifestJson() const {
     json.Key("model").String(std::string(models::ModelName(cell.config.model)));
     json.Key("tbs").Int(cell.config.target_batch_size);
     json.Key("seed").Int(static_cast<int64_t>(cell.config.seed));
-    json.Key("chaos").String(cell.chaos_label);
+    json.Key("chaos").String(cell.chaos.label);
     json.Key("ok").Bool(present_[i] && outcome.ok);
     if (present_[i] && !outcome.ok) json.Key("error").String(outcome.error);
-    if ((cell.chaos != ChaosPreset::kNone || cell.has_scenario) &&
-        present_[i] && outcome.ok) {
+    if (cell.chaos.pack && present_[i] && outcome.ok) {
       json.Key("chaos_fingerprint")
           .String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                           outcome.chaos_fingerprint)));
+                                           outcome.result.chaos_fingerprint)));
     }
     if (present_[i] && outcome.ok) {
       json.Key("sps").Number(outcome.result.train.throughput_sps);

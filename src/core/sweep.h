@@ -2,8 +2,8 @@
 #define HIVESIM_CORE_SWEEP_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -12,77 +12,33 @@
 #include "common/units.h"
 #include "core/catalog.h"
 #include "core/experiment.h"
-#include "faults/chaos.h"
 #include "scenario/scenario.h"
 #include "telemetry/telemetry.h"
 
 namespace hivesim::core {
 
-/// Named chaos scripts a sweep cell can opt into. Presets are resolved
-/// against the cell's *provisioned* cluster (concrete sites and node ids)
-/// by `BuildChaosSchedule`, so the same preset means "the same failure,
-/// relative to this fleet" across every cell of the grid. All presets are
-/// fully deterministic given the cell seed.
-enum class ChaosPreset {
-  kNone,
-  /// The WAN path between the fleet's first two distinct sites degrades
-  /// to 10% bandwidth +100 ms for the middle quarter of the run.
-  kWanDegrade,
-  /// Full partition of that path for run fraction [0.5, 0.625]. Fleets
-  /// living in a single site get the degrade window instead (partitioning
-  /// a site against itself would sever every peer from every other).
-  kPartition,
-  /// A churn burst over run fraction [0.4, 0.6): up to two peers (never
-  /// the first, so the swarm survives) crash and return 10 minutes later.
-  kChurn,
+/// One entry on a sweep's chaos axis: a label (cell name suffix, and
+/// what reports print) plus the scenario pack its cells arm, compiled
+/// per cell against that cell's fleet. "none" is the entry without a
+/// pack; builtin names resolve through `scenario::BuiltinScenario`.
+struct ChaosAxisEntry {
+  std::string label;
+  std::optional<scenario::ScenarioPack> pack;
 };
 
-/// Parses "none", "wan-degrade", "partition", "churn".
-Result<ChaosPreset> ParseChaosPreset(std::string_view name);
-std::string_view ChaosPresetName(ChaosPreset preset);
-
-/// The scenario view of a provisioned cluster: member order is peer
-/// order, continents come from the topology's sites. Every pack
-/// compilation in core (presets, sweep scenario cells, `--scenario`
-/// runs) goes through this one adapter.
-scenario::FleetView FleetViewOf(const Cluster& cluster,
-                                const net::Topology& topology);
-
-/// The concrete schedule of `preset` for a provisioned cluster; empty
-/// for kNone. `duration_sec` anchors the event windows. Preset names
-/// resolve to the builtin scenario packs (scenario/presets.cc — the
-/// committed `scenarios/<name>.json` files hold the same bytes), so a
-/// preset is exactly `scenario::Compile` of its pack; tests pin the
-/// schedule to the legacy in-code construction event for event.
-Result<faults::ChaosSchedule> BuildChaosSchedule(ChaosPreset preset,
-                                                 const Cluster& cluster,
-                                                 const net::Topology& topology,
-                                                 double duration_sec);
-
 /// A figure grid as data: the cross product of cluster layouts, models,
-/// target batch sizes, seeds, and chaos scripts, sharing one duration and
+/// target batch sizes, seeds, and chaos entries, sharing one duration and
 /// trainer configuration. Every paper figure is one of these (Fig. 3 =
 /// suitability models x {8K,16K,32K} on 2xA10; Fig. 7-10 = the A/B/C/D
 /// series; ...). Expansion order is the documented, stable cell order:
 /// clusters outermost, then models, batch sizes, seeds, chaos innermost.
-/// One scenario-pack entry on the sweep's chaos axis: a label (cell
-/// name suffix; defaults to the pack's own name at the CLI) plus the
-/// parsed pack, compiled per cell against that cell's fleet.
-struct ScenarioAxisEntry {
-  std::string label;
-  scenario::ScenarioPack pack;
-};
-
 struct SweepSpec {
   std::string title = "sweep";
   std::vector<NamedExperiment> clusters;               ///< Required.
   std::vector<models::ModelId> models = {models::ModelId::kConvNextLarge};
   std::vector<int> target_batch_sizes = {32768};
   std::vector<uint64_t> seeds = {1};
-  std::vector<ChaosPreset> chaos = {ChaosPreset::kNone};
-  /// Scenario packs extend the chaos axis: every cell grid expands over
-  /// presets first, then packs, in the order given here.
-  std::vector<ScenarioAxisEntry> scenarios;
+  std::vector<ChaosAxisEntry> chaos = {{"none", std::nullopt}};
   double duration_sec = 2 * kHour;
 
   // Shared trainer knobs (not axes; add an axis when a figure needs one).
@@ -92,11 +48,14 @@ struct SweepSpec {
   int streams_per_transfer = 1;
 
   /// Non-empty axes, positive TBS/duration, no duplicate cell names.
+  /// Chaos labels are non-empty and unique, "none" labels exactly the
+  /// entry without a pack, and a pack labelled with a builtin name must
+  /// be that builtin (same `scenario::ScenarioToJson` bytes).
   Status Validate() const;
   size_t NumCells() const;
 };
 
-/// One expanded grid point: everything `RunHivemindExperiment` needs,
+/// One expanded grid point: everything `BuildExperimentWorld` needs,
 /// plus identity. `index` is the cell's position in expansion order and
 /// is the *only* ordering the engine ever uses — completion order is
 /// scheduling noise.
@@ -106,19 +65,10 @@ struct SweepCell {
   std::string slug;  ///< Slugified name (per-run output file stems).
   NamedExperiment cluster;
   ExperimentConfig config;
-  ChaosPreset chaos = ChaosPreset::kNone;
-  /// Scenario-pack cells: `has_scenario` selects `scenario_pack` over
-  /// the preset; `chaos_label` is what reports print for either kind
-  /// ("none", a preset name, or the pack entry's label).
-  bool has_scenario = false;
-  scenario::ScenarioPack scenario_pack;
-  std::string chaos_label = "none";
+  ChaosAxisEntry chaos{"none", std::nullopt};  ///< The cell's chaos entry.
 };
 
-/// Expands the spec's cross product in documented order. Chaos cells get
-/// the Section 7 churn hardening (2-minute round watchdog, fast retry,
-/// degrade after two failures) so partitions degrade instead of stalling
-/// the whole window.
+/// Expands the spec's cross product in documented order.
 std::vector<SweepCell> ExpandSweep(const SweepSpec& spec);
 
 /// Everything one finished cell produced. Captured telemetry renderings
@@ -128,7 +78,6 @@ struct SweepCellOutcome {
   bool ok = false;
   std::string error;                 ///< Status string when !ok.
   ExperimentResult result;           ///< Valid when ok.
-  uint64_t chaos_fingerprint = 0;    ///< Injector trace FNV; 0 when no chaos.
   telemetry::MetricsRegistry metrics;  ///< Per-run registry (may be empty).
   std::string trace_json;            ///< Chrome trace (telemetry runs only).
   std::string metrics_json;          ///< Registry JSON (telemetry runs only).

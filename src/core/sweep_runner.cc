@@ -2,14 +2,12 @@
 
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/host_clock.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "faults/chaos.h"
 #include "telemetry/telemetry.h"
 
 namespace hivesim::core {
@@ -17,54 +15,24 @@ namespace hivesim::core {
 namespace {
 
 /// Runs one cell start to finish inside the calling (worker) thread.
-/// Everything mutable lives on this thread: the experiment world, the
-/// chaos injector, and — when capturing — the telemetry sinks installed
-/// via ScopedSinks.
+/// Everything mutable lives on this thread: the experiment world (with
+/// its chaos injector) and — when capturing — the telemetry sinks
+/// installed via ScopedSinks.
 SweepCellOutcome RunCell(const SweepCell& cell, bool capture_telemetry) {
   SweepCellOutcome outcome;
   telemetry::TraceRecorder trace;
   std::optional<telemetry::Telemetry::ScopedSinks> sinks;
   if (capture_telemetry) sinks.emplace(&trace, &outcome.metrics);
 
-  auto world = BuildExperimentWorld(cell.cluster.cluster, cell.config);
-  if (!world.ok()) {
-    outcome.error = world.status().ToString();
-    return outcome;
-  }
-
-  std::optional<faults::ChaosInjector> injector;
-  if (cell.chaos != ChaosPreset::kNone || cell.has_scenario) {
-    injector.emplace(&(*world)->sim, &(*world)->topology,
-                     (*world)->network.get(), cell.config.seed);
-    injector->AttachTrainer((*world)->trainer.get());
-    auto schedule =
-        cell.has_scenario
-            ? scenario::Compile(cell.scenario_pack,
-                                FleetViewOf((*world)->cluster,
-                                            (*world)->topology),
-                                cell.config.duration_sec)
-            : BuildChaosSchedule(cell.chaos, (*world)->cluster,
-                                 (*world)->topology,
-                                 cell.config.duration_sec);
-    if (!schedule.ok()) {
-      outcome.error = schedule.status().ToString();
-      return outcome;
-    }
-    const Status armed = injector->Arm(*schedule);
-    if (!armed.ok()) {
-      outcome.error = armed.ToString();
-      return outcome;
-    }
-  }
-
-  auto result = CompleteExperiment(**world, cell.config);
+  auto result = RunHivemindExperiment(
+      cell.cluster.cluster, cell.config,
+      cell.chaos.pack ? &*cell.chaos.pack : nullptr);
   if (!result.ok()) {
     outcome.error = result.status().ToString();
     return outcome;
   }
   outcome.ok = true;
   outcome.result = std::move(*result);
-  if (injector) outcome.chaos_fingerprint = injector->TraceFingerprint();
   if (capture_telemetry) {
     outcome.trace_json = trace.ToChromeJson();
     outcome.metrics_json = outcome.metrics.ToJson();

@@ -5,8 +5,8 @@
 
 #include "common/json.h"
 #include "common/strings.h"
+#include "core/catalog.h"
 #include "core/experiment.h"
-#include "core/sweep.h"
 #include "faults/chaos.h"
 #include "fuzz/fuzz.h"
 #include "fuzz/internal.h"
@@ -82,11 +82,6 @@ core::ExperimentConfig ConfigOf(const FuzzCase& fuzz_case) {
   config.target_batch_size = fuzz_case.target_batch_size;
   config.duration_sec = fuzz_case.sim_duration_sec;
   config.seed = fuzz_case.world_seed;
-  // The sweep engine's chaos hardening: partitions degrade instead of
-  // stalling the run (fuzz worlds are chaotic by construction).
-  config.averaging_round_timeout_sec = 120;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
   return config;
 }
 
@@ -100,25 +95,10 @@ WorldRun DoRun(const FuzzCase& fuzz_case, const FuzzOptions& options,
   telemetry::Telemetry::ScopedSinks sinks(&trace, &metrics);
 
   const core::ExperimentConfig config = ConfigOf(fuzz_case);
-  auto world = core::BuildExperimentWorld(fuzz_case.cluster, config);
+  auto world =
+      core::BuildExperimentWorld(fuzz_case.cluster, config, &fuzz_case.pack);
   if (!world.ok()) {
     out.status = world.status();
-    return out;
-  }
-  const scenario::FleetView fleet =
-      core::FleetViewOf((*world)->cluster, (*world)->topology);
-  auto schedule =
-      scenario::Compile(fuzz_case.pack, fleet, config.duration_sec);
-  if (!schedule.ok()) {
-    out.status = schedule.status();
-    return out;
-  }
-  faults::ChaosInjector injector(&(*world)->sim, &(*world)->topology,
-                                 (*world)->network.get(), config.seed);
-  injector.AttachTrainer((*world)->trainer.get());
-  const Status armed = injector.Arm(*schedule);
-  if (!armed.ok()) {
-    out.status = armed;
     return out;
   }
 
@@ -146,13 +126,13 @@ WorldRun DoRun(const FuzzCase& fuzz_case, const FuzzOptions& options,
   out.end_now = sim->Now();
   out.events_fired = sim->events_fired();
   out.pending = sim->pending();
-  out.fingerprint = injector.TraceFingerprint();
+  out.fingerprint = result->chaos_fingerprint;
   if (second && options.inject_ordering_bug &&
       internal::PackHasFullPartition(fuzz_case.pack) &&
       internal::PackHasCrash(fuzz_case.pack)) {
     out.fingerprint ^= 1;
   }
-  out.chaos_trace = ChaosTraceText(injector);
+  out.chaos_trace = ChaosTraceText(*(*world)->chaos);
   out.digest = ResultDigest(*result);
   out.stats = result->train;
   out.trace_json = trace.ToChromeJson();

@@ -40,6 +40,13 @@ Status ValidateTrainerConfig(const TrainerConfig& config) {
   return Status::OK();
 }
 
+TrainerConfig ChurnHardened(TrainerConfig config) {
+  config.averaging_round_timeout_sec = 120;
+  config.averaging_retry_base_sec = 1.0;
+  config.averaging_max_retries = 2;
+  return config;
+}
+
 Trainer::Trainer(net::Network* network, TrainerConfig config)
     : network_(network),
       config_(config),

@@ -80,6 +80,12 @@ struct TrainerConfig {
 /// Validates a configuration (positive TBS, stream count, jitter range).
 Status ValidateTrainerConfig(const TrainerConfig& config);
 
+/// Section 7 churn hardening, the one definition every chaos run uses:
+/// a 2-minute watchdog aborts rounds a partition froze, retries start
+/// after 1 s, and two failed retries degrade the round to the surviving
+/// partition instead of stalling the run.
+TrainerConfig ChurnHardened(TrainerConfig config);
+
 /// Per-epoch timing record.
 struct EpochStats {
   double calc_sec = 0;   ///< Accumulation (compute) portion.

@@ -1,8 +1,8 @@
-// The chaos presets (`wan-degrade`/`partition`/`churn`) that used to be
-// hard-coded in core/sweep.cc, ported to scenario packs — plus the
-// documented diurnal example. The committed files under scenarios/ hold
-// the exact canonical serialization of these packs (tests enforce the
-// byte identity), so "preset" and "pack file" can never drift apart.
+// The builtin scenario packs a sweep's `--chaos NAME` resolves to
+// (`wan-degrade`/`partition`/`churn`, plus the documented diurnal
+// example). The committed files under scenarios/ hold the exact canonical
+// serialization of these packs (tests enforce the byte identity), so a
+// builtin name and its pack file can never drift apart.
 
 #include "scenario/scenario.h"
 

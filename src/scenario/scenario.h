@@ -230,7 +230,7 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
                                       const FleetView& fleet,
                                       double duration_sec);
 
-// --- Builtin packs (the ported chaos presets) -------------------------
+// --- Builtin packs (the sweep chaos axis's named entries) -------------
 
 /// Names of the builtin packs: "wan-degrade", "partition", "churn",
 /// plus the documented diurnal example "zone-diurnal".

@@ -8,6 +8,7 @@
 #include "core/experiment.h"
 #include "core/predictor.h"
 #include "net/profiles.h"
+#include "scenario/scenario.h"
 
 namespace hivesim::core {
 namespace {
@@ -183,6 +184,44 @@ TEST(ExperimentTest, EgressCostSplitsInternalExternal) {
   ASSERT_TRUE(a2.ok());
   EXPECT_GT(a2->fleet_cost.internal_egress, 0);
   EXPECT_DOUBLE_EQ(a2->fleet_cost.external_egress, 0);
+}
+
+// A scenario pack is the only way to arm a world: with one, the trainer
+// carries the Section 7 churn hardening and the world owns an armed
+// injector whose fingerprint the result reports; without one, neither.
+TEST(ExperimentTest, ScenarioPackArmsChaosAndHardensTheTrainer) {
+  const ClusterSpec cluster{{GcT4s(2, net::kGcUs), GcT4s(2, net::kGcEu)}};
+  ExperimentConfig config;
+  config.duration_sec = 0.5 * kHour;
+  const hivemind::TrainerConfig defaults;
+
+  auto calm = BuildExperimentWorld(cluster, config);
+  ASSERT_TRUE(calm.ok()) << calm.status().ToString();
+  EXPECT_EQ((*calm)->chaos, nullptr);
+  const hivemind::TrainerConfig& calm_config = (*calm)->trainer->config();
+  EXPECT_EQ(calm_config.averaging_round_timeout_sec,
+            defaults.averaging_round_timeout_sec);
+  EXPECT_EQ(calm_config.averaging_retry_base_sec,
+            defaults.averaging_retry_base_sec);
+  EXPECT_EQ(calm_config.averaging_max_retries, defaults.averaging_max_retries);
+  auto calm_result = CompleteExperiment(**calm, config);
+  ASSERT_TRUE(calm_result.ok());
+  EXPECT_EQ(calm_result->chaos_fingerprint, 0u);
+
+  auto pack = scenario::BuiltinScenario("partition");
+  ASSERT_TRUE(pack.ok());
+  auto armed = BuildExperimentWorld(cluster, config, &*pack);
+  ASSERT_TRUE(armed.ok()) << armed.status().ToString();
+  ASSERT_NE((*armed)->chaos, nullptr);
+  const hivemind::TrainerConfig& armed_config = (*armed)->trainer->config();
+  EXPECT_EQ(armed_config.averaging_round_timeout_sec, 120);
+  EXPECT_EQ(armed_config.averaging_retry_base_sec, 1.0);
+  EXPECT_EQ(armed_config.averaging_max_retries, 2);
+  auto armed_result = CompleteExperiment(**armed, config);
+  ASSERT_TRUE(armed_result.ok());
+  EXPECT_NE(armed_result->chaos_fingerprint, 0u);
+  EXPECT_EQ(armed_result->chaos_fingerprint,
+            (*armed)->chaos->TraceFingerprint());
 }
 
 TEST(ExperimentTest, CentralizedBaselinesPriceLikeThePaper) {

@@ -1,7 +1,8 @@
 // Golden regression corpus: byte-exact renderings of one representative
 // cell from each headline result — Fig. 1 (cost/throughput of an 8xT4
 // Hivemind fleet), Fig. 3 (model suitability on 2xA10), and Table 4
-// (multi-cloud network profile). A diff here means simulated physics or
+// (multi-cloud network profile) — plus one Section 7 chaos sweep over
+// every builtin scenario pack. A diff here means simulated physics or
 // a serialization schema moved; if the change is intentional, regenerate
 // with
 //
@@ -23,8 +24,10 @@
 #include "common/units.h"
 #include "core/experiment.h"
 #include "core/report.h"
+#include "core/sweep_runner.h"
 #include "net/profiler.h"
 #include "net/profiles.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
 
 namespace hivesim::core {
@@ -135,6 +138,37 @@ TEST(GoldenTest, Table4MulticloudNetwork) {
   json.EndObject();
   json.EndObject();
   CompareOrUpdate("table4_multicloud_network.json", json.ToString() + "\n");
+}
+
+// Section 7's chaos axis end to end: series C (intercontinental) under
+// no chaos and every builtin scenario pack for one hour, with per-run
+// telemetry on. The three files are exactly what `hivesim sweep --series
+// C --chaos none,wan-degrade,partition,churn,zone-diurnal --hours 1
+// --telemetry --out DIR` writes, so they pin cell order and names, the
+// churn hardening, pack compilation, the chaos fingerprints, and the
+// merged telemetry of armed worlds.
+TEST(GoldenTest, SeriesCChaosSweep) {
+  SweepSpec spec;
+  spec.clusters = CSeries();
+  spec.chaos = {{"none", std::nullopt}};
+  for (const char* name :
+       {"wan-degrade", "partition", "churn", "zone-diurnal"}) {
+    auto pack = scenario::BuiltinScenario(name);
+    ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+    spec.chaos.push_back({name, *pack});
+  }
+  spec.duration_sec = 1 * kHour;
+  SweepOptions options;
+  options.per_run_telemetry = true;
+  auto summary = RunSweep(spec, options);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  ASSERT_EQ(summary->failures, 0);
+
+  CompareOrUpdate("sweep_c_chaos_manifest.json",
+                  summary->manifest_json + "\n");
+  CompareOrUpdate("sweep_c_chaos_report.json", summary->report_json + "\n");
+  CompareOrUpdate("sweep_c_chaos_metrics_merged.json",
+                  summary->merged_metrics_json + "\n");
 }
 
 }  // namespace

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "core/cluster.h"
-#include "core/sweep.h"
 #include "net/profiles.h"
 #include "scenario/scenario.h"
 
@@ -173,35 +171,6 @@ TEST(ScenarioPresets, ChurnMatchesLegacySchedule) {
   EXPECT_EQ(storm.duration_sec, 0.2 * duration);
   EXPECT_EQ(storm.crashes, 2);
   EXPECT_EQ(storm.restart_after_sec, 600);
-}
-
-// BuildChaosSchedule (the sweep engine's preset entry point) routes
-// through the same packs — pin it on a provisioned cluster too.
-TEST(ScenarioPresets, BuildChaosScheduleUsesThePacks) {
-  net::Topology topology = net::StandardWorld();
-  core::ClusterSpec spec;
-  spec.groups.push_back(core::GcT4s(2, net::kGcUs));
-  spec.groups.push_back(core::GcT4s(2, net::kGcEu));
-  auto cluster = core::Cluster::Provision(&topology, spec);
-  ASSERT_TRUE(cluster.ok());
-  const double duration = 2 * kHour;
-
-  auto from_preset = core::BuildChaosSchedule(
-      core::ChaosPreset::kPartition, *cluster, topology, duration);
-  ASSERT_TRUE(from_preset.ok());
-  auto pack = scenario::BuiltinScenario("partition");
-  ASSERT_TRUE(pack.ok());
-  auto from_pack = scenario::Compile(
-      *pack, core::FleetViewOf(*cluster, topology), duration);
-  ASSERT_TRUE(from_pack.ok());
-  ASSERT_EQ(from_preset->wan_events().size(), from_pack->wan_events().size());
-  for (size_t i = 0; i < from_pack->wan_events().size(); ++i) {
-    EXPECT_EQ(from_preset->wan_events()[i].a, from_pack->wan_events()[i].a);
-    EXPECT_EQ(from_preset->wan_events()[i].start_sec,
-              from_pack->wan_events()[i].start_sec);
-    EXPECT_EQ(from_preset->wan_events()[i].bandwidth_factor,
-              from_pack->wan_events()[i].bandwidth_factor);
-  }
 }
 
 // --- Compile semantics for the new phenomena --------------------------

@@ -27,6 +27,14 @@
 namespace hivesim::core {
 namespace {
 
+const ChaosAxisEntry kNoChaos{"none", std::nullopt};
+
+ChaosAxisEntry BuiltinEntry(const std::string& name) {
+  auto pack = scenario::BuiltinScenario(name);
+  EXPECT_TRUE(pack.ok()) << pack.status().ToString();
+  return {name, pack.ok() ? std::optional(*pack) : std::nullopt};
+}
+
 SweepSpec SmallGrid() {
   SweepSpec spec;
   spec.title = "oracle grid";
@@ -36,8 +44,7 @@ SweepSpec SmallGrid() {
   spec.models = {models::ModelId::kConvNextLarge};
   spec.target_batch_sizes = {8192, 32768};
   spec.seeds = {1, 7};
-  spec.chaos = {ChaosPreset::kNone, ChaosPreset::kPartition,
-                ChaosPreset::kChurn};
+  spec.chaos = {kNoChaos, BuiltinEntry("partition"), BuiltinEntry("churn")};
   spec.duration_sec = 0.5 * kHour;
   return spec;
 }
@@ -68,18 +75,6 @@ TEST(SweepSpecTest, ExpansionOrderAndNaming) {
   EXPECT_EQ(std::unique(slugs.begin(), slugs.end()), slugs.end());
 }
 
-TEST(SweepSpecTest, ChaosCellsGetChurnHardening) {
-  const std::vector<SweepCell> cells = ExpandSweep(SmallGrid());
-  for (const SweepCell& cell : cells) {
-    if (cell.chaos == ChaosPreset::kNone) {
-      EXPECT_EQ(cell.config.averaging_round_timeout_sec, 0);
-    } else {
-      EXPECT_GT(cell.config.averaging_round_timeout_sec, 0);
-      EXPECT_GT(cell.config.averaging_max_retries, 0);
-    }
-  }
-}
-
 TEST(SweepSpecTest, ValidateRejectsBadSpecs) {
   SweepSpec empty;
   empty.clusters.clear();
@@ -104,44 +99,44 @@ TEST(SweepSpecTest, ValidateRejectsBadSpecs) {
   EXPECT_TRUE(SmallGrid().Validate().ok());
 }
 
-// Scenario packs ride the chaos axis, so their labels share a namespace
-// with the preset names and must be unique and non-empty.
+// Chaos labels name cells: they must be unique and non-empty, "none"
+// means exactly "no pack", and a builtin name means exactly that pack.
 TEST(SweepSpecTest, ScenarioAxisLabelsAreValidatedAndNameCells) {
-  auto pack = scenario::BuiltinScenario("zone-diurnal");
-  ASSERT_TRUE(pack.ok());
-
   SweepSpec ok = SmallGrid();
-  ok.chaos = {ChaosPreset::kNone};
-  ok.scenarios.push_back(ScenarioAxisEntry{"zone-diurnal", *pack});
+  ok.chaos = {kNoChaos, BuiltinEntry("zone-diurnal")};
   ASSERT_TRUE(ok.Validate().ok());
   const std::vector<SweepCell> cells = ExpandSweep(ok);
   ASSERT_FALSE(cells.empty());
-  // Scenario cells expand after the presets, suffixed with the label.
+  // Chaos cells are suffixed with their label, in axis order.
   EXPECT_EQ(cells[0].name, "2xA10/CONV/tbs8192/seed1");
   EXPECT_EQ(cells[1].name, "2xA10/CONV/tbs8192/seed1/zone-diurnal");
 
+  // A zone-diurnal pack labelled as another builtin is not that builtin.
   SweepSpec collides = ok;
-  collides.scenarios[0].label = "partition";
+  collides.chaos[1].label = "partition";
   EXPECT_FALSE(collides.Validate().ok());
 
+  // A custom label is free to carry any pack.
+  SweepSpec custom = ok;
+  custom.chaos[1].label = "my-diurnal";
+  EXPECT_TRUE(custom.Validate().ok());
+
   SweepSpec unlabeled = ok;
-  unlabeled.scenarios[0].label.clear();
+  unlabeled.chaos[1].label.clear();
   EXPECT_FALSE(unlabeled.Validate().ok());
 
   SweepSpec dup = ok;
-  dup.scenarios.push_back(dup.scenarios[0]);
+  dup.chaos.push_back(dup.chaos[1]);
   EXPECT_FALSE(dup.Validate().ok());
-}
 
-TEST(SweepSpecTest, ChaosPresetRoundTrip) {
-  for (const ChaosPreset preset :
-       {ChaosPreset::kNone, ChaosPreset::kWanDegrade, ChaosPreset::kPartition,
-        ChaosPreset::kChurn}) {
-    auto parsed = ParseChaosPreset(ChaosPresetName(preset));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, preset);
-  }
-  EXPECT_FALSE(ParseChaosPreset("tsunami").ok());
+  SweepSpec none_with_pack = ok;
+  none_with_pack.chaos[1].label = "none";
+  none_with_pack.chaos.erase(none_with_pack.chaos.begin());
+  EXPECT_FALSE(none_with_pack.Validate().ok());
+
+  SweepSpec label_without_pack = ok;
+  label_without_pack.chaos[1].pack.reset();
+  EXPECT_FALSE(label_without_pack.Validate().ok());
 }
 
 // --- The determinism oracle: serial == parallel, byte for byte ---
@@ -180,7 +175,7 @@ TEST(SweepDeterminismTest, SerialAndParallelRunsAreByteIdentical) {
     EXPECT_EQ(a.ok, b.ok);
     EXPECT_DOUBLE_EQ(a.result.train.throughput_sps,
                      b.result.train.throughput_sps);
-    EXPECT_EQ(a.chaos_fingerprint, b.chaos_fingerprint);
+    EXPECT_EQ(a.result.chaos_fingerprint, b.result.chaos_fingerprint);
     EXPECT_EQ(a.trace_json, b.trace_json);
     EXPECT_EQ(a.metrics_json, b.metrics_json);
     EXPECT_FALSE(a.trace_json.empty());
@@ -190,8 +185,8 @@ TEST(SweepDeterminismTest, SerialAndParallelRunsAreByteIdentical) {
   // against an empty schedule).
   bool saw_chaos = false;
   for (size_t i = 0; i < one->cells.size(); ++i) {
-    if (one->cells[i].chaos != ChaosPreset::kNone) {
-      EXPECT_NE(one->outcomes[i].chaos_fingerprint, 0u)
+    if (one->cells[i].chaos.pack) {
+      EXPECT_NE(one->outcomes[i].result.chaos_fingerprint, 0u)
           << one->cells[i].name;
       saw_chaos = true;
     }
@@ -254,7 +249,7 @@ TEST(SweepDeterminismTest, GloballyEnabledTelemetryStaysRaceFreeAndClean) {
   SweepSpec spec = SmallGrid();
   spec.clusters.resize(1);
   spec.seeds = {1};
-  spec.chaos = {ChaosPreset::kNone};
+  spec.chaos = {kNoChaos};
   SweepOptions options;
   options.threads = 4;
   auto summary = RunSweep(spec, options);
@@ -277,7 +272,7 @@ SweepCellOutcome FakeOutcome(size_t i) {
   outcome.result.train.throughput_sps = 100.0 + static_cast<double>(i);
   outcome.result.train.epochs = static_cast<int>(i);
   outcome.result.cost_per_million = 2.0 + 0.01 * static_cast<double>(i);
-  outcome.chaos_fingerprint = 0x9e3779b97f4a7c15ULL * (i + 1);
+  outcome.result.chaos_fingerprint = 0x9e3779b97f4a7c15ULL * (i + 1);
   outcome.metrics.Count("cells", 1);
   outcome.metrics.Count("samples", 1000.0 * static_cast<double>(i + 1));
   outcome.metrics.SetGauge("peak", static_cast<double>((i * 37) % 11));
@@ -349,7 +344,7 @@ TEST(SweepAggregatorTest, DuplicateAndOutOfRangeAddsAreIgnored) {
   SweepSpec spec = SmallGrid();
   spec.clusters.resize(1);
   spec.seeds = {1};
-  spec.chaos = {ChaosPreset::kNone};
+  spec.chaos = {kNoChaos};
   const std::vector<SweepCell> cells = ExpandSweep(spec);
   SweepAggregator aggregator(spec, cells);
   SweepCellOutcome first = FakeOutcome(0);

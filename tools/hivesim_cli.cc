@@ -61,9 +61,10 @@
 //     --models CONV,RXLM       Model axis ("suitability" = Fig. 3/4 set).
 //     --tbs 8192,16384,32768   Target-batch-size axis.
 //     --seeds 1,2              Seed axis.
-//     --chaos none,partition   Chaos axis (none, wan-degrade, partition,
-//                              churn); see docs/SWEEPS.md.
-//     --scenarios p1.json,p2   Scenario packs extending the chaos axis;
+//     --chaos none,partition   Chaos axis: none or builtin pack names
+//                              (wan-degrade, partition, churn,
+//                              zone-diurnal); see docs/SWEEPS.md.
+//     --scenarios p1.json,p2   Scenario packs appended to the chaos axis;
 //                              each cell label is the pack's name.
 //     --hours H --title T      Shared run length / report title.
 //     --threads N              Worker threads (results are byte-identical
@@ -113,7 +114,7 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,7 +129,6 @@
 #include "core/report.h"
 #include "core/sweep.h"
 #include "core/sweep_runner.h"
-#include "faults/chaos.h"
 #include "fuzz/fuzz.h"
 #include "lint/lint.h"
 #include "net/profiler.h"
@@ -218,35 +218,25 @@ int WriteTelemetryOutputs(const FlagSet& flags) {
   return 0;
 }
 
-/// Runs one experiment with a scenario pack compiled against the fleet
-/// and armed; prints the chaos fingerprint (the replay handle, the same
-/// number sweep manifests record). Scenario runs get the sweep engine's
-/// chaos hardening so a scripted partition degrades instead of stalling
-/// the run.
-Result<core::ExperimentResult> RunWithScenario(
-    const core::ClusterSpec& cluster, core::ExperimentConfig config,
-    const scenario::ScenarioPack& pack, const std::string& label) {
-  config.averaging_round_timeout_sec = 120;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
-  std::unique_ptr<core::ExperimentWorld> world;
-  HIVESIM_ASSIGN_OR_RETURN(world, core::BuildExperimentWorld(cluster, config));
-  faults::ChaosSchedule schedule;
-  HIVESIM_ASSIGN_OR_RETURN(
-      schedule,
-      scenario::Compile(pack, core::FleetViewOf(world->cluster, world->topology),
-                        config.duration_sec));
-  faults::ChaosInjector injector(&world->sim, &world->topology,
-                                 world->network.get(), config.seed);
-  injector.AttachTrainer(world->trainer.get());
-  HIVESIM_RETURN_IF_ERROR(injector.Arm(schedule));
-  core::ExperimentResult result;
-  HIVESIM_ASSIGN_OR_RETURN(result, core::CompleteExperiment(*world, config));
+/// The pack named by --scenario, or none when the flag is absent.
+Result<std::optional<scenario::ScenarioPack>> LoadScenarioFlag(
+    const FlagSet& flags) {
+  const std::string path = flags.GetString("scenario", "");
+  if (path.empty()) return std::optional<scenario::ScenarioPack>();
+  scenario::ScenarioPack pack;
+  HIVESIM_ASSIGN_OR_RETURN(pack, scenario::LoadScenarioFile(path));
+  return std::optional<scenario::ScenarioPack>(std::move(pack));
+}
+
+/// Prints a scenario run's chaos fingerprint: the replay handle, the
+/// same number sweep manifests record.
+void PrintFingerprint(const std::string& label,
+                      const scenario::ScenarioPack& pack,
+                      const core::ExperimentResult& result) {
   std::cout << label << ": scenario " << pack.name << " fingerprint "
             << StrFormat("%016llx", static_cast<unsigned long long>(
-                                        injector.TraceFingerprint()))
+                                        result.chaos_fingerprint))
             << "\n";
-  return result;
 }
 
 int CmdRun(const FlagSet& flags) {
@@ -265,13 +255,10 @@ int CmdRun(const FlagSet& flags) {
   if (!tbs.ok()) return Fail(tbs.status());
   auto hours = flags.GetDouble("hours", 2.0);
   if (!hours.ok()) return Fail(hours.status());
-  scenario::ScenarioPack pack;
-  const std::string scenario_path = flags.GetString("scenario", "");
-  if (!scenario_path.empty()) {
-    auto loaded = scenario::LoadScenarioFile(scenario_path);
-    if (!loaded.ok()) return Fail(loaded.status());
-    pack = std::move(*loaded);
-  }
+  auto loaded = LoadScenarioFlag(flags);
+  if (!loaded.ok()) return Fail(loaded.status());
+  const scenario::ScenarioPack* pack =
+      loaded->has_value() ? &loaded->value() : nullptr;
 
   core::ReportBuilder report(
       StrCat("series ", flags.GetString("series", "A"), " / ",
@@ -282,15 +269,13 @@ int CmdRun(const FlagSet& flags) {
     config.target_batch_size = *tbs;
     config.duration_sec = *hours * kHour;
     auto result =
-        scenario_path.empty()
-            ? core::RunHivemindExperiment(experiment.cluster, config)
-            : RunWithScenario(experiment.cluster, config, pack,
-                              experiment.name);
+        core::RunHivemindExperiment(experiment.cluster, config, pack);
     if (!result.ok()) {
       std::cerr << experiment.name << ": " << result.status().ToString()
                 << "\n";
       continue;
     }
+    if (pack) PrintFingerprint(experiment.name, *pack, *result);
     report.Add(experiment.name, std::move(*result));
   }
   report.PrintTable(std::cout);
@@ -316,7 +301,8 @@ int CmdFleet(const FlagSet& flags) {
     return Fail(s);
   }
   EnableTelemetryIfRequested(flags);
-  auto cluster = core::ParseFleetSpec(flags.GetString("spec", "gc-us:8"));
+  const std::string spec = flags.GetString("spec", "gc-us:8");
+  auto cluster = core::ParseFleetSpec(spec);
   if (!cluster.ok()) return Fail(cluster.status());
   auto model = models::ParseModelId(flags.GetString("model", "CONV"));
   if (!model.ok()) return Fail(model.status());
@@ -324,27 +310,22 @@ int CmdFleet(const FlagSet& flags) {
   if (!tbs.ok()) return Fail(tbs.status());
   auto hours = flags.GetDouble("hours", 2.0);
   if (!hours.ok()) return Fail(hours.status());
+  auto loaded = LoadScenarioFlag(flags);
+  if (!loaded.ok()) return Fail(loaded.status());
+  const scenario::ScenarioPack* pack =
+      loaded->has_value() ? &loaded->value() : nullptr;
 
   core::ExperimentConfig config;
   config.model = *model;
   config.target_batch_size = *tbs;
   config.duration_sec = *hours * kHour;
-  const std::string scenario_path = flags.GetString("scenario", "");
-  Result<core::ExperimentResult> result = [&]() -> Result<core::ExperimentResult> {
-    if (scenario_path.empty()) {
-      return core::RunHivemindExperiment(*cluster, config);
-    }
-    scenario::ScenarioPack pack;
-    HIVESIM_ASSIGN_OR_RETURN(pack, scenario::LoadScenarioFile(scenario_path));
-    return RunWithScenario(*cluster, config, pack,
-                           flags.GetString("spec", "gc-us:8"));
-  }();
+  auto result = core::RunHivemindExperiment(*cluster, config, pack);
   if (!result.ok()) return Fail(result.status());
+  if (pack) PrintFingerprint(spec, *pack, *result);
 
-  core::ReportBuilder report(
-      StrCat("fleet ", flags.GetString("spec", "gc-us:8")));
+  core::ReportBuilder report(StrCat("fleet ", spec));
   const double granularity = result->train.granularity;
-  report.Add(flags.GetString("spec", "gc-us:8"), std::move(*result));
+  report.Add(spec, std::move(*result));
   report.PrintTable(std::cout);
   std::cout << "Scaling outlook: "
             << core::SuitabilityAdvice(
@@ -359,6 +340,22 @@ int CmdFleet(const FlagSet& flags) {
   return WriteTelemetryOutputs(flags);
 }
 
+/// Splits a comma list and parses each field as a non-negative integer.
+Result<std::vector<int64_t>> ParseIntList(const std::string& text,
+                                          const char* what) {
+  std::vector<int64_t> values;
+  for (const std::string& field : StrSplit(text, ',')) {
+    char* end = nullptr;
+    const long long v = std::strtoll(field.c_str(), &end, 10);
+    if (end == field.c_str() || *end != '\0' || v < 0) {
+      return Status::InvalidArgument(
+          StrCat("bad ", what, " '", field, "' (want a non-negative int)"));
+    }
+    values.push_back(v);
+  }
+  return values;
+}
+
 int CmdAdvise(const FlagSet& flags) {
   if (Status s = flags.CheckKnown({"model", "min-sps", "sizes"}); !s.ok()) {
     return Fail(s);
@@ -370,10 +367,14 @@ int CmdAdvise(const FlagSet& flags) {
   auto min_sps = flags.GetDouble("min-sps", 0.0);
   if (!min_sps.ok()) return Fail(min_sps.status());
   request.min_throughput_sps = *min_sps;
+  auto sizes = ParseIntList(flags.GetString("sizes", "2,4,8"), "--sizes");
+  if (!sizes.ok()) return Fail(sizes.status());
   request.fleet_sizes.clear();
-  for (const std::string& size :
-       StrSplit(flags.GetString("sizes", "2,4,8"), ',')) {
-    request.fleet_sizes.push_back(std::atoi(size.c_str()));
+  for (const int64_t size : *sizes) {
+    if (size == 0) {
+      return Fail(Status::InvalidArgument("--sizes entries must be >= 1"));
+    }
+    request.fleet_sizes.push_back(static_cast<int>(size));
   }
   auto options = core::RankTrainingOptions(request);
   if (!options.ok()) return Fail(options.status());
@@ -422,22 +423,6 @@ int CmdProfile(const FlagSet& flags) {
             << "): " << FormatRate(*bps) << ", ping "
             << StrFormat("%.1f ms", *ping) << "\n";
   return 0;
-}
-
-/// Splits a comma list and parses each field as a non-negative integer.
-Result<std::vector<int64_t>> ParseIntList(const std::string& text,
-                                          const char* what) {
-  std::vector<int64_t> values;
-  for (const std::string& field : StrSplit(text, ',')) {
-    char* end = nullptr;
-    const long long v = std::strtoll(field.c_str(), &end, 10);
-    if (end == field.c_str() || *end != '\0' || v < 0) {
-      return Status::InvalidArgument(
-          StrCat("bad ", what, " '", field, "' (want a non-negative int)"));
-    }
-    values.push_back(v);
-  }
-  return values;
 }
 
 int CmdSweep(const FlagSet& flags) {
@@ -494,23 +479,25 @@ int CmdSweep(const FlagSet& flags) {
   if (!seed_list.ok()) return Fail(seed_list.status());
   spec.seeds.assign(seed_list->begin(), seed_list->end());
 
+  // The chaos axis: --chaos names ("none" or a builtin pack), then the
+  // --scenarios packs, each labelled with the pack's own name.
   spec.chaos.clear();
   for (const std::string& name :
        StrSplit(flags.GetString("chaos", "none"), ',')) {
-    auto preset = core::ParseChaosPreset(name);
-    if (!preset.ok()) return Fail(preset.status());
-    spec.chaos.push_back(*preset);
+    if (name == "none") {
+      spec.chaos.push_back({name, std::nullopt});
+      continue;
+    }
+    auto pack = scenario::BuiltinScenario(name);
+    if (!pack.ok()) return Fail(pack.status());
+    spec.chaos.push_back({name, std::move(*pack)});
   }
-
-  // Scenario packs extend the chaos axis; each cell is labelled with the
-  // pack's own name.
   const std::string scenario_paths = flags.GetString("scenarios", "");
   if (!scenario_paths.empty()) {
     for (const std::string& path : StrSplit(scenario_paths, ',')) {
       auto pack = scenario::LoadScenarioFile(path);
       if (!pack.ok()) return Fail(pack.status());
-      spec.scenarios.push_back(
-          core::ScenarioAxisEntry{pack->name, std::move(*pack)});
+      spec.chaos.push_back({pack->name, std::move(*pack)});
     }
   }
 
