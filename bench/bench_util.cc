@@ -113,9 +113,10 @@ TelemetryScope::~TelemetryScope() {
 
 namespace {
 
-/// Console output plus a per-bench minimum of ns/iteration. The minimum
-/// (not the mean) across repetitions is the standard choice for gating:
-/// it is the least noisy estimator of the true cost on a shared machine.
+/// Console output plus a per-bench minimum of ns/iteration and the user
+/// counters of that fastest repetition. The minimum (not the mean) across
+/// repetitions is the standard choice for gating: it is the least noisy
+/// estimator of the true cost on a shared machine.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -126,7 +127,13 @@ class CollectingReporter : public benchmark::ConsoleReporter {
                         static_cast<double>(run.iterations) * 1e9;
       const std::string name = run.benchmark_name();
       auto [it, inserted] = ns_per_iter_.emplace(name, ns);
-      if (!inserted && ns < it->second) it->second = ns;
+      if (!inserted && ns >= it->second) continue;
+      it->second = ns;
+      std::map<std::string, double>& counters = counters_[name];
+      counters.clear();
+      for (const auto& [counter, value] : run.counters) {
+        counters[counter] = value.value;
+      }
     }
     ConsoleReporter::ReportRuns(reports);
   }
@@ -134,9 +141,15 @@ class CollectingReporter : public benchmark::ConsoleReporter {
   const std::map<std::string, double>& ns_per_iter() const {
     return ns_per_iter_;
   }
+  /// Bench name -> counter name -> value (empty for counter-less benches).
+  const std::map<std::string, std::map<std::string, double>>& counters()
+      const {
+    return counters_;
+  }
 
  private:
   std::map<std::string, double> ns_per_iter_;
+  std::map<std::string, std::map<std::string, double>> counters_;
 };
 
 /// Peak resident set size of this process in bytes (0 if unavailable).
@@ -158,6 +171,8 @@ PerfJsonScope::PerfJsonScope(int* argc, char** argv, std::string area)
     const std::string arg = argv[i];
     if (StartsWith(arg, "--bench-json=")) {
       json_out_ = arg.substr(std::string("--bench-json=").size());
+    } else if (StartsWith(arg, "--bench-area=")) {
+      area_ = arg.substr(std::string("--bench-area=").size());
     } else {
       argv[kept++] = argv[i];
     }
@@ -187,7 +202,16 @@ int PerfJsonScope::RunAndReport(int* argc, char** argv) {
   json.Key("area").String(area_);
   json.Key("benches").BeginObject();
   for (const auto& [name, ns] : reporter.ns_per_iter()) {
-    json.Key(name).BeginObject().Key("ns_per_iter").Number(ns).EndObject();
+    json.Key(name).BeginObject();
+    const auto counters = reporter.counters().find(name);
+    if (counters != reporter.counters().end() && !counters->second.empty()) {
+      json.Key("counters").BeginObject();
+      for (const auto& [counter, value] : counters->second) {
+        json.Key(counter).Number(value);
+      }
+      json.EndObject();
+    }
+    json.Key("ns_per_iter").Number(ns).EndObject();
   }
   json.EndObject();
   json.Key("checks").BeginObject();

@@ -70,7 +70,9 @@ class TelemetryScope {
 
 /// Machine-readable perf reporting for the trajectory gate: construct
 /// with &argc/argv *before* benchmark::Initialize (it strips
-/// `--bench-json=PATH`, which google-benchmark would reject), register
+/// `--bench-json=PATH` and `--bench-area=NAME`, which google-benchmark
+/// would reject; the latter renames the artifact's area, so one binary
+/// can feed two gated areas), register
 /// deterministic self-check values with `AddCheck`, then let
 /// `RunAndReport` drive Initialize + RunSpecifiedBenchmarks.
 ///
@@ -78,7 +80,9 @@ class TelemetryScope {
 /// collecting reporter (console output is preserved) and written as
 ///
 ///   {"area":"<area>",
-///    "benches":{"BM_Name/arg":{"ns_per_iter":<min across repetitions>}},
+///    "benches":{"BM_Name/arg":{"ns_per_iter":<min across repetitions>,
+///                              "counters":{<that repetition's user
+///                                          counters, if any>}}},
 ///    "checks":{"<key>":<value>},
 ///    "max_rss_bytes":<process peak RSS after the run, getrusage>,
 ///    "schema":"hivesim-bench/1"}

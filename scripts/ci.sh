@@ -33,7 +33,9 @@
 #      gate spends time on the other areas,
 #   9. the perf gate: the five gated bench binaries run with
 #      --bench-json (each self-checks determinism first and exits
-#      non-zero on divergence), then `hivesim perfgate` compares the
+#      non-zero on divergence; bench_fleet runs twice, its 100k-peer
+#      world once under its own area whose baseline floors the 100k/1k
+#      completions/s ratio), then `hivesim perfgate` compares the
 #      fresh BENCH_<area>.json artifacts against the committed baselines
 #      in bench/baselines/ and fails loudly — with a before/after table —
 #      on any regression past the per-bench threshold or any drift in a
@@ -138,11 +140,16 @@ mkdir -p "$perfdir"
   --bench-json="$perfdir/BENCH_chaos.json" > /dev/null
 ./build/bench/bench_fig3_tbs_throughput --benchmark_min_time=0.1s \
   --bench-json="$perfdir/BENCH_fig3.json" > /dev/null
-# The 100k-peer arg is the scalability headline, not a CI gate: gate on
-# the 1k/10k worlds so the stage stays bounded on shared runners.
 ./build/bench/bench_fleet --benchmark_filter='BM_Fleet/(1000|10000)$' \
   --benchmark_min_time=0.1s \
   --bench-json="$perfdir/BENCH_fleet.json" > /dev/null
+# The 100k-peer world (about half a second per iteration, so one or two
+# iterations) in its own area, so the fleet area's max_rss_bytes keeps
+# gating the 1k/10k worlds. BM_Fleet/1000 rides along as the denominator
+# of the scaling floor in BENCH_fleet_100k.json.
+./build/bench/bench_fleet --benchmark_filter='BM_Fleet/(1000|100000)$' \
+  --benchmark_min_time=0.1s --bench-area=fleet_100k \
+  --bench-json="$perfdir/BENCH_fleet_100k.json" > /dev/null
 if [[ "${HIVESIM_UPDATE_PERF_BASELINE:-0}" == "1" ]]; then
   ./build/tools/hivesim perfgate --current-dir="$perfdir" \
     --baseline-dir=bench/baselines --update

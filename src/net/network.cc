@@ -21,11 +21,41 @@ uint64_t SitePairKey(SiteId src, SiteId dst) {
 }
 }  // namespace
 
+// Meters are sized on the first delivery (GrowMeters), not here: a world
+// that never moves a byte allocates none, and reads are bounds-checked.
 Network::Network(sim::Simulator* sim, const Topology* topology)
-    : sim_(sim), topology_(topology) {
-  node_egress_bytes_.resize(topology_->num_nodes(), 0.0);
-  node_ingress_bytes_.resize(topology_->num_nodes(), 0.0);
-  node_peak_egress_.resize(topology_->num_nodes(), 0.0);
+    : sim_(sim), topology_(topology) {}
+
+void Network::GrowMeters() {
+  const size_t nodes = topology_->num_nodes();
+  if (node_egress_bytes_.size() < nodes) {
+    node_egress_bytes_.resize(nodes, 0.0);
+    node_ingress_bytes_.resize(nodes, 0.0);
+    node_peak_egress_.resize(nodes, 0.0);
+  }
+  const size_t sites = topology_->num_sites();
+  if (sites <= site_stride_) return;
+  // Re-lay the matrix at the new stride and re-point the live flows'
+  // cached site-pair slots. Sites are added rarely, flows often.
+  std::vector<double> grown(sites * sites, 0.0);
+  for (size_t src = 0; src < site_stride_; ++src) {
+    std::copy_n(site_pair_bytes_.begin() + src * site_stride_, site_stride_,
+                grown.begin() + src * sites);
+  }
+  site_pair_bytes_ = std::move(grown);
+  site_stride_ = sites;
+  for (Flow& flow : flow_slab_) {
+    if (flow.id != 0) {
+      flow.site_pair = SitePairIndex(flow.src_site, flow.dst_site);
+    }
+  }
+}
+
+uint32_t Network::NodePairSlot(NodeId src, NodeId dst) {
+  auto [it, inserted] = node_pair_index_.try_emplace(
+      NodePairKey(src, dst), static_cast<uint32_t>(node_pair_bytes_.size()));
+  if (inserted) node_pair_bytes_.push_back(0.0);
+  return it->second;
 }
 
 Network::FlowSlot Network::AllocFlowSlot() {
@@ -47,7 +77,7 @@ void Network::FreeFlowSlot(FlowSlot slot) {
   flow.id = 0;
   flow.on_complete = nullptr;
   flow.has_completion_event = false;
-  flow.num_keys = 0;
+  flow.num_res = 0;
   free_flow_slots_.push_back(slot);
   --live_flows_;
 }
@@ -84,13 +114,6 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
   Path path;
   HIVESIM_ASSIGN_OR_RETURN(path, topology_->PathBetweenNodes(src, dst));
 
-  // Grow meters lazily if nodes were added after construction.
-  if (node_egress_bytes_.size() < topology_->num_nodes()) {
-    node_egress_bytes_.resize(topology_->num_nodes(), 0.0);
-    node_ingress_bytes_.resize(topology_->num_nodes(), 0.0);
-    node_peak_egress_.resize(topology_->num_nodes(), 0.0);
-  }
-
   const FlowId id = next_flow_id_++;
   if (bytes <= kEpsilonBytes) {
     // Latency-only delivery. The flow is tracked so it can be cancelled
@@ -109,15 +132,17 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
     return id;
   }
 
-  Progress();
-
+  GrowMeters();
   Flow flow;
   flow.id = id;
   flow.src = src;
   flow.dst = dst;
   flow.src_site = topology_->SiteOf(src);
   flow.dst_site = topology_->SiteOf(dst);
+  flow.node_pair = NodePairSlot(src, dst);
+  flow.site_pair = SitePairIndex(flow.src_site, flow.dst_site);
   flow.started_sec = sim_->Now();
+  flow.settled_sec = flow.started_sec;
   flow.total_bytes = bytes;
   flow.remaining_bytes = bytes;
   flow.rate_bps = 0;
@@ -148,27 +173,27 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
   // The flow's shared resources, fixed for its lifetime: the endpoint
   // NICs and, cross-site, the directed inter-site path. Capacities are
   // snapshotted when a resource first appears (Refresh re-reads them).
+  ResourceKey keys[3];
   double caps[3];
   int n = 0;
-  flow.keys[n] = {ResourceKind::kEgress, flow.src, 0};
+  keys[n] = {ResourceKind::kEgress, flow.src, 0};
   caps[n++] = topology_->EgressCap(flow.src);
-  flow.keys[n] = {ResourceKind::kIngress, flow.dst, 0};
+  keys[n] = {ResourceKind::kIngress, flow.dst, 0};
   caps[n++] = topology_->IngressCap(flow.dst);
   if (flow.src_site != flow.dst_site) {
     // Cross-site flows contend on the directed inter-site path. Intra-
     // site traffic rides a non-blocking fabric: the per-VM-pair rate is
     // already folded into the flow's stream cap, and only the NICs are
     // shared resources.
-    flow.keys[n] = {ResourceKind::kPath, flow.src_site, flow.dst_site};
+    keys[n] = {ResourceKind::kPath, flow.src_site, flow.dst_site};
     caps[n++] = path.bandwidth_bps;
   }
-  flow.num_keys = n;
 
   const FlowSlot slot = AllocFlowSlot();
   flow_slab_[slot] = std::move(flow);
   flow_index_.emplace(id, slot);
-  AddFlowToResources(slot, caps);
-  SolveComponent(flow_slab_[slot].keys, flow_slab_[slot].num_keys);
+  AddFlowToResources(slot, keys, caps, n);
+  SolveComponent(flow_slab_[slot].res_slots, n);
   return id;
 }
 
@@ -192,8 +217,8 @@ bool Network::CancelFlow(FlowId id) {
   auto it = flow_index_.find(id);
   if (it == flow_index_.end()) return false;
   const FlowSlot slot = it->second;
-  Progress();
   Flow& flow = flow_slab_[slot];
+  Settle(flow, sim_->Now());
   if (flow.has_completion_event) {
     sim_->Cancel(flow.completion_event);
   }
@@ -209,10 +234,10 @@ bool Network::CancelFlow(FlowId id) {
             topology_->site(flow.src_site).name.c_str(),
             topology_->site(flow.dst_site).name.c_str()));
   }
+  ResSlot seed[3];
+  std::copy(flow.res_slots, flow.res_slots + flow.num_res, seed);
+  const int num_seed = flow.num_res;
   RemoveFlowFromResources(slot);
-  ResourceKey seed[3];
-  std::copy(flow.keys, flow.keys + flow.num_keys, seed);
-  const int num_seed = flow.num_keys;
   flow_index_.erase(it);
   FreeFlowSlot(slot);
   SolveComponent(seed, num_seed);
@@ -245,25 +270,22 @@ Status Network::SendMessage(NodeId src, NodeId dst, double bytes,
 }
 
 void Network::Refresh() {
-  Progress();
   // Topology paths may have changed (WAN degradation/recovery): re-read
   // every resource's capacity, then re-solve all components. Flows keep
   // their per-flow stream caps by contract. Both passes walk the slabs in
   // slot order — deterministic, and each capacity update is independent.
+  // The solves settle each flow before overwriting its rate.
   for (Resource& res : res_slab_) {
     if (!res.live) continue;
     switch (res.key.kind) {
       case ResourceKind::kEgress:
-        res.capacity_bps =
-            topology_->EgressCap(static_cast<NodeId>(res.key.a));
+        res.capacity_bps = topology_->EgressCap(res.key.a);
         break;
       case ResourceKind::kIngress:
-        res.capacity_bps =
-            topology_->IngressCap(static_cast<NodeId>(res.key.a));
+        res.capacity_bps = topology_->IngressCap(res.key.a);
         break;
       case ResourceKind::kPath: {
-        auto path = topology_->PathBetween(static_cast<SiteId>(res.key.a),
-                                           static_cast<SiteId>(res.key.b));
+        auto path = topology_->PathBetween(res.key.a, res.key.b);
         res.capacity_bps = path.ok() ? path->bandwidth_bps : 0.0;
         break;
       }
@@ -276,7 +298,7 @@ void Network::Refresh() {
     if (flow_mark_[slot] > already_solved) {
       continue;  // Covered by a prior component.
     }
-    SolveComponent(flow.keys, flow.num_keys);
+    SolveComponent(flow.res_slots, flow.num_res);
   }
 }
 
@@ -285,31 +307,38 @@ double Network::FlowRate(FlowId id) const {
   return it == flow_index_.end() ? 0.0 : flow_slab_[it->second].rate_bps;
 }
 
-void Network::Progress() {
-  const double now = sim_->Now();
-  const double dt = now - last_update_;
-  last_update_ = now;
+void Network::Settle(const Flow& flow, double now) const {
+  const double dt = now - flow.settled_sec;
   if (dt <= 0) return;
-  for (Flow& flow : flow_slab_) {
-    if (flow.id == 0) continue;
-    const double moved = std::min(flow.remaining_bytes, flow.rate_bps * dt);
-    if (moved > 0) {
-      flow.remaining_bytes -= moved;
-      MeterBytesSited(flow.src, flow.dst, flow.src_site, flow.dst_site,
-                      moved);
-    }
+  flow.settled_sec = now;
+  const double moved = std::min(flow.remaining_bytes, flow.rate_bps * dt);
+  if (moved > 0) {
+    flow.remaining_bytes -= moved;
+    MeterSlots(flow.node_pair, flow.site_pair, flow.src, flow.dst,
+               flow.src_site, flow.dst_site, moved);
   }
 }
 
-void Network::AddFlowToResources(FlowSlot slot, const double* caps) {
+void Network::SettleAll() const {
+  const double now = sim_->Now();
+  if (now == settled_all_sec_) return;
+  settled_all_sec_ = now;
+  for (const Flow& flow : flow_slab_) {
+    if (flow.id != 0) Settle(flow, now);
+  }
+}
+
+void Network::AddFlowToResources(FlowSlot slot, const ResourceKey* keys,
+                                 const double* caps, int num_res) {
   Flow& flow = flow_slab_[slot];
-  for (int i = 0; i < flow.num_keys; ++i) {
-    auto [it, inserted] = res_index_.try_emplace(flow.keys[i], 0);
+  flow.num_res = num_res;
+  for (int i = 0; i < num_res; ++i) {
+    auto [it, inserted] = res_index_.try_emplace(keys[i], 0);
     if (inserted) {
       const ResSlot rs = AllocResSlot();
       it->second = rs;
       Resource& res = res_slab_[rs];
-      res.key = flow.keys[i];
+      res.key = keys[i];
       res.capacity_bps = caps[i];
       res.live = true;
     }
@@ -321,7 +350,7 @@ void Network::AddFlowToResources(FlowSlot slot, const double* caps) {
 
 void Network::RemoveFlowFromResources(FlowSlot slot) {
   const Flow& flow = flow_slab_[slot];
-  for (int i = 0; i < flow.num_keys; ++i) {
+  for (int i = 0; i < flow.num_res; ++i) {
     const ResSlot rs = flow.res_slots[i];
     std::vector<FlowSlot>& users = res_slab_[rs].flows;
     for (size_t j = 0; j < users.size(); ++j) {
@@ -332,28 +361,27 @@ void Network::RemoveFlowFromResources(FlowSlot slot) {
       }
     }
     if (users.empty()) {
-      res_index_.erase(flow.keys[i]);
+      res_index_.erase(res_slab_[rs].key);
       FreeResSlot(rs);
     }
   }
 }
 
-void Network::SolveComponent(const ResourceKey* seed_keys,
-                             int num_seed_keys) {
+void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
   // --- Gather the dirty component: BFS over the bipartite flow/resource
   // sharing graph starting from the seed resources. Every flow of every
   // visited resource joins, so by closure a resource's unfrozen count is
-  // simply its user count. Only the seeds are hash lookups; the BFS walks
-  // slab indices (resource user lists and per-flow cached slots).
+  // simply its user count. The BFS walks slab indices (resource user
+  // lists and per-flow cached slots) and never hashes.
   const uint64_t epoch = ++solve_epoch_;
   comp_flow_slots_.clear();
   comp_res_slots_.clear();
   size_t scan = 0;
-  for (int i = 0; i < num_seed_keys; ++i) {
-    auto it = res_index_.find(seed_keys[i]);
-    if (it == res_index_.end() || res_mark_[it->second] == epoch) continue;
-    res_mark_[it->second] = epoch;
-    comp_res_slots_.push_back(it->second);
+  for (int i = 0; i < num_seeds; ++i) {
+    const ResSlot rs = seeds[i];
+    if (!res_slab_[rs].live || res_mark_[rs] == epoch) continue;
+    res_mark_[rs] = epoch;
+    comp_res_slots_.push_back(rs);
   }
   while (scan < comp_res_slots_.size()) {
     const ResSlot rs = comp_res_slots_[scan++];
@@ -362,7 +390,7 @@ void Network::SolveComponent(const ResourceKey* seed_keys,
       flow_mark_[fs] = epoch;
       comp_flow_slots_.push_back(fs);
       const Flow& flow = flow_slab_[fs];
-      for (int i = 0; i < flow.num_keys; ++i) {
+      for (int i = 0; i < flow.num_res; ++i) {
         const ResSlot other = flow.res_slots[i];
         if (res_mark_[other] == epoch) continue;
         res_mark_[other] = epoch;
@@ -428,7 +456,7 @@ void Network::SolveComponent(const ResourceKey* seed_keys,
     comp_flow_rate_[i] = level;
     ++frozen_count;
     const Flow& flow = flow_slab_[comp_flow_slots_[i]];
-    for (int k = 0; k < flow.num_keys; ++k) {
+    for (int k = 0; k < flow.num_res; ++k) {
       comp_res_unfrozen_[res_comp_pos_[flow.res_slots[k]]] -= 1.0;
     }
   };
@@ -502,13 +530,17 @@ void Network::SolveComponent(const ResourceKey* seed_keys,
     active = w;
   }
 
-  // --- Apply rates in sorted order. A completion event is only touched
-  // when the flow's rate actually moved (epsilon-compared): unchanged
-  // flows progress linearly, so their already-scheduled deadline stays
-  // exact and the kernel sees no cancel/reschedule churn for them.
+  // --- Apply rates in sorted order. Every flow settles at its old rate
+  // first, even one whose rate barely moves, since the rate is about to
+  // be overwritten. A completion event is only touched when the flow's
+  // rate actually moved (epsilon-compared): unchanged flows progress
+  // linearly, so their already-scheduled deadline stays exact and the
+  // kernel sees no cancel/reschedule churn for them.
+  const double now = sim_->Now();
   for (size_t i = 0; i < num_flows; ++i) {
     const FlowSlot fs = comp_flow_slots_[i];
     Flow& flow = flow_slab_[fs];
+    Settle(flow, now);
     const double new_rate = comp_flow_rate_[i];
     const bool rate_changed =
         std::fabs(new_rate - flow.rate_bps) > kEpsilonRate;
@@ -530,8 +562,8 @@ void Network::SolveComponent(const ResourceKey* seed_keys,
   // --- Peak egress tracking, fresh sums per sender in the component
   // (senders outside it kept their rates, so their sums are unchanged).
   // Each sender's egress resource is summed once: the first flow to reach
-  // it un-marks it for the rest of this pass. keys[0] is always the
-  // sender's egress NIC, so its cached slot serves directly.
+  // it un-marks it for the rest of this pass. res_slots[0] is always
+  // the sender's egress NIC.
   for (size_t i = 0; i < num_flows; ++i) {
     const Flow& flow = flow_slab_[comp_flow_slots_[i]];
     const ResSlot rs = flow.res_slots[0];
@@ -553,14 +585,14 @@ void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
   if (slot >= flow_slab_.size() || flow_slab_[slot].id != id) return;
   Flow& flow = flow_slab_[slot];
   flow.has_completion_event = false;
-  Progress();
+  const double now = sim_->Now();
+  Settle(flow, now);
   // Done when the payload is delivered up to floating-point residue, or
   // when the residue is so small that rescheduling would not advance the
   // simulation clock (which would loop forever).
   const double eta =
       flow.rate_bps > kEpsilonRate ? flow.remaining_bytes / flow.rate_bps
                                    : std::numeric_limits<double>::infinity();
-  const double now = sim_->Now();
   const bool clock_would_stall =
       std::isfinite(eta) && now + eta <= now;
   if (flow.remaining_bytes <= kEpsilonBytes || clock_would_stall) {
@@ -568,7 +600,7 @@ void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
   } else {
     // Sub-epsilon rate drift left residue; re-solving the component
     // schedules this flow a fresh deadline (its event already fired).
-    SolveComponent(flow.keys, flow.num_keys);
+    SolveComponent(flow.res_slots, flow.num_res);
   }
 }
 
@@ -588,10 +620,10 @@ void Network::FinishFlow(FlowSlot slot) {
                   topology_->site(flow.dst_site).name.c_str()));
   }
   FlowCallback cb = std::move(flow.on_complete);
+  ResSlot seed[3];
+  std::copy(flow.res_slots, flow.res_slots + flow.num_res, seed);
+  const int num_seed = flow.num_res;
   RemoveFlowFromResources(slot);
-  ResourceKey seed[3];
-  std::copy(flow.keys, flow.keys + flow.num_keys, seed);
-  const int num_seed = flow.num_keys;
   flow_index_.erase(flow.id);
   FreeFlowSlot(slot);
   SolveComponent(seed, num_seed);
@@ -617,7 +649,7 @@ void Network::FinishLatencyFlow(FlowId id) {
 }
 
 telemetry::CounterHandle& Network::ZoneBytesCounter(SiteId src_site,
-                                                    SiteId dst_site) {
+                                                    SiteId dst_site) const {
   const uint64_t key = SitePairKey(src_site, dst_site);
   auto it = zone_counters_.find(key);
   if (it == zone_counters_.end()) {
@@ -633,21 +665,18 @@ telemetry::CounterHandle& Network::ZoneBytesCounter(SiteId src_site,
 }
 
 void Network::MeterBytes(NodeId src, NodeId dst, double bytes) {
-  MeterBytesSited(src, dst, topology_->SiteOf(src), topology_->SiteOf(dst),
-                  bytes);
+  GrowMeters();
+  const SiteId src_site = topology_->SiteOf(src);
+  const SiteId dst_site = topology_->SiteOf(dst);
+  MeterSlots(NodePairSlot(src, dst), SitePairIndex(src_site, dst_site), src,
+             dst, src_site, dst_site, bytes);
 }
 
-void Network::MeterBytesSited(NodeId src, NodeId dst, SiteId src_site,
-                              SiteId dst_site, double bytes) {
-  // Nodes may be added to the topology after construction.
-  const size_t needed = static_cast<size_t>(std::max(src, dst)) + 1;
-  if (node_egress_bytes_.size() < needed) {
-    node_egress_bytes_.resize(needed, 0.0);
-    node_ingress_bytes_.resize(needed, 0.0);
-    node_peak_egress_.resize(needed, 0.0);
-  }
-  bytes_by_node_pair_[NodePairKey(src, dst)] += bytes;
-  bytes_by_site_pair_[SitePairKey(src_site, dst_site)] += bytes;
+void Network::MeterSlots(uint32_t node_pair, uint32_t site_pair, NodeId src,
+                         NodeId dst, SiteId src_site, SiteId dst_site,
+                         double bytes) const {
+  node_pair_bytes_[node_pair] += bytes;
+  site_pair_bytes_[site_pair] += bytes;
   node_egress_bytes_[src] += bytes;
   node_ingress_bytes_[dst] += bytes;
   if (telemetry::Enabled()) {
@@ -657,21 +686,27 @@ void Network::MeterBytesSited(NodeId src, NodeId dst, SiteId src_site,
 }
 
 double Network::BytesBetweenNodes(NodeId src, NodeId dst) const {
-  auto it = bytes_by_node_pair_.find(NodePairKey(src, dst));
-  return it == bytes_by_node_pair_.end() ? 0.0 : it->second;
+  SettleAll();
+  auto it = node_pair_index_.find(NodePairKey(src, dst));
+  return it == node_pair_index_.end() ? 0.0 : node_pair_bytes_[it->second];
 }
 
 double Network::BytesBetweenSites(SiteId src, SiteId dst) const {
-  auto it = bytes_by_site_pair_.find(SitePairKey(src, dst));
-  return it == bytes_by_site_pair_.end() ? 0.0 : it->second;
+  if (src >= site_stride_ || dst >= site_stride_) return 0.0;
+  SettleAll();
+  return site_pair_bytes_[SitePairIndex(src, dst)];
 }
 
 double Network::NodeEgressBytes(NodeId node) const {
-  return node < node_egress_bytes_.size() ? node_egress_bytes_[node] : 0.0;
+  if (node >= node_egress_bytes_.size()) return 0.0;
+  SettleAll();
+  return node_egress_bytes_[node];
 }
 
 double Network::NodeIngressBytes(NodeId node) const {
-  return node < node_ingress_bytes_.size() ? node_ingress_bytes_[node] : 0.0;
+  if (node >= node_ingress_bytes_.size()) return 0.0;
+  SettleAll();
+  return node_ingress_bytes_[node];
 }
 
 double Network::NodePeakEgressRate(NodeId node) const {
@@ -679,8 +714,9 @@ double Network::NodePeakEgressRate(NodeId node) const {
 }
 
 void Network::ResetMeters() {
-  bytes_by_node_pair_.clear();
-  bytes_by_site_pair_.clear();
+  SettleAll();
+  std::fill(node_pair_bytes_.begin(), node_pair_bytes_.end(), 0.0);
+  std::fill(site_pair_bytes_.begin(), site_pair_bytes_.end(), 0.0);
   std::fill(node_egress_bytes_.begin(), node_egress_bytes_.end(), 0.0);
   std::fill(node_ingress_bytes_.begin(), node_ingress_bytes_.end(), 0.0);
   std::fill(node_peak_egress_.begin(), node_peak_egress_.end(), 0.0);

@@ -45,18 +45,32 @@ struct FlowOptions {
 /// arrival/removal only re-solves the *dirty component* — the flows
 /// transitively sharing a resource with the changed flow.
 ///
+/// Byte progress is settled lazily, per flow. A flow's rate is constant
+/// between solves, so each flow keeps the time it was last settled and
+/// books `rate * elapsed` into the meters only when that stops being
+/// exact or someone looks: just before a solve overwrites its rate, when
+/// it is cancelled, and when its deadline fires. A flow change therefore
+/// costs O(dirty component), never O(live flows). Meter reads settle
+/// every live flow first (one slab walk per distinct `Now()`), so they
+/// always see the bytes delivered up to the current instant.
+///
 /// Storage is structure-of-arrays at fleet scale: flows and resources
 /// live in index-based slabs (`flow_slab_` / `res_slab_`, free-listed,
 /// never shrinking), resource user-lists hold slab indices, and each
-/// flow caches its resources' slab indices — the component BFS, the
-/// freeze bookkeeping, and the peak-egress sums are all direct array
-/// indexing with no hashed lookup. Within a component the water-filling
-/// rounds run over contiguous parallel arrays (`comp_res_remaining_`,
-/// `comp_res_unfrozen_`, `comp_flow_cap_`, ...), so the per-round
+/// flow caches its resources' slab indices and its two meter slots — the
+/// component BFS, the freeze bookkeeping, the peak-egress sums and the
+/// settle path are all direct array indexing with no hashed lookup.
+/// Within a component the water-filling rounds run over contiguous
+/// parallel arrays (`comp_res_remaining_`, `comp_res_unfrozen_`,
+/// `comp_flow_cap_`, ...), so the per-round
 /// `delta = min(remaining/unfrozen)` scan and the
 /// `remaining -= delta * unfrozen` update are branch-light loops the
 /// compiler can vectorize. The arithmetic is bit-identical to
 /// progressive filling; see docs/PERFORMANCE.md for the invariants.
+///
+/// Threading: a `Network` belongs to one world, and each world runs on
+/// one thread. The const meter reads settle flows through `mutable`
+/// state, so a `Network` must not be read from two threads at once.
 class Network {
  public:
   using FlowCallback = std::function<void()>;
@@ -106,11 +120,14 @@ class Network {
 
   // --- Traffic accounting (all cumulative since construction/reset) ---
 
+  // Reads settle every live flow to `Now()` first (once per distinct
+  // instant), so they count the bytes delivered up to the current time.
+
   /// Bytes delivered from node `src` to node `dst`.
   double BytesBetweenNodes(NodeId src, NodeId dst) const;
   /// Bytes delivered from any node in `src` to any node in `dst`
-  /// (directional; includes src == dst for intra-site traffic). O(1):
-  /// served from a site-pair aggregate maintained alongside the node-pair
+  /// (directional; includes src == dst for intra-site traffic). Served
+  /// from a dense site-pair aggregate maintained alongside the node-pair
   /// meters on every delivery.
   double BytesBetweenSites(SiteId src, SiteId dst) const;
   /// Total bytes sent by a node.
@@ -121,6 +138,8 @@ class Network {
   double NodePeakEgressRate(NodeId node) const;
 
   /// Zeroes all meters (peaks included); in-flight flows keep running.
+  /// Bytes delivered before the reset are settled first, so they never
+  /// reappear after it.
   void ResetMeters();
 
   const Topology& topology() const { return *topology_; }
@@ -129,10 +148,11 @@ class Network {
  private:
   // Shared-resource identifiers for the fair-share solver.
   enum class ResourceKind : uint8_t { kEgress, kIngress, kPath };
+  // 12 bytes: node and site ids are 32-bit.
   struct ResourceKey {
     ResourceKind kind;
-    uint64_t a;  // node id or src site.
-    uint64_t b;  // unused or dst site.
+    uint32_t a;  // node id or src site.
+    uint32_t b;  // unused or dst site.
     bool operator==(const ResourceKey& o) const {
       return kind == o.kind && a == o.a && b == o.b;
     }
@@ -155,21 +175,26 @@ class Network {
     NodeId dst = 0;
     SiteId src_site = 0;
     SiteId dst_site = 0;
+    // Meter slots: into `node_pair_bytes_` and `site_pair_bytes_`.
+    uint32_t node_pair = 0;
+    uint32_t site_pair = 0;
     double started_sec = 0;
     double total_bytes = 0;
-    double remaining_bytes = 0;
+    // Bytes still to deliver as of `settled_sec`; meter reads settle, so
+    // both are mutable.
+    mutable double remaining_bytes = 0;
+    mutable double settled_sec = 0;
     double rate_bps = 0;       // Current fair share.
     double stream_cap_bps = 0; // min(path, streams * window/RTT, app cap).
     FlowCallback on_complete;
     sim::EventId completion_event = 0;
     bool has_completion_event = false;
-    // Resource keys this flow contends on, fixed at StartFlow (NICs and,
-    // cross-site, the directed inter-site path), plus the resources'
-    // slab slots — valid as long as the flow lives, because a resource
-    // outlives its last user.
-    ResourceKey keys[3];
+    // Slab slots of the resources this flow contends on, fixed at
+    // StartFlow (NICs and, cross-site, the directed inter-site path) —
+    // valid as long as the flow lives, because a resource outlives its
+    // last user. res_slots[0] is always the sender's egress NIC.
     ResSlot res_slots[3];
-    int num_keys = 0;
+    int num_res = 0;
   };
 
   /// Persistent per-resource state: the capacity snapshot and the live
@@ -177,8 +202,8 @@ class Network {
   /// add/remove; capacities are re-read from the topology by `Refresh`.
   struct Resource {
     ResourceKey key{ResourceKind::kEgress, 0, 0};
-    double capacity_bps = 0;
     bool live = false;  // False marks a free slab slot.
+    double capacity_bps = 0;
     std::vector<FlowSlot> flows;
   };
 
@@ -201,41 +226,56 @@ class Network {
   ResSlot AllocResSlot();
   void FreeResSlot(ResSlot slot);
 
-  /// Advances all flows by (now - last_update_) at their current rates and
-  /// books the delivered bytes into the meters. Iterates the flow slab in
-  /// slot order — deterministic, replayed exactly by identically seeded
-  /// runs.
-  void Progress();
-  /// Registers the flow at `slot` in the resource table, creating
+  /// Books the bytes `flow` delivered since it was last settled,
+  /// min(remaining, rate * (now - settled_sec)), into the meters. Must run
+  /// before the flow's rate changes and before it leaves the slab.
+  void Settle(const Flow& flow, double now) const;
+  /// Settles every live flow to `Now()`: one slab walk in slot order per
+  /// distinct instant (a second read at the same instant walks nothing).
+  void SettleAll() const;
+  /// Registers the flow at `slot` on the resources `keys`, creating
   /// resources with the given capacity snapshots on first use, and caches
   /// the resource slots on the flow.
-  void AddFlowToResources(FlowSlot slot, const double* caps);
+  void AddFlowToResources(FlowSlot slot, const ResourceKey* keys,
+                          const double* caps, int num_res);
   /// Unregisters the flow at `slot`; resources left without users are
   /// dropped.
   void RemoveFlowFromResources(FlowSlot slot);
   /// Re-solves the max-min fair allocation for the connected component of
-  /// flows reachable from `seed_keys` (flows transitively sharing a
-  /// resource). Rates outside the component are untouched, and completion
-  /// events inside it are only rescheduled when the flow's rate moved by
-  /// more than epsilon.
-  void SolveComponent(const ResourceKey* seed_keys, int num_seed_keys);
+  /// flows reachable from the resources `seeds` (flows transitively
+  /// sharing a resource). Seeds freed since they were copied (a removed
+  /// flow's last resources) are skipped. Rates outside the component are
+  /// untouched, and completion events inside it are only rescheduled when
+  /// the flow's rate moved by more than epsilon.
+  void SolveComponent(const ResSlot* seeds, int num_seeds);
   /// Fires when the flow occupying `slot` (verified against `id`) is
   /// expected to finish.
   void OnFlowDeadline(FlowSlot slot, FlowId id);
   void FinishFlow(FlowSlot slot);
   /// Delivers a latency-only flow: meters its bytes and fires the callback.
   void FinishLatencyFlow(FlowId id);
+  /// Sizes the per-node meters and the site-pair matrix to the topology
+  /// (nodes and sites may be added after construction).
+  void GrowMeters();
+  /// Slot of the (src, dst) node-pair meter, created on first use. The
+  /// only hashed meter lookup; the settle path uses the flow's cached slot.
+  uint32_t NodePairSlot(NodeId src, NodeId dst);
+  uint32_t SitePairIndex(SiteId src, SiteId dst) const {
+    return static_cast<uint32_t>(src * site_stride_ + dst);
+  }
+  /// Meters a delivery outside the fair-share solver (messages,
+  /// latency-only flows).
   void MeterBytes(NodeId src, NodeId dst, double bytes);
-  void MeterBytesSited(NodeId src, NodeId dst, SiteId src_site,
-                       SiteId dst_site, double bytes);
+  void MeterSlots(uint32_t node_pair, uint32_t site_pair, NodeId src,
+                  NodeId dst, SiteId src_site, SiteId dst_site,
+                  double bytes) const;
   /// Telemetry handle for the per-zone-pair byte counter of a site pair.
   telemetry::CounterHandle& ZoneBytesCounter(SiteId src_site,
-                                             SiteId dst_site);
+                                             SiteId dst_site) const;
 
   sim::Simulator* sim_;
   const Topology* topology_;
   FlowId next_flow_id_ = 1;
-  double last_update_ = 0.0;
 
   // --- SoA slabs -------------------------------------------------------
   // Flows and resources live in flat slabs addressed by slot; the hash
@@ -273,18 +313,28 @@ class Network {
 
   std::unordered_map<FlowId, LatencyFlow> latency_flows_;
 
-  std::unordered_map<uint64_t, double> bytes_by_node_pair_;
-  std::unordered_map<uint64_t, double> bytes_by_site_pair_;
-  std::vector<double> node_egress_bytes_;
-  std::vector<double> node_ingress_bytes_;
+  // --- Meters -----------------------------------------------------------
+  // Reads settle first, so everything a settle writes is mutable (see the
+  // threading note on the class). Node-pair bytes live in a slab addressed
+  // by the slot `node_pair_index_` hands out; site-pair bytes in a dense
+  // row-major `site_stride_`² matrix.
+  mutable double settled_all_sec_ = 0.0;
+  std::unordered_map<uint64_t, uint32_t> node_pair_index_;
+  mutable std::vector<double> node_pair_bytes_;
+  mutable std::vector<double> site_pair_bytes_;
+  size_t site_stride_ = 0;
+  mutable std::vector<double> node_egress_bytes_;
+  mutable std::vector<double> node_ingress_bytes_;
   std::vector<double> node_peak_egress_;
 
-  telemetry::CounterHandle bytes_delivered_counter_{"net.bytes_delivered"};
+  mutable telemetry::CounterHandle bytes_delivered_counter_{
+      "net.bytes_delivered"};
   telemetry::CounterHandle flows_started_counter_{"net.flows_started"};
   telemetry::CounterHandle flows_cancelled_counter_{"net.flows_cancelled"};
   telemetry::CounterHandle flows_completed_counter_{"net.flows_completed"};
   telemetry::CounterHandle messages_counter_{"net.messages"};
-  std::unordered_map<uint64_t, telemetry::CounterHandle> zone_counters_;
+  mutable std::unordered_map<uint64_t, telemetry::CounterHandle>
+      zone_counters_;
 };
 
 }  // namespace hivesim::net

@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/strings.h"
 #include "common/units.h"
@@ -9,6 +10,14 @@ namespace hivesim::net {
 
 namespace {
 constexpr double kDefaultNicBps = 10e9 / 8.0;  // 10 Gb/s.
+
+/// Interning keys on exact (bitwise) equality, so ConfigOf returns the
+/// very values AddNode was given.
+static_assert(sizeof(NodeNetConfig) == 3 * sizeof(double),
+              "SameBits must not compare padding");
+bool SameBits(const NodeNetConfig& a, const NodeNetConfig& b) {
+  return std::memcmp(&a, &b, sizeof(NodeNetConfig)) == 0;
+}
 }  // namespace
 
 SiteId Topology::AddSite(std::string name, Provider provider,
@@ -35,9 +44,21 @@ Result<Path> Topology::PathBetween(SiteId a, SiteId b) const {
   return it->second;
 }
 
+uint32_t Topology::InternConfig(const NodeNetConfig& config) {
+  if (!node_config_.empty() &&
+      SameBits(configs_[node_config_.back()], config)) {
+    return node_config_.back();
+  }
+  for (uint32_t i = 0; i < configs_.size(); ++i) {
+    if (SameBits(configs_[i], config)) return i;
+  }
+  configs_.push_back(config);
+  return static_cast<uint32_t>(configs_.size() - 1);
+}
+
 NodeId Topology::AddNode(SiteId site, NodeNetConfig config) {
+  node_config_.push_back(InternConfig(config));
   node_sites_.push_back(site);
-  node_configs_.push_back(config);
   return static_cast<NodeId>(node_sites_.size() - 1);
 }
 

@@ -62,14 +62,18 @@ class Topology {
   /// Looks up the path between two sites; error if it was never set.
   Result<Path> PathBetween(SiteId a, SiteId b) const;
 
-  /// Attaches a host to `site` and returns its node id.
+  /// Attaches a host to `site` and returns its node id. Configs are
+  /// interned: nodes with bit-identical configs (one VM type) share one
+  /// table entry, and each node stores a 4-byte index into it.
   NodeId AddNode(SiteId site, NodeNetConfig config = NodeNetConfig());
 
   /// Site of a node.
   SiteId SiteOf(NodeId node) const { return node_sites_.at(node); }
   const NodeNetConfig& ConfigOf(NodeId node) const {
-    return node_configs_.at(node);
+    return configs_[node_config_.at(node)];
   }
+  /// Number of distinct node configs stored (see `AddNode`).
+  size_t num_distinct_configs() const { return configs_.size(); }
   const Site& site(SiteId id) const { return sites_.at(id); }
   size_t num_sites() const { return sites_.size(); }
   size_t num_nodes() const { return node_sites_.size(); }
@@ -91,11 +95,17 @@ class Topology {
     if (a > b) std::swap(a, b);
     return (static_cast<uint64_t>(a) << 32) | b;
   }
+  /// Index of `config` in `configs_`, appended if new. O(1) when the
+  /// node repeats the previous node's config (fleets add nodes type by
+  /// type); otherwise a scan of the distinct configs, which a fleet keeps
+  /// to its handful of VM types.
+  uint32_t InternConfig(const NodeNetConfig& config);
 
   std::vector<Site> sites_;
   std::unordered_map<uint64_t, Path> paths_;
   std::vector<SiteId> node_sites_;
-  std::vector<NodeNetConfig> node_configs_;
+  std::vector<NodeNetConfig> configs_;  ///< Distinct, first-use order.
+  std::vector<uint32_t> node_config_;   ///< Per node, into `configs_`.
 };
 
 }  // namespace hivesim::net

@@ -1,14 +1,17 @@
 // Property tests for the incremental fair-share solver: randomized
 // arrival/cancel/finish sequences must produce the same rates as a
 // retained full-rebuild oracle (the pre-incremental progressive-filling
-// algorithm, solving every flow from scratch on each query), and two
-// identically seeded runs must be bit-identical.
+// algorithm, solving every flow from scratch on each query), the lazily
+// settled meters must match an eager per-step integration of those rates,
+// and two identically seeded runs must be bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -33,6 +36,7 @@ struct OracleFlow {
   NodeId src = 0;
   NodeId dst = 0;
   double cap_bps = 0;
+  double bytes = 0;
 };
 
 // The per-flow stream cap exactly as Network::StartFlow derives it:
@@ -199,7 +203,8 @@ class SolverScenario {
         src, dst, bytes, [this, idcell] { live_.erase(*idcell); }, options);
     ASSERT_TRUE(id.ok());
     *idcell = *id;
-    live_[*id] = OracleFlow{*id, src, dst, StreamCap(topo_, src, dst, options)};
+    live_[*id] =
+        OracleFlow{*id, src, dst, StreamCap(topo_, src, dst, options), bytes};
   }
 
   void CancelRandomFlow() {
@@ -266,6 +271,169 @@ TEST(NetSolverPropertyTest, RefreshAfterPathChangeMatchesOracle) {
   scenario.topo_.SetPath(0, 1, MbpsToBytesPerSec(210), MsToSec(103));
   scenario.network_->Refresh();
   scenario.CheckRatesAgainstOracle();
+}
+
+// Differential meter oracle: the eager semantics lazy settlement replaced.
+// The oracle integrates every live flow's FlowRate() over each simulated
+// step itself, booking min(remaining, rate * dt) per step as the old
+// walk over all flows did on every event, and keeps its own node-pair,
+// site-pair, egress and ingress meters. Lazy settlement regroups the same
+// products into fewer, longer intervals, so the network's meters must
+// agree to rounding (relative 1e-9), plus at most one byte of unbooked
+// completion residue per flow that ended on the meter.
+class MeterOracle {
+ public:
+  explicit MeterOracle(SolverScenario* scenario) : s_(scenario) {
+    const size_t nodes = s_->topo_.num_nodes();
+    const size_t sites = s_->topo_.num_sites();
+    node_pair_.resize(nodes * nodes);
+    site_pair_.resize(sites * sites);
+    egress_.resize(nodes);
+    ingress_.resize(nodes);
+  }
+
+  /// Picks up the flows started, cancelled or completed at this instant
+  /// and snapshots every live flow's rate, valid until the next event.
+  void Sync() {
+    for (auto it = flows_.begin(); it != flows_.end();) {
+      if (s_->live_.count(it->first) != 0) {
+        ++it;
+        continue;
+      }
+      for (Meter* meter : MetersOf(it->second)) ++meter->ended;
+      it = flows_.erase(it);
+    }
+    for (const auto& [id, f] : s_->live_) {
+      flows_.try_emplace(id, Live{f.src, f.dst, f.bytes, 0});
+    }
+    for (auto& [id, live] : flows_) live.rate = s_->network_->FlowRate(id);
+  }
+
+  /// Fires one event and books each flow's pre-event rate over the step.
+  /// Returns false when the simulation has no event left.
+  bool Step() {
+    const double before = s_->sim_.Now();
+    if (!s_->sim_.Step()) return false;
+    const double dt = s_->sim_.Now() - before;
+    for (auto& [id, live] : flows_) {
+      const double moved = std::min(live.remaining, live.rate * dt);
+      if (moved <= 0) continue;
+      live.remaining -= moved;
+      for (Meter* meter : MetersOf(live)) meter->bytes += moved;
+    }
+    Sync();
+    return true;
+  }
+
+  /// Reads every meter the network serves and compares it with the
+  /// oracle's, then checks that the four meter families conserve bytes.
+  void Check() {
+    const Network& network = *s_->network_;
+    const Topology& topo = s_->topo_;
+    const size_t nodes = topo.num_nodes();
+    const size_t sites = topo.num_sites();
+    double node_pairs = 0, site_pairs = 0, egress = 0, ingress = 0;
+    for (NodeId src = 0; src < nodes; ++src) {
+      for (NodeId dst = 0; dst < nodes; ++dst) {
+        const double got = network.BytesBetweenNodes(src, dst);
+        Expect(got, node_pair_[src * nodes + dst], "node pair", src, dst);
+        node_pairs += got;
+      }
+      const double out = network.NodeEgressBytes(src);
+      const double in = network.NodeIngressBytes(src);
+      Expect(out, egress_[src], "egress", src, src);
+      Expect(in, ingress_[src], "ingress", src, src);
+      egress += out;
+      ingress += in;
+    }
+    for (SiteId src = 0; src < sites; ++src) {
+      for (SiteId dst = 0; dst < sites; ++dst) {
+        const double got = network.BytesBetweenSites(src, dst);
+        Expect(got, site_pair_[src * sites + dst], "site pair", src, dst);
+        site_pairs += got;
+      }
+    }
+    EXPECT_NEAR(ingress, egress, 1e-9 * egress) << "at t=" << s_->sim_.Now();
+    EXPECT_NEAR(site_pairs, egress, 1e-9 * egress) << "at t=" << s_->sim_.Now();
+    EXPECT_NEAR(node_pairs, egress, 1e-9 * egress) << "at t=" << s_->sim_.Now();
+    ++checks_;
+  }
+
+  int checks() const { return checks_; }
+
+ private:
+  struct Meter {
+    double bytes = 0;
+    int ended = 0;  ///< Flows on this meter that finished or were cancelled.
+  };
+  struct Live {
+    NodeId src = 0;
+    NodeId dst = 0;
+    double remaining = 0;
+    double rate = 0;
+  };
+
+  std::array<Meter*, 4> MetersOf(const Live& live) {
+    const size_t nodes = s_->topo_.num_nodes();
+    const size_t sites = s_->topo_.num_sites();
+    const SiteId src_site = s_->topo_.SiteOf(live.src);
+    const SiteId dst_site = s_->topo_.SiteOf(live.dst);
+    return {&node_pair_[live.src * nodes + live.dst],
+            &site_pair_[src_site * sites + dst_site], &egress_[live.src],
+            &ingress_[live.dst]};
+  }
+
+  void Expect(double got, const Meter& want, const char* what, uint32_t a,
+              uint32_t b) const {
+    EXPECT_NEAR(got, want.bytes, 1e-9 * want.bytes + want.ended)
+        << what << " " << a << "->" << b << " at t=" << s_->sim_.Now();
+  }
+
+  SolverScenario* s_;
+  std::map<FlowId, Live> flows_;
+  std::vector<Meter> node_pair_;
+  std::vector<Meter> site_pair_;
+  std::vector<Meter> egress_;
+  std::vector<Meter> ingress_;
+  int checks_ = 0;
+};
+
+TEST(NetSolverPropertyTest, LazyMetersMatchEagerIntegrationOracle) {
+  for (uint64_t seed : {5u, 29u, 211u}) {
+    SolverScenario scenario(seed);
+    MeterOracle oracle(&scenario);
+    Rng& rng = scenario.rng_;
+    const SiteId sites = static_cast<SiteId>(scenario.topo_.num_sites());
+    for (int step = 0; step < 600; ++step) {
+      const double roll = rng.Uniform();
+      if (roll < 0.2 || scenario.live_.size() < 3) {
+        scenario.StartRandomFlow();
+      } else if (roll < 0.3) {
+        scenario.CancelRandomFlow();
+      } else if (roll < 0.35) {
+        // Live WAN degradation or recovery on a random site pair.
+        const SiteId a = static_cast<SiteId>(rng.UniformInt(0, sites - 1));
+        const SiteId b = static_cast<SiteId>(
+            (a + rng.UniformInt(1, sites - 1)) % sites);
+        scenario.topo_.SetPath(a, b, MbpsToBytesPerSec(rng.Uniform(20, 2000)),
+                               MsToSec(rng.Uniform(5, 300)));
+        scenario.network_->Refresh();
+      } else if (roll < 0.5) {
+        oracle.Check();
+      } else if (roll < 0.6) {
+        // A bare event so the next steps land between flow events too.
+        scenario.sim_.Schedule(rng.Uniform(0, 0.05), [] {});
+      } else {
+        oracle.Step();
+      }
+      oracle.Sync();
+    }
+    while (oracle.Step()) {
+    }
+    EXPECT_TRUE(scenario.live_.empty());
+    oracle.Check();
+    EXPECT_GT(oracle.checks(), 50) << "seed " << seed;
+  }
 }
 
 // Fleet-scale oracle check: a single connected component of ten thousand

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "common/units.h"
 #include "net/network.h"
@@ -373,6 +375,51 @@ TEST(TopologyTest, SingleStreamCapMinOfPathAndWindow) {
   EXPECT_NEAR(BytesPerSecToMbps(*rcap), 640, 0.1);  // 8 MB / 0.1 s.
 }
 
+TEST(TopologyTest, InternedConfigsRoundTripMixedNodes) {
+  Topology t;
+  const SiteId a = t.AddSite("a", Provider::kGoogleCloud, Continent::kUs);
+  const SiteId b = t.AddSite("b", Provider::kOnPremise, Continent::kEu);
+  NodeNetConfig custom;
+  custom.tcp_window_bytes = 3e6;
+  custom.nic_egress_bps = GbpsToBytesPerSec(25);
+  custom.nic_ingress_bps = GbpsToBytesPerSec(40);
+  // Interleaved, so interning cannot lean on the previous node alone.
+  const NodeNetConfig pattern[] = {CloudVmNetConfig(), OnPremNetConfig(),
+                                   CloudVmNetConfig(), custom,
+                                   OnPremNetConfig(),  custom};
+  std::vector<NodeId> nodes;
+  for (int round = 0; round < 3; ++round) {
+    for (const NodeNetConfig& config : pattern) {
+      nodes.push_back(t.AddNode(round % 2 == 0 ? a : b, config));
+    }
+  }
+  EXPECT_EQ(t.num_distinct_configs(), 3u);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const NodeNetConfig& want = pattern[i % std::size(pattern)];
+    const NodeNetConfig& got = t.ConfigOf(nodes[i]);
+    EXPECT_EQ(got.tcp_window_bytes, want.tcp_window_bytes) << "node " << i;
+    EXPECT_EQ(got.nic_egress_bps, want.nic_egress_bps) << "node " << i;
+    EXPECT_EQ(got.nic_ingress_bps, want.nic_ingress_bps) << "node " << i;
+    const double default_nic = GbpsToBytesPerSec(10);
+    EXPECT_EQ(t.EgressCap(nodes[i]),
+              want.nic_egress_bps > 0 ? want.nic_egress_bps : default_nic);
+    EXPECT_EQ(t.IngressCap(nodes[i]),
+              want.nic_ingress_bps > 0 ? want.nic_ingress_bps : default_nic);
+    EXPECT_EQ(t.SiteOf(nodes[i]), (i / std::size(pattern)) % 2 == 0 ? a : b);
+  }
+}
+
+TEST(TopologyTest, SameConfigFleetStoresOneTableEntry) {
+  Topology t = StandardWorld();
+  for (int i = 0; i < 20000; ++i) {
+    t.AddNode(static_cast<SiteId>(i % t.num_sites()), CloudVmNetConfig());
+  }
+  EXPECT_EQ(t.num_nodes(), 20000u);
+  EXPECT_EQ(t.num_distinct_configs(), 1u);
+  EXPECT_EQ(t.ConfigOf(19999).tcp_window_bytes,
+            CloudVmNetConfig().tcp_window_bytes);
+}
+
 // --- StandardWorld against the paper's tables ---
 
 class StandardWorldTest : public ::testing::Test {
@@ -444,6 +491,36 @@ TEST_F(StandardWorldTest, EveryStandardSitePairHasAPath) {
           << topo_.site(a).name << " <-> " << topo_.site(b).name;
     }
   }
+}
+
+// Meter reads settle in-flight flows first. One 1 GB flow inside GC-US
+// runs at the intra-zone 6.9 Gb/s = 862.5 MB/s.
+TEST_F(StandardWorldTest, MeterReadsCountBytesDeliveredSoFar) {
+  const NodeId src = nodes_[kGcUs];
+  const NodeId dst = topo_.AddNode(kGcUs, CloudVmNetConfig());
+  auto flow = network_.StartFlow(src, dst, 1e9, nullptr);
+  ASSERT_TRUE(flow.ok());
+  EXPECT_DOUBLE_EQ(network_.FlowRate(*flow), 862.5e6);
+  sim_.RunUntil(0.2);
+  EXPECT_NEAR(network_.NodeEgressBytes(src), 172.5e6, 1.0);
+  EXPECT_NEAR(network_.NodeIngressBytes(dst), 172.5e6, 1.0);
+  EXPECT_NEAR(network_.BytesBetweenNodes(src, dst), 172.5e6, 1.0);
+  EXPECT_NEAR(network_.BytesBetweenSites(kGcUs, kGcUs), 172.5e6, 1.0);
+}
+
+TEST_F(StandardWorldTest, ResetMetersDropsBytesDeliveredBeforeIt) {
+  const NodeId src = nodes_[kGcUs];
+  const NodeId dst = topo_.AddNode(kGcUs, CloudVmNetConfig());
+  ASSERT_TRUE(network_.StartFlow(src, dst, 1e9, nullptr).ok());
+  sim_.RunUntil(0.2);
+  network_.ResetMeters();
+  EXPECT_EQ(network_.NodeEgressBytes(src), 0.0);
+  sim_.Run();
+  // Only the 827.5 MB delivered after the reset count.
+  EXPECT_NEAR(network_.NodeEgressBytes(src), 827.5e6, 1.0);
+  EXPECT_NEAR(network_.NodeIngressBytes(dst), 827.5e6, 1.0);
+  EXPECT_NEAR(network_.BytesBetweenNodes(src, dst), 827.5e6, 1.0);
+  EXPECT_NEAR(network_.BytesBetweenSites(kGcUs, kGcUs), 827.5e6, 1.0);
 }
 
 TEST_F(StandardWorldTest, ProviderAndContinentMetadata) {

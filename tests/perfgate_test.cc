@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/json_parse.h"
+#include "common/strings.h"
 
 namespace hivesim::perfgate {
 namespace {
@@ -411,6 +412,111 @@ TEST_F(PerfGateTest, UpdateIntoEmptyBaselineDirBootstraps) {
   GateOptions options = Options("a");
   options.update = true;
   ASSERT_TRUE(perfgate::Run(options).ok());
+  options.update = false;
+  auto compare = perfgate::Run(options);
+  ASSERT_TRUE(compare.ok());
+  EXPECT_FALSE(compare->failed);
+}
+
+// A fleet area gating how completions/s scale from 1k to 100k peers.
+// `ratio_percent` sets the 100k world's rate relative to the 1k world's
+// 250000/s; the baseline floors that ratio at 5%.
+std::string FleetScalingArea(double ratio_percent) {
+  return StrFormat(
+      R"({"area":"fleet_100k","benches":{)"
+      R"("BM_Fleet/1000":{"counters":{"flow_completions/s":250000},)"
+      R"("ns_per_iter":1000000},)"
+      R"("BM_Fleet/100000":{"counters":{"flow_completions/s":%.17g},)"
+      R"("ns_per_iter":900000000}}})",
+      2500.0 * ratio_percent);
+}
+
+/// `area` with the 5% completions/s floor of 100k over 1k peers added.
+std::string WithFleetFloor(std::string area) {
+  area.insert(area.size() - 1,
+              R"(,"floors":[{"counter":"flow_completions/s",)"
+              R"("denominator":"BM_Fleet/1000","min":0.05,)"
+              R"("numerator":"BM_Fleet/100000"}])");
+  return area;
+}
+
+TEST_F(PerfGateTest, ScalingFloorHoldsAboveMinimum) {
+  WriteArea(baseline_dir_, "fleet_100k",
+            WithFleetFloor(FleetScalingArea(17.7)));
+  WriteArea(current_dir_, "fleet_100k", FleetScalingArea(17.7));
+  auto report = perfgate::Run(Options("fleet_100k"));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->failed) << perfgate::FormatReport(*report);
+  EXPECT_EQ(report->below_floor, 0);
+  bool saw_floor = false;
+  for (const GateRow& row : report->rows) {
+    if (row.status != RowStatus::kFloorOk) continue;
+    saw_floor = true;
+    EXPECT_NEAR(row.current, 0.177, 1e-12);
+    EXPECT_DOUBLE_EQ(row.baseline, 0.05);
+  }
+  EXPECT_TRUE(saw_floor);
+}
+
+TEST_F(PerfGateTest, ScalingFloorTripsBelowMinimum) {
+  // 1.4%: the 100k world's rate before lazy flow settlement. Both
+  // timings are unchanged from the baseline, so only the floor can fail.
+  WriteArea(baseline_dir_, "fleet_100k",
+            WithFleetFloor(FleetScalingArea(1.4)));
+  WriteArea(current_dir_, "fleet_100k", FleetScalingArea(1.4));
+  auto report = perfgate::Run(Options("fleet_100k"));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->failed);
+  EXPECT_EQ(report->regressions, 0);
+  EXPECT_EQ(report->below_floor, 1);
+  EXPECT_NE(perfgate::FormatReport(*report).find("BELOW FLOOR"),
+            std::string::npos);
+}
+
+TEST_F(PerfGateTest, ScalingFloorWithoutCountersFails) {
+  // A run that stopped reporting the counter cannot prove the floor.
+  WriteArea(baseline_dir_, "fleet_100k",
+            WithFleetFloor(FleetScalingArea(17.7)));
+  WriteArea(current_dir_, "fleet_100k",
+            R"({"area":"fleet_100k","benches":{)"
+            R"("BM_Fleet/1000":{"ns_per_iter":1000000},)"
+            R"("BM_Fleet/100000":{"ns_per_iter":900000000}}})");
+  auto report = perfgate::Run(Options("fleet_100k"));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->failed);
+  EXPECT_EQ(report->below_floor, 1);
+}
+
+TEST_F(PerfGateTest, MalformedFloorIsHardError) {
+  WriteArea(baseline_dir_, "a",
+            R"({"area":"a","benches":{"BM_X/1":{"ns_per_iter":1000}},)"
+            R"("floors":[{"counter":"c","numerator":"BM_X/1","min":0.5}]})");
+  WriteArea(current_dir_, "a",
+            R"({"area":"a","benches":{"BM_X/1":{"ns_per_iter":1000}}})");
+  auto report = perfgate::Run(Options("a"));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(PerfGateTest, UpdatePreservesFloorsAndCarriesCounters) {
+  WriteArea(baseline_dir_, "fleet_100k",
+            WithFleetFloor(FleetScalingArea(17.7)));
+  WriteArea(current_dir_, "fleet_100k", FleetScalingArea(20.0));
+  GateOptions options = Options("fleet_100k");
+  options.update = true;
+  ASSERT_TRUE(perfgate::Run(options).ok());
+  auto parsed = ParseJsonFile(baseline_dir_ + "/BENCH_fleet_100k.json");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* floors = parsed->Find("floors");
+  ASSERT_NE(floors, nullptr);
+  ASSERT_EQ(floors->array.size(), 1u);
+  EXPECT_DOUBLE_EQ(floors->array[0].Find("min")->number_value, 0.05);
+  const JsonValue* counter = parsed->Find("benches")
+                                 ->Find("BM_Fleet/100000")
+                                 ->Find("counters")
+                                 ->Find("flow_completions/s");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_DOUBLE_EQ(counter->number_value, 50000);
   options.update = false;
   auto compare = perfgate::Run(options);
   ASSERT_TRUE(compare.ok());

@@ -50,7 +50,7 @@
 //     --current-dir DIR        Freshly generated BENCH_<area>.json.
 //     --baseline-dir DIR       Baselines (default bench/baselines).
 //     --areas a,b              Areas to gate (default chaos,fig3,fleet,
-//                              kernel_net,kernel_sim).
+//                              fleet_100k,kernel_net,kernel_sim).
 //     --threshold F            Allowed relative slowdown (default 0.25).
 //     --update                 Rewrite baselines from --current-dir.
 //     --allow-new-area         An area with no baseline file yet is

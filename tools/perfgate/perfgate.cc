@@ -4,6 +4,8 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/json.h"
 #include "common/json_parse.h"
@@ -13,12 +15,23 @@
 namespace hivesim::perfgate {
 namespace {
 
+/// A baseline's floor on the ratio of one counter between two benches.
+struct RatioFloor {
+  std::string counter;
+  std::string numerator;
+  std::string denominator;
+  double min = 0;
+};
+
 /// One BENCH_<area>.json, decoded into sorted maps.
 struct AreaDoc {
   std::string area;
   std::map<std::string, double> benches;     ///< name -> ns_per_iter.
+  /// bench name -> counter name -> value (only benches that report any).
+  std::map<std::string, std::map<std::string, double>> counters;
   std::map<std::string, double> checks;      ///< key -> exact value.
   std::map<std::string, double> thresholds;  ///< Optional, baseline only.
+  std::vector<RatioFloor> floors;            ///< Optional, baseline only.
   double max_rss_bytes = 0;                  ///< 0 = not recorded.
 };
 
@@ -59,6 +72,20 @@ Result<AreaDoc> LoadArea(const std::string& dir, const std::string& area) {
                  "\" has no positive \"ns_per_iter\""));
     }
     doc.benches[name] = ns->number_value;
+    if (const JsonValue* counters = entry.Find("counters")) {
+      if (!counters->is_object()) {
+        return Status::InvalidArgument(
+            StrCat(path, ": bench \"", name, "\" counters is not an object"));
+      }
+      for (const auto& [counter, value] : counters->object) {
+        if (!value.is_number()) {
+          return Status::InvalidArgument(
+              StrCat(path, ": counter \"", counter, "\" of bench \"", name,
+                     "\" is not a number"));
+        }
+        doc.counters[name][counter] = value.number_value;
+      }
+    }
   }
 
   if (const JsonValue* checks = root.Find("checks")) {
@@ -95,7 +122,52 @@ Result<AreaDoc> LoadArea(const std::string& dir, const std::string& area) {
       doc.thresholds[name] = value.number_value;
     }
   }
+
+  if (const JsonValue* floors = root.Find("floors")) {
+    if (!floors->is_array()) {
+      return Status::InvalidArgument(path + ": \"floors\" is not an array");
+    }
+    for (const JsonValue& entry : floors->array) {
+      RatioFloor floor;
+      const JsonValue* min = entry.Find("min");
+      for (const auto& [key, field] :
+           {std::pair{"counter", &floor.counter},
+            std::pair{"numerator", &floor.numerator},
+            std::pair{"denominator", &floor.denominator}}) {
+        const JsonValue* value = entry.Find(key);
+        if (value == nullptr || !value->is_string()) {
+          return Status::InvalidArgument(
+              StrCat(path, ": a floor has no string \"", key, "\""));
+        }
+        *field = value->string_value;
+      }
+      if (min == nullptr || !min->is_number() || !(min->number_value > 0)) {
+        return Status::InvalidArgument(
+            StrCat(path, ": floor on \"", floor.counter,
+                   "\" has no positive \"min\""));
+      }
+      floor.min = min->number_value;
+      doc.floors.push_back(std::move(floor));
+    }
+  }
   return doc;
+}
+
+/// Name of a floor's report row: "items/s BM_X/100000 / BM_X/1000".
+std::string FloorName(const RatioFloor& floor) {
+  return StrCat(floor.counter, " ", floor.numerator, " / ", floor.denominator);
+}
+
+/// The current run's counter ratio a floor bounds; NaN when either bench
+/// or counter is missing.
+double FloorRatio(const AreaDoc& current, const RatioFloor& floor) {
+  const auto value = [&](const std::string& bench) {
+    const auto it = current.counters.find(bench);
+    if (it == current.counters.end()) return std::nan("");
+    const auto counter = it->second.find(floor.counter);
+    return counter == it->second.end() ? std::nan("") : counter->second;
+  };
+  return value(floor.numerator) / value(floor.denominator);
 }
 
 Status WriteBaseline(const std::string& dir, const AreaDoc& doc) {
@@ -104,7 +176,15 @@ Status WriteBaseline(const std::string& dir, const AreaDoc& doc) {
   json.Key("area").String(doc.area);
   json.Key("benches").BeginObject();
   for (const auto& [name, ns] : doc.benches) {
-    json.Key(name).BeginObject().Key("ns_per_iter").Number(ns).EndObject();
+    json.Key(name).BeginObject();
+    if (auto it = doc.counters.find(name); it != doc.counters.end()) {
+      json.Key("counters").BeginObject();
+      for (const auto& [counter, value] : it->second) {
+        json.Key(counter).Number(value);
+      }
+      json.EndObject();
+    }
+    json.Key("ns_per_iter").Number(ns).EndObject();
   }
   json.EndObject();
   json.Key("checks").BeginObject();
@@ -112,6 +192,18 @@ Status WriteBaseline(const std::string& dir, const AreaDoc& doc) {
     json.Key(key).Number(value);
   }
   json.EndObject();
+  if (!doc.floors.empty()) {
+    json.Key("floors").BeginArray();
+    for (const RatioFloor& floor : doc.floors) {
+      json.BeginObject()
+          .Key("counter").String(floor.counter)
+          .Key("denominator").String(floor.denominator)
+          .Key("min").Number(floor.min)
+          .Key("numerator").String(floor.numerator)
+          .EndObject();
+    }
+    json.EndArray();
+  }
   if (doc.max_rss_bytes > 0) {
     json.Key(kRssKey).Number(doc.max_rss_bytes);
   }
@@ -215,6 +307,23 @@ void CompareArea(const AreaDoc& baseline, const AreaDoc& current,
     report.rows.push_back(row);
   }
 
+  // Floors: the current counter ratio against the baseline's minimum. An
+  // unmeasurable ratio (a bench or counter gone) fails like a low one.
+  for (const RatioFloor& floor : baseline.floors) {
+    GateRow row;
+    row.area = current.area;
+    row.name = FloorName(floor);
+    row.baseline = floor.min;
+    row.current = FloorRatio(current, floor);
+    if (row.current >= floor.min) {
+      row.status = RowStatus::kFloorOk;
+    } else {
+      row.status = RowStatus::kBelowFloor;
+      ++report.below_floor;
+    }
+    report.rows.push_back(row);
+  }
+
   // Checks: exact equality over the union of keys. A key present on one
   // side only is also a mismatch — checks are the determinism contract,
   // so losing one silently would hollow out the gate.
@@ -248,6 +357,8 @@ std::string StatusLabel(RowStatus status) {
     case RowStatus::kMissing: return "MISSING";
     case RowStatus::kCheckOk: return "check ok";
     case RowStatus::kCheckMismatch: return "CHECK MISMATCH";
+    case RowStatus::kFloorOk: return "floor ok";
+    case RowStatus::kBelowFloor: return "BELOW FLOOR";
   }
   return "?";
 }
@@ -257,11 +368,18 @@ bool IsCheckRow(const GateRow& row) {
          row.status == RowStatus::kCheckMismatch;
 }
 
+bool IsFloorRow(const GateRow& row) {
+  return row.status == RowStatus::kFloorOk ||
+         row.status == RowStatus::kBelowFloor;
+}
+
 std::string FormatValue(const GateRow& row, double value) {
   if (std::isnan(value)) return "-";
-  // Timings as ns with thousands precision; checks verbatim.
-  return IsCheckRow(row) ? StrFormat("%.17g", value)
-                         : StrFormat("%.0f", value);
+  // Timings as ns with thousands precision; checks verbatim; floor
+  // ratios as percentages.
+  if (IsCheckRow(row)) return StrFormat("%.17g", value);
+  if (IsFloorRow(row)) return StrFormat("%.2f%%", value * 100);
+  return StrFormat("%.0f", value);
 }
 
 }  // namespace
@@ -277,7 +395,10 @@ Result<GateReport> Run(const GateOptions& options) {
       // Keep per-bench threshold overrides across updates; they are
       // curated by hand, not produced by the bench binaries.
       Result<AreaDoc> previous = LoadArea(options.baseline_dir, area);
-      if (previous.ok()) updated.thresholds = previous->thresholds;
+      if (previous.ok()) {
+        updated.thresholds = previous->thresholds;
+        updated.floors = previous->floors;
+      }
       HIVESIM_RETURN_IF_ERROR(WriteBaseline(options.baseline_dir, updated));
       for (const auto& [name, ns] : updated.benches) {
         GateRow row;
@@ -326,7 +447,7 @@ Result<GateReport> Run(const GateOptions& options) {
                 options.rss_threshold, report);
   }
   report.failed = report.regressions > 0 || report.missing > 0 ||
-                  report.check_mismatches > 0;
+                  report.check_mismatches > 0 || report.below_floor > 0;
   return report;
 }
 
@@ -338,7 +459,9 @@ std::string FormatReport(const GateReport& report) {
   for (const GateRow& row : report.rows) {
     std::string delta = "-";
     std::string limit = "-";
-    if (!IsCheckRow(row) && row.baseline > 0 && row.current > 0) {
+    if (IsFloorRow(row)) {
+      limit = StrFormat(">=%.2f%%", row.baseline * 100);
+    } else if (!IsCheckRow(row) && row.baseline > 0 && row.current > 0) {
       delta = StrFormat("%+.1f%%", (row.current / row.baseline - 1) * 100);
       limit = StrFormat("+%.0f%%", row.threshold * 100);
     }
@@ -349,9 +472,9 @@ std::string FormatReport(const GateReport& report) {
   table.Print(out);
   out << StrFormat(
       "perf-gate: %d regressed, %d improved, %d check mismatches, "
-      "%d missing, %d new -> %s\n",
+      "%d below floor, %d missing, %d new -> %s\n",
       report.regressions, report.improvements, report.check_mismatches,
-      report.missing, report.new_benches,
+      report.below_floor, report.missing, report.new_benches,
       report.failed ? "FAIL" : "PASS");
   return out.str();
 }

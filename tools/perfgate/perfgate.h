@@ -16,7 +16,8 @@ namespace hivesim::perfgate {
 ///
 /// File layout, identical in both directories:
 ///   BENCH_<area>.json = {"area":"<area>",
-///                        "benches":{"BM_X/4096":{"ns_per_iter":N}},
+///                        "benches":{"BM_X/4096":{"ns_per_iter":N,
+///                                   "counters":{"items/s":R}}},
 ///                        "checks":{"storm_fired":13333},
 ///                        "max_rss_bytes":123456789,
 ///                        "schema":"hivesim-bench/1"}
@@ -28,13 +29,22 @@ namespace hivesim::perfgate {
 /// generous limit, since an allocator or environment change can move RSS
 /// without any algorithmic regression. A baseline may still pin it
 /// tighter (or looser) with a "max_rss_bytes" entry in "thresholds".
+///
+/// A baseline may also carry hand-curated scaling floors, preserved by
+/// `update` like the thresholds:
+///   {"floors":[{"counter":"items/s","numerator":"BM_X/100000",
+///               "denominator":"BM_X/1000","min":0.05}]}
+/// The current run's counter ratio numerator/denominator must be at least
+/// `min`. A floor gates how a cost scales, which no per-bench timing
+/// threshold can: both benches may each sit inside their threshold while
+/// the large one falls off a cliff relative to the small one.
 
 struct GateOptions {
   std::string baseline_dir;  ///< Committed baselines (bench/baselines).
   std::string current_dir;   ///< Freshly generated artifacts.
   /// Areas to gate; each maps to one BENCH_<area>.json in both dirs.
-  std::vector<std::string> areas = {"chaos", "fig3", "fleet", "kernel_net",
-                                    "kernel_sim"};
+  std::vector<std::string> areas = {"chaos",      "fig3",       "fleet",
+                                    "fleet_100k", "kernel_net", "kernel_sim"};
   /// Allowed relative slowdown (0.25 = current may be up to 25% slower
   /// than baseline) unless the baseline overrides it per bench.
   double default_threshold = 0.25;
@@ -60,24 +70,28 @@ enum class RowStatus {
   kMissing,        ///< In baseline but not current: FAIL (lost coverage).
   kCheckOk,        ///< Deterministic check matches exactly.
   kCheckMismatch,  ///< Deterministic check drifted: FAIL.
+  kFloorOk,        ///< Counter ratio at or above its floor.
+  kBelowFloor,     ///< Counter ratio below its floor (or unmeasured): FAIL.
 };
 
-/// One compared benchmark timing or check value.
+/// One compared benchmark timing, check value or scaling floor.
 struct GateRow {
   std::string area;
-  std::string name;  ///< Bench name ("BM_X/4096") or check key.
-  double baseline = 0;
-  double current = 0;
+  std::string name;  ///< Bench name ("BM_X/4096"), check key, or floor.
+  double baseline = 0;   ///< For a floor row: the floor.
+  double current = 0;    ///< For a floor row: the measured ratio.
   double threshold = 0;  ///< Relative limit applied (0 for checks).
   RowStatus status = RowStatus::kOk;
 };
 
 struct GateReport {
   std::vector<GateRow> rows;  ///< Area-then-name sorted.
-  bool failed = false;        ///< Any kRegressed/kMissing/kCheckMismatch.
+  /// Any kRegressed/kMissing/kCheckMismatch/kBelowFloor.
+  bool failed = false;
   int regressions = 0;
   int improvements = 0;
   int check_mismatches = 0;
+  int below_floor = 0;
   int missing = 0;
   int new_benches = 0;
 };
