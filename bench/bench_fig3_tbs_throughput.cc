@@ -1,19 +1,13 @@
-// Regenerates Figure 3: throughput of the single-GPU baselines versus the
-// two-GPU Hivemind runs across target batch sizes (8K, 16K, 32K) for all
-// CV and NLP models on A10s. Doubling the TBS halves the per-sample
-// communication cost; the smallest models (RN18, RBase) destabilize at
-// 8K because accumulation beats the 5 s matchmaking floor.
+// The `fig3` perf-gate area: times the end-to-end experiment pipeline on
+// Figure 3's 2xA10 ConvNextLarge run at each of its target batch sizes,
+// and records those throughputs as the area's determinism checks.
+// `hivesim reproduce --figure=fig3` prints the figure itself.
 
 #include <benchmark/benchmark.h>
 
-#include <iostream>
-
 #include "bench_util.h"
-#include "common/strings.h"
-#include "common/table_writer.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
-#include "models/calibration.h"
 
 namespace {
 
@@ -31,35 +25,6 @@ double RunTwoGpu(ModelId model, int tbs) {
   return result.ok() ? result->train.throughput_sps : 0;
 }
 
-void PrintFigure3() {
-  bench::PrintHeading(
-      "Fig. 3: baseline vs 2xA10 Hivemind throughput across TBS");
-  TableWriter table({"Model", "Baseline SPS", "2xA10 @8K", "2xA10 @16K",
-                     "2xA10 @32K"});
-  for (ModelId model : models::SuitabilityStudyModels()) {
-    const double baseline =
-        models::BaselineSps(model, compute::GpuModel::kA10).value_or(0);
-    table.AddRow({std::string(models::ModelName(model)),
-                  StrFormat("%.0f", baseline),
-                  StrFormat("%.0f", RunTwoGpu(model, 8192)),
-                  StrFormat("%.0f", RunTwoGpu(model, 16384)),
-                  StrFormat("%.0f", RunTwoGpu(model, 32768))});
-  }
-  table.Print(std::cout);
-
-  bench::ComparisonTable checks("Fig. 3 shape checks");
-  // TBS growth monotonically helps the large models.
-  checks.AddSimulatedOnly(
-      "CONV", "sps(32K)/sps(8K)",
-      RunTwoGpu(ModelId::kConvNextLarge, 32768) /
-          RunTwoGpu(ModelId::kConvNextLarge, 8192));
-  checks.AddSimulatedOnly(
-      "RXLM", "sps(32K)/sps(8K)",
-      RunTwoGpu(ModelId::kRobertaXlm, 32768) /
-          RunTwoGpu(ModelId::kRobertaXlm, 8192));
-  checks.Print();
-}
-
 void BM_TbsSweep(benchmark::State& state) {
   const int tbs = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -74,9 +39,7 @@ BENCHMARK(BM_TbsSweep)->Arg(8192)->Arg(16384)->Arg(32768)
 int main(int argc, char** argv) {
   hivesim::bench::TelemetryScope telemetry_scope(&argc, argv);
   hivesim::bench::PerfJsonScope perf(&argc, argv, "fig3");
-  PrintFigure3();
-  // The figure's CONV column doubles as the determinism self-check: the
-  // experiment pipeline end-to-end must reproduce these throughputs.
+  // The experiment pipeline end to end must reproduce these throughputs.
   perf.AddCheck("sps_conv_tbs8192", RunTwoGpu(ModelId::kConvNextLarge, 8192));
   perf.AddCheck("sps_conv_tbs16384",
                 RunTwoGpu(ModelId::kConvNextLarge, 16384));

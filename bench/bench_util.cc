@@ -3,10 +3,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -16,64 +13,6 @@
 #include "telemetry/telemetry.h"
 
 namespace hivesim::bench {
-
-ComparisonTable::ComparisonTable(std::string title)
-    : title_(std::move(title)) {}
-
-void ComparisonTable::Add(const std::string& experiment,
-                          const std::string& metric, double paper,
-                          double simulated) {
-  rows_.push_back({experiment, metric, paper, simulated});
-}
-
-void ComparisonTable::AddSimulatedOnly(const std::string& experiment,
-                                       const std::string& metric,
-                                       double simulated) {
-  rows_.push_back({experiment, metric, std::nullopt, simulated});
-}
-
-void ComparisonTable::Print() const {
-  PrintHeading(title_);
-  TableWriter table({"Experiment", "Metric", "Paper", "Simulated", "Delta"});
-  for (const PaperComparison& row : rows_) {
-    std::string paper = "-";
-    std::string delta = "-";
-    if (row.paper.has_value()) {
-      paper = StrFormat("%.3g", *row.paper);
-      if (*row.paper != 0) {
-        delta = StrFormat("%+.1f%%",
-                          (row.simulated - *row.paper) / *row.paper * 100.0);
-      }
-    }
-    table.AddRow({row.experiment, row.metric, paper,
-                  StrFormat("%.3g", row.simulated), delta});
-  }
-  table.Print(std::cout);
-  std::cout << std::endl;
-
-  if (const char* dir = std::getenv("HIVESIM_BENCH_CSV_DIR")) {
-    CsvWriter csv({"experiment", "metric", "paper", "simulated"});
-    for (const PaperComparison& row : rows_) {
-      csv.AddRow(std::vector<std::string>{
-          row.experiment, row.metric,
-          row.paper.has_value() ? StrFormat("%.6g", *row.paper)
-                                : std::string(""),
-          StrFormat("%.6g", row.simulated)});
-    }
-    csv.WriteFile(StrCat(dir, "/", Slugify(title_), ".csv"));
-  }
-}
-
-std::string Slugify(const std::string& text) {
-  std::string slug;
-  slug.reserve(text.size());
-  for (const char c : text) {
-    slug += std::isalnum(static_cast<unsigned char>(c))
-                ? static_cast<char>(std::tolower(c))
-                : '_';
-  }
-  return slug;
-}
 
 void PrintHeading(const std::string& text) {
   std::cout << "\n=== " << text << " ===\n";

@@ -2,49 +2,9 @@
 #define HIVESIM_BENCH_BENCH_UTIL_H_
 
 #include <map>
-#include <optional>
 #include <string>
-#include <vector>
-
-#include "common/table_writer.h"
 
 namespace hivesim::bench {
-
-/// One reproduced number: what the paper reports vs. what the simulator
-/// measured. Paper values are optional because several figures only show
-/// bars without printed numbers.
-struct PaperComparison {
-  std::string experiment;
-  std::string metric;
-  std::optional<double> paper;
-  double simulated = 0;
-};
-
-/// Collects comparisons and prints an aligned table with the relative
-/// deviation where a paper value exists. Every bench binary feeds
-/// EXPERIMENTS.md from this output.
-class ComparisonTable {
- public:
-  explicit ComparisonTable(std::string title);
-
-  void Add(const std::string& experiment, const std::string& metric,
-           double paper, double simulated);
-  /// For figure series without printed paper numbers.
-  void AddSimulatedOnly(const std::string& experiment,
-                        const std::string& metric, double simulated);
-
-  /// Prints the table to stdout. When the HIVESIM_BENCH_CSV_DIR
-  /// environment variable is set, also writes the rows as
-  /// `<dir>/<slugified-title>.csv` for external plotting.
-  void Print() const;
-
- private:
-  std::string title_;
-  std::vector<PaperComparison> rows_;
-};
-
-/// Lowercases and replaces non-alphanumerics with '_' (CSV file names).
-std::string Slugify(const std::string& text);
 
 /// Prints a section heading so bench output reads like the paper.
 void PrintHeading(const std::string& text);

@@ -80,6 +80,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nCaveat the paper teaches: chasing cheap zones across "
                "continents trades instance savings against egress cost "
-               "and granularity - check bench_fig11_cost_breakdown.\n";
+               "and granularity - check `hivesim reproduce --figure=fig11`.\n";
   return 0;
 }

@@ -124,7 +124,7 @@ cmake --build --preset default -j "$(nproc)" --target bench_fleet
 # slabs and cohort dispatch end to end (the binary's determinism
 # self-check runs first and exits non-zero on divergence).
 ./build/bench/bench_fleet --benchmark_filter='BM_Fleet/1000$' \
-  --benchmark_min_time=1x > /dev/null
+  --benchmark_min_time=0 > /dev/null
 
 echo "=== perf gate: benches --bench-json vs bench/baselines ==="
 cmake --build --preset default -j "$(nproc)" \
@@ -132,23 +132,23 @@ cmake --build --preset default -j "$(nproc)" \
   bench_fig3_tbs_throughput bench_fleet hivesim
 perfdir="$tmpdir/perf"
 mkdir -p "$perfdir"
-./build/bench/bench_kernel_net --benchmark_min_time=0.1s \
+./build/bench/bench_kernel_net --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_kernel_net.json" > /dev/null
-./build/bench/bench_kernel_sim --benchmark_min_time=0.1s \
+./build/bench/bench_kernel_sim --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_kernel_sim.json" > /dev/null
-./build/bench/bench_sec7_chaos --benchmark_min_time=0.1s \
+./build/bench/bench_sec7_chaos --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_chaos.json" > /dev/null
-./build/bench/bench_fig3_tbs_throughput --benchmark_min_time=0.1s \
+./build/bench/bench_fig3_tbs_throughput --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_fig3.json" > /dev/null
 ./build/bench/bench_fleet --benchmark_filter='BM_Fleet/(1000|10000)$' \
-  --benchmark_min_time=0.1s \
+  --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_fleet.json" > /dev/null
-# The 100k-peer world (about half a second per iteration, so one or two
-# iterations) in its own area, so the fleet area's max_rss_bytes keeps
+# The 100k-peer world (about half a second per iteration, so one
+# iteration) in its own area, so the fleet area's max_rss_bytes keeps
 # gating the 1k/10k worlds. BM_Fleet/1000 rides along as the denominator
 # of the scaling floor in BENCH_fleet_100k.json.
 ./build/bench/bench_fleet --benchmark_filter='BM_Fleet/(1000|100000)$' \
-  --benchmark_min_time=0.1s --bench-area=fleet_100k \
+  --benchmark_min_time=0.1 --bench-area=fleet_100k \
   --bench-json="$perfdir/BENCH_fleet_100k.json" > /dev/null
 if [[ "${HIVESIM_UPDATE_PERF_BASELINE:-0}" == "1" ]]; then
   ./build/tools/hivesim perfgate --current-dir="$perfdir" \

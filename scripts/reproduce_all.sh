@@ -9,12 +9,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
-for b in build/bench/*; do
-  if [ -f "$b" ] && [ -x "$b" ]; then
-    echo "### $(basename "$b")"
-    "$b" --benchmark_min_time=1x
-  fi
-done 2>&1 | tee bench_output.txt
+build/tools/hivesim reproduce 2>&1 | tee bench_output.txt
 
 # The figure grids once more as sweeps: every cell an independent
 # simulation on a thread pool, outputs byte-identical to --threads 1

@@ -7,8 +7,8 @@
 namespace hivesim::net {
 
 /// Reproduces the paper's network measurement methodology (iperf single-
-/// stream TCP throughput and ICMP ping) inside the simulator. Used by the
-/// benches that regenerate Tables 3, 4 and 5 and the Section 7 multi-
+/// stream TCP throughput and ICMP ping) inside the simulator. Used by
+/// `hivesim reproduce` for Tables 3, 4 and 5 and the Section 7 multi-
 /// stream microbenchmark.
 ///
 /// Runs drive the shared simulator forward, so profile before starting

@@ -16,8 +16,8 @@ namespace hivesim::net {
 /// Path bandwidths are the *physical multi-stream* capacities. Single-
 /// stream behaviour (e.g. 50-80 Mb/s from the on-prem hosts to the US at
 /// ~150 ms RTT, despite a multi-Gb/s path) emerges from the per-node TCP
-/// window in `CloudVmNetConfig` / `OnPremNetConfig`; see `bench_table5` and
-/// `bench_sec7_multistream_tcp`, which reproduce the measurements.
+/// window in `CloudVmNetConfig` / `OnPremNetConfig`; `hivesim reproduce
+/// --figure=table5,sec7_multistream` reproduces the measurements.
 Topology StandardWorld();
 
 /// Network config of a cloud VM: large tuned TCP buffers (8 MB), so the

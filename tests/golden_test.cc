@@ -2,7 +2,7 @@
 // cell from each headline result — Fig. 1 (cost/throughput of an 8xT4
 // Hivemind fleet), Fig. 3 (model suitability on 2xA10), and Table 4
 // (multi-cloud network profile) — plus one Section 7 chaos sweep over
-// every builtin scenario pack. A diff here means simulated physics or
+// every builtin scenario pack, and the full `hivesim reproduce` output. A diff here means simulated physics or
 // a serialization schema moved; if the change is intentional, regenerate
 // with
 //
@@ -27,6 +27,7 @@
 #include "core/sweep_runner.h"
 #include "net/profiler.h"
 #include "net/profiles.h"
+#include "reproduce/reproduce.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 
@@ -169,6 +170,21 @@ TEST(GoldenTest, SeriesCChaosSweep) {
   CompareOrUpdate("sweep_c_chaos_report.json", summary->report_json + "\n");
   CompareOrUpdate("sweep_c_chaos_metrics_merged.json",
                   summary->merged_metrics_json + "\n");
+}
+
+// Every table, figure and ablation `hivesim reproduce` prints, in
+// registry order. The golden was recorded from the per-figure bench
+// binaries the registry replaced, so it pins that fold as well as the
+// physics. The output must not depend on the sweep thread count.
+TEST(GoldenTest, ReproduceAll) {
+  for (const int threads : {1, 4}) {
+    reproduce::Options options;
+    options.threads = threads;
+    std::ostringstream out;
+    auto anchors = reproduce::Reproduce(options, out);
+    ASSERT_TRUE(anchors.ok()) << anchors.status().ToString();
+    CompareOrUpdate("reproduce_all.txt", out.str());
+  }
 }
 
 }  // namespace

@@ -1,0 +1,133 @@
+// The figure registry behind `hivesim reproduce`: a failed value never
+// prints as a number, unknown ids are rejected, and the anchors are
+// unique, tagged, and as close to the paper as when they were committed.
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <set>
+#include <sstream>
+
+#include "core/sweep.h"
+#include "reproduce/reproduce.h"
+
+namespace hivesim::reproduce {
+namespace {
+
+const Figure& FindFigure(const std::string& id) {
+  for (const Figure& figure : Figures()) {
+    if (figure.id == id) return figure;
+  }
+  ADD_FAILURE() << "no figure " << id;
+  return Figures().front();
+}
+
+TEST(ReproduceTest, FailedCellFailsTheFigureWithItsStatus) {
+  const Figure& figure = FindFigure("fig15");
+  std::vector<core::SweepRunSummary> runs;
+  for (const core::SweepSpec& spec : figure.specs) {
+    core::SweepRunSummary run;
+    run.cells = core::ExpandSweep(spec);
+    run.outcomes.resize(run.cells.size());
+    for (core::SweepCellOutcome& outcome : run.outcomes) outcome.ok = true;
+    runs.push_back(std::move(run));
+  }
+  ASSERT_FALSE(runs.empty());
+  ASSERT_GE(runs[0].cells.size(), 2u);
+  runs[0].outcomes[1].ok = false;
+  runs[0].outcomes[1].error = "Unavailable: injected VM loss";
+
+  std::ostringstream out;
+  std::vector<Anchor> anchors;
+  const Status status = RenderFigure(figure, runs, "", out, &anchors);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(runs[0].cells[1].name), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("injected VM loss"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_TRUE(anchors.empty());
+}
+
+TEST(ReproduceTest, FailedValueOrUndeclaredCellFailsTheFigure) {
+  const Figure failed_probe{
+      "probe", "", {}, [](Page& page) {
+        page.out() << "a number: "
+                   << page.Value(Result<double>(Status::Unavailable("down")));
+      }};
+  const Figure undeclared_cell{
+      "cell", "", {}, [](Page& page) {
+        page.out() << page.Cell(0, "A-8", models::ModelId::kRobertaXlm)
+                          .train.throughput_sps;
+      }};
+  for (const Figure* figure : {&failed_probe, &undeclared_cell}) {
+    std::ostringstream out;
+    std::vector<Anchor> anchors;
+    const Status status = RenderFigure(*figure, {}, "", out, &anchors);
+    EXPECT_FALSE(status.ok()) << figure->id;
+    EXPECT_NE(status.message().find(figure->id), std::string::npos);
+    EXPECT_TRUE(out.str().empty()) << out.str();
+  }
+}
+
+TEST(ReproduceTest, UnknownFigureIdListsTheValidOnes) {
+  Options options;
+  options.figures = {"fig7", "nosuch"};
+  std::ostringstream out;
+  auto anchors = Reproduce(options, out);
+  ASSERT_FALSE(anchors.ok());
+  EXPECT_EQ(anchors.status().code(), StatusCode::kInvalidArgument);
+  for (const Figure& figure : Figures()) {
+    EXPECT_NE(anchors.status().message().find(figure.id), std::string::npos)
+        << figure.id;
+  }
+  EXPECT_TRUE(out.str().empty());
+}
+
+// The mean relative error over every out-of-sample anchor: 0.212543 when
+// the registry landed, rounded up. A change that moves the simulator away
+// from the paper fails here; one that moves it closer lowers the bound.
+constexpr double kOutOfSampleMeanErrorCeiling = 0.2126;
+
+TEST(ReproduceTest, AnchorsAreUniqueTaggedAndNearThePaper) {
+  Options options;
+  options.threads = 4;
+  std::ostringstream out;
+  auto anchors = Reproduce(options, out);
+  ASSERT_TRUE(anchors.ok()) << anchors.status().ToString();
+
+  // Figures whose tables carry only shape checks: the paper prints no
+  // number for them.
+  const std::set<std::string> shape_only = {
+      "fig3",         "fig12",          "ablation_allreduce",
+      "ablation_dpu", "ablation_compression", "ablation_matchmaking",
+      "ablation_variance"};
+  std::set<std::string> ids;
+  std::set<std::string> figures_with_anchors;
+  double error_sum = 0;
+  int out_of_sample = 0;
+  for (const Anchor& anchor : *anchors) {
+    EXPECT_TRUE(ids.insert(anchor.id()).second)
+        << "duplicate anchor " << anchor.id();
+    figures_with_anchors.insert(anchor.figure);
+    ASSERT_NE(anchor.paper, 0) << anchor.id();
+    if (anchor.tag == AnchorTag::kOutOfSample) {
+      error_sum += std::abs(anchor.simulated - anchor.paper) /
+                   std::abs(anchor.paper);
+      ++out_of_sample;
+    }
+  }
+  for (const Figure& figure : Figures()) {
+    EXPECT_EQ(figures_with_anchors.count(figure.id) == 0,
+              shape_only.count(figure.id) == 1)
+        << figure.id;
+  }
+  ASSERT_GT(out_of_sample, 0);
+  const double mean_error = error_sum / out_of_sample;
+  std::printf("%zu anchors, %d out of sample, mean |error| %.6f\n",
+              anchors->size(), out_of_sample, mean_error);
+  EXPECT_LE(mean_error, kOutOfSampleMeanErrorCeiling);
+}
+
+}  // namespace
+}  // namespace hivesim::reproduce

@@ -73,6 +73,13 @@
 //                              metrics_merged.json (+ per-run telemetry
 //                              under DIR/runs with --telemetry).
 //     --telemetry              Per-cell trace + metrics capture.
+//   reproduce                  Print the paper's tables, figures and
+//                              ablations with their paper-vs-simulated
+//                              anchors (every sweep cell on all cores;
+//                              the output is the same for any count).
+//     --figure ID[,ID...]      Only these registry ids (fig7, table3,
+//                              ablation_dpu, ...; a bad id lists them).
+//     --csv-dir DIR            Also write each comparison table as CSV.
 //   scenario                   Inspect scenario packs (docs/SCENARIOS.md).
 //     --check PATH             Parse + validate; print a summary.
 //     --canonicalize PATH      Parse and print the canonical JSON bytes.
@@ -107,6 +114,7 @@
 //   hivesim fleet --spec "gc-us:2,aws:2" --model CONV --json /tmp/d2.json
 //   hivesim advise --model CONV --min-sps 250
 //   hivesim profile --from onprem --to gc-us --streams 80
+//   hivesim reproduce --figure=fig7,fig8
 //   hivesim sweep --fleets "lambda:2" --models suitability
 //     --tbs 8192,16384,32768 --hours 1 --threads 8 --out /tmp/fig3
 
@@ -116,6 +124,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -134,6 +143,7 @@
 #include "net/profiler.h"
 #include "perfgate/perfgate.h"
 #include "net/profiles.h"
+#include "reproduce/reproduce.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "telemetry/analysis.h"
@@ -542,6 +552,20 @@ int CmdSweep(const FlagSet& flags) {
   return summary->failures == 0 ? 0 : 1;
 }
 
+int CmdReproduce(const FlagSet& flags) {
+  if (Status s = flags.CheckKnown({"figure", "csv-dir"}); !s.ok()) {
+    return Fail(s);
+  }
+  reproduce::Options options;
+  const std::string figures = flags.GetString("figure", "");
+  if (!figures.empty()) options.figures = StrSplit(figures, ',');
+  options.csv_dir = flags.GetString("csv-dir", "");
+  options.threads =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  auto anchors = reproduce::Reproduce(options, std::cout);
+  return anchors.ok() ? 0 : Fail(anchors.status());
+}
+
 int CmdAnalyze(const FlagSet& flags) {
   if (Status s = flags.CheckKnown({"trace", "metrics", "out", "top",
                                    "what-if"});
@@ -800,7 +824,7 @@ int CmdFuzz(const FlagSet& flags) {
 
 int Usage() {
   std::cout << "usage: hivesim <list|run|fleet|advise|profile|sweep|"
-               "scenario|fuzz|analyze|lint|perfgate> [--flags]\n"
+               "reproduce|scenario|fuzz|analyze|lint|perfgate> [--flags]\n"
                "See the header of tools/hivesim_cli.cc for details.\n";
   return 2;
 }
@@ -818,6 +842,7 @@ int main(int argc, char** argv) {
   if (command == "advise") return CmdAdvise(flags);
   if (command == "profile") return CmdProfile(flags);
   if (command == "sweep") return CmdSweep(flags);
+  if (command == "reproduce") return CmdReproduce(flags);
   if (command == "scenario") return CmdScenario(flags);
   if (command == "fuzz") return CmdFuzz(flags);
   if (command == "analyze") return CmdAnalyze(flags);
