@@ -250,8 +250,6 @@ void AllReduce::RunStage(size_t stage_index) {
 
   const uint64_t gen = generation_;
   const double params = opts_.payload_bytes / 2.0;  // FP16: 2 B/param.
-  std::set<int> senders;
-  for (const Transfer& t : stage) senders.insert(t.src);
 
   for (const Transfer& t : stage) {
     const Peer& src = peers_[t.src];
@@ -313,13 +311,15 @@ void AllReduce::FinishStage(size_t stage_index) {
                                  [this, gen, stage_index, stage_start,
                                   transfers] {
                                    if (gen != generation_) return;
-                                   telemetry::Span(
-                                       stage_start,
-                                       network_->simulator().Now(),
-                                       "collective",
-                                       StrFormat("stage %zu", stage_index),
-                                       StrFormat("{\"transfers\":%zu}",
-                                                 transfers));
+                                   if (telemetry::Enabled()) {
+                                     telemetry::Span(
+                                         stage_start,
+                                         network_->simulator().Now(),
+                                         "collective",
+                                         StrFormat("stage %zu", stage_index),
+                                         StrFormat("{\"transfers\":%zu}",
+                                                   transfers));
+                                   }
                                    RunStage(stage_index + 1);
                                  });
 }

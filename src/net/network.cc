@@ -193,7 +193,7 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
   flow_slab_[slot] = std::move(flow);
   flow_index_.emplace(id, slot);
   AddFlowToResources(slot, keys, caps, n);
-  SolveComponent(flow_slab_[slot].res_slots, n);
+  MarkDirty(flow_slab_[slot].res_slots, n);
   return id;
 }
 
@@ -240,7 +240,7 @@ bool Network::CancelFlow(FlowId id) {
   RemoveFlowFromResources(slot);
   flow_index_.erase(it);
   FreeFlowSlot(slot);
-  SolveComponent(seed, num_seed);
+  MarkDirty(seed, num_seed);
   return true;
 }
 
@@ -274,7 +274,9 @@ void Network::Refresh() {
   // every resource's capacity, then re-solve all components. Flows keep
   // their per-flow stream caps by contract. Both passes walk the slabs in
   // slot order — deterministic, and each capacity update is independent.
-  // The solves settle each flow before overwriting its rate.
+  // The solves settle each flow before overwriting its rate, and cover
+  // every dirty component, so no flush is left to do.
+  dirty_seeds_.clear();
   for (Resource& res : res_slab_) {
     if (!res.live) continue;
     switch (res.key.kind) {
@@ -302,7 +304,8 @@ void Network::Refresh() {
   }
 }
 
-double Network::FlowRate(FlowId id) const {
+double Network::FlowRate(FlowId id) {
+  FlushDirty();
   auto it = flow_index_.find(id);
   return it == flow_index_.end() ? 0.0 : flow_slab_[it->second].rate_bps;
 }
@@ -367,6 +370,28 @@ void Network::RemoveFlowFromResources(FlowSlot slot) {
   }
 }
 
+void Network::MarkDirty(const ResSlot* seeds, int num_seeds) {
+  if (dirty_seeds_.empty()) {
+    sim_->AtCohortEnd([this] { FlushDirty(); });
+  }
+  dirty_seeds_.insert(dirty_seeds_.end(), seeds, seeds + num_seeds);
+}
+
+void Network::FlushDirty() {
+  // Seeds go in mutation order, so the solves (and the completion events
+  // they schedule) are deterministic. A seed whose resource was freed
+  // since is skipped, and so is one in a component solved earlier in this
+  // flush: a live resource always has a user, and a solved component's
+  // flows carry an epoch newer than the flush start.
+  const uint64_t flush_start = solve_epoch_;
+  for (const ResSlot rs : dirty_seeds_) {
+    const Resource& res = res_slab_[rs];
+    if (!res.live || flow_mark_[res.flows.front()] > flush_start) continue;
+    SolveComponent(&rs, 1);
+  }
+  dirty_seeds_.clear();
+}
+
 void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
   // --- Gather the dirty component: BFS over the bipartite flow/resource
   // sharing graph starting from the seed resources. Every flow of every
@@ -379,7 +404,7 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
   size_t scan = 0;
   for (int i = 0; i < num_seeds; ++i) {
     const ResSlot rs = seeds[i];
-    if (!res_slab_[rs].live || res_mark_[rs] == epoch) continue;
+    if (res_mark_[rs] == epoch) continue;
     res_mark_[rs] = epoch;
     comp_res_slots_.push_back(rs);
   }
@@ -600,7 +625,7 @@ void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
   } else {
     // Sub-epsilon rate drift left residue; re-solving the component
     // schedules this flow a fresh deadline (its event already fired).
-    SolveComponent(flow.res_slots, flow.num_res);
+    MarkDirty(flow.res_slots, flow.num_res);
   }
 }
 
@@ -626,7 +651,7 @@ void Network::FinishFlow(FlowSlot slot) {
   RemoveFlowFromResources(slot);
   flow_index_.erase(flow.id);
   FreeFlowSlot(slot);
-  SolveComponent(seed, num_seed);
+  MarkDirty(seed, num_seed);
   if (cb) cb();
 }
 

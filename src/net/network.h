@@ -36,14 +36,23 @@ struct FlowOptions {
 /// Every transfer is a fluid flow that receives a max-min fair share of
 /// three shared resources — the sender's NIC, the receiver's NIC, and the
 /// directed inter-site path — further limited by its TCP window/RTT cap
-/// and an optional application cap. Rates are recomputed whenever a flow
-/// starts or ends, and all byte progress is metered per node pair so the
-/// cloud cost engine can price egress exactly.
+/// and an optional application cap. All byte progress is metered per node
+/// pair so the cloud cost engine can price egress exactly.
 ///
 /// The solver is incremental: each flow's resource keys are computed once
 /// at `StartFlow` and kept in a persistent resource table, so a flow
 /// arrival/removal only re-solves the *dirty component* — the flows
 /// transitively sharing a resource with the changed flow.
+///
+/// Solves are coalesced per instant. A flow start, cancel or finish does
+/// not solve; it marks its resources dirty, and the first change of a
+/// cohort of same-time events registers one `Simulator::AtCohortEnd`
+/// flush. The flush solves each dirty component once, after the cohort and
+/// before the clock moves, so the K transfers a collective opens (or
+/// closes) at one instant cost one solve of their component, not K. Until
+/// then a dirty component's flows keep their old rates, which stay exact
+/// up to `Now()`: meter reads need no flush (a flow started at `Now()`
+/// has moved no bytes), and `FlowRate` flushes first.
 ///
 /// Byte progress is settled lazily, per flow. A flow's rate is constant
 /// between solves, so each flow keeps the time it was last settled and
@@ -71,6 +80,10 @@ struct FlowOptions {
 /// Threading: a `Network` belongs to one world, and each world runs on
 /// one thread. The const meter reads settle flows through `mutable`
 /// state, so a `Network` must not be read from two threads at once.
+///
+/// Lifetime: completion events and the pending flush hook call back into
+/// the `Network`, so its simulator must not run past the `Network`'s
+/// destruction.
 class Network {
  public:
   using FlowCallback = std::function<void()>;
@@ -107,11 +120,14 @@ class Network {
   /// Re-reads the topology and recomputes all flow rates. Call after
   /// changing a path with `Topology::SetPath` mid-simulation (live WAN
   /// degradation/recovery); in-flight flows keep their per-flow stream
-  /// caps but shared path capacities take effect immediately.
+  /// caps but shared path capacities take effect immediately. A full
+  /// solve: it also covers every component still waiting for a flush.
   void Refresh();
 
   /// Current fair-share rate of a flow in bytes/sec (0 if unknown).
-  double FlowRate(FlowId id) const;
+  /// Solves pending dirty components first, so the rate reflects every
+  /// flow change made so far.
+  double FlowRate(FlowId id);
 
   /// Number of flows in flight (fair-share and latency-only).
   size_t active_flows() const {
@@ -135,6 +151,10 @@ class Network {
   /// Total bytes received by a node.
   double NodeIngressBytes(NodeId node) const;
   /// Highest instantaneous egress rate the node has reached (bytes/sec).
+  /// Covers solved states only: the rates a flush computes after a cohort
+  /// of flow changes. A transient between two changes in one cohort (the
+  /// first of two flows into one NIC, alone for zero seconds) never
+  /// counts.
   double NodePeakEgressRate(NodeId node) const;
 
   /// Zeroes all meters (peaks included); in-flight flows keep running.
@@ -241,12 +261,18 @@ class Network {
   /// Unregisters the flow at `slot`; resources left without users are
   /// dropped.
   void RemoveFlowFromResources(FlowSlot slot);
+  /// Queues the resources `seeds` of a changed flow for the next flush.
+  /// The first seeds after a flush register one with the simulator (a
+  /// flush that finds the list already emptied does nothing).
+  void MarkDirty(const ResSlot* seeds, int num_seeds);
+  /// Solves each component reachable from a dirty seed once, then clears
+  /// the dirty list.
+  void FlushDirty();
   /// Re-solves the max-min fair allocation for the connected component of
-  /// flows reachable from the resources `seeds` (flows transitively
-  /// sharing a resource). Seeds freed since they were copied (a removed
-  /// flow's last resources) are skipped. Rates outside the component are
-  /// untouched, and completion events inside it are only rescheduled when
-  /// the flow's rate moved by more than epsilon.
+  /// flows reachable from the live resources `seeds` (flows transitively
+  /// sharing a resource). Rates outside the component are untouched, and
+  /// completion events inside it are only rescheduled when the flow's
+  /// rate moved by more than epsilon.
   void SolveComponent(const ResSlot* seeds, int num_seeds);
   /// Fires when the flow occupying `slot` (verified against `id`) is
   /// expected to finish.
@@ -297,6 +323,9 @@ class Network {
   std::vector<uint64_t> res_mark_;
   std::vector<uint32_t> res_comp_pos_;
   uint64_t solve_epoch_ = 0;
+  // Resources of the flows changed since the last flush, in change order
+  // (repeats and since-freed slots included; the flush skips them).
+  std::vector<ResSlot> dirty_seeds_;
 
   // Per-component SoA scratch (cleared per solve, capacity retained).
   // Flow arrays are parallel and sorted by (stream cap, flow id);

@@ -192,7 +192,19 @@ bool Simulator::PopNextLive(QueueEntry* entry) {
   return false;
 }
 
+void Simulator::DrainHooks() {
+  // By index, since a hook may register further hooks. Each is taken out
+  // before it runs, so a hook that re-enters the run loop cannot run one
+  // twice.
+  for (size_t i = 0; i < hooks_.size(); ++i) {
+    Callback hook = std::exchange(hooks_[i], nullptr);
+    if (hook) hook();
+  }
+  hooks_.clear();
+}
+
 bool Simulator::Step() {
+  DrainHooks();
   QueueEntry entry;
   if (!PopNextLive(&entry)) return false;
   assert(entry.when >= now_);
@@ -209,6 +221,9 @@ bool Simulator::Step() {
 }
 
 size_t Simulator::FireCohort(double bound, bool bounded) {
+  // Hooks of the previous cohort run at its time, before the next pop; an
+  // event a hook schedules at `Now()` is therefore due in this call.
+  DrainHooks();
   QueueEntry entry;
   if (!PopNextLive(&entry)) return 0;
   if (bounded && entry.when > bound) {

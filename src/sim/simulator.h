@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -29,6 +30,12 @@ using EventId = uint64_t;
 /// generation, which simultaneously invalidates the stale heap entry
 /// (detected lazily on pop) and every outstanding `EventId` for that
 /// slot — there is no cancellation map to maintain on the hot path.
+///
+/// Cohort-end hooks (`AtCohortEnd`) let a layer batch work that many
+/// events of one instant would otherwise each repeat: a hook runs once,
+/// after the cohort of same-time events that registered it (one event
+/// under `Step`) and before the clock moves. Hooks are not events — they take no seq number and are
+/// not counted in `events_fired` or the `sim.events_*` counters.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -56,7 +63,19 @@ class Simulator {
   /// was already cancelled, or never existed.
   bool Cancel(EventId id);
 
-  /// Runs a single event. Returns false when the queue is empty.
+  /// Registers a one-shot hook that runs at the current time after the
+  /// dispatch that registered it: under `Run`/`RunUntil`, once every event
+  /// of the current same-time cohort has fired; under `Step`, right after
+  /// the current event. `Step` and the cohort dispatch drain pending hooks
+  /// (in registration order, including hooks registered by hooks) on
+  /// entry, before the next event is popped, so a hook always runs before
+  /// time advances, and before `Run`/`RunUntil` return. Events a hook
+  /// schedules at `Now()` fire before the clock moves. Hooks registered
+  /// outside the run loop wait for the next `Step`, `Run` or `RunUntil`.
+  void AtCohortEnd(Callback hook) { hooks_.push_back(std::move(hook)); }
+
+  /// Drains pending hooks, then runs a single event. Returns false when
+  /// the queue is empty.
   bool Step();
 
   /// Runs until the event queue drains. Dispatches in same-timestamp
@@ -201,6 +220,9 @@ class Simulator {
   /// `bounded`, a cohort strictly past `bound` is left queued. Returns
   /// the number of events fired (0 means nothing was due).
   size_t FireCohort(double bound, bool bounded);
+  /// Runs pending cohort-end hooks, including hooks they register, until
+  /// none are left.
+  void DrainHooks();
 
   double now_ = 0.0;
   uint64_t next_seq_ = 0;
@@ -213,6 +235,8 @@ class Simulator {
   // a dispatch, so a callback that re-enters the run loop gets a fresh
   // (empty) buffer instead of clobbering the in-flight cohort.
   std::vector<QueueEntry> cohort_scratch_;
+  // Pending cohort-end hooks, in registration order.
+  std::vector<Callback> hooks_;
 
   telemetry::CounterHandle scheduled_counter_{"sim.events_scheduled"};
   telemetry::CounterHandle cancelled_counter_{"sim.events_cancelled"};

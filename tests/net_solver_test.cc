@@ -23,6 +23,7 @@
 #include "net/profiles.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace hivesim::net {
 namespace {
@@ -257,6 +258,83 @@ TEST(NetSolverPropertyTest, RandomChurnMatchesFullRebuildOracle) {
   }
 }
 
+// The same churn, but mutations arrive in same-instant batches inside one
+// callback, so each batch is solved by a single cohort-end flush. Right
+// after the batch's cohort — before any FlowRate() read could flush —
+// every live flow with a positive rate must already hold its one
+// completion event, and the rates must match the oracle.
+TEST(NetSolverPropertyTest, SameInstantBatchesMatchFullRebuildOracle) {
+  for (uint64_t seed : {3u, 17u, 101u}) {
+    SolverScenario scenario(seed);
+    for (int step = 0; step < 60; ++step) {
+      if (scenario.live_.size() >= 4 && scenario.rng_.Uniform() < 0.3) {
+        scenario.Advance(scenario.rng_.Uniform(0.01, 0.5));
+      } else {
+        const int batch = static_cast<int>(scenario.rng_.UniformInt(2, 8));
+        scenario.sim_.Schedule(0, [&scenario, batch] {
+          for (int i = 0; i < batch; ++i) {
+            if (scenario.live_.size() < 4 ||
+                scenario.rng_.Uniform() < 0.7) {
+              scenario.StartRandomFlow();
+            } else {
+              scenario.CancelRandomFlow();
+            }
+          }
+        });
+        scenario.Advance(0);  // The batch's cohort and its flush.
+      }
+      const size_t pending = scenario.sim_.pending();
+      size_t moving = 0;
+      for (const auto& [id, f] : scenario.live_) {
+        if (scenario.network_->FlowRate(id) > kOracleEpsilonRate) ++moving;
+      }
+      EXPECT_EQ(pending, moving) << "seed " << seed << " step " << step;
+      scenario.CheckRatesAgainstOracle();
+    }
+  }
+}
+
+// K NIC-bound flows opened in one callback (an all-reduce stage) are
+// solved once, after the callback, so no completion event is ever
+// scheduled and then cancelled — neither at the start nor when all K
+// finish together. Solving per start would cancel 0 + 1 + ... + K-1.
+TEST(NetSolverPropertyTest, SameInstantStartsCancelNoCompletionEvents) {
+  constexpr int kFlows = 16;
+  telemetry::TraceRecorder trace;
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(&trace, &metrics);
+  sim::Simulator sim;
+  Topology topo = StandardWorld();
+  std::vector<NodeId> nodes;
+  for (int i = 0; i <= kFlows; ++i) {
+    nodes.push_back(topo.AddNode(0, CloudVmNetConfig()));
+  }
+  Network network(&sim, &topo);
+  std::vector<FlowId> ids;
+  std::vector<double> done_at;
+  sim.Schedule(0, [&] {
+    for (int i = 1; i <= kFlows; ++i) {
+      auto id = network.StartFlow(nodes[0], nodes[i], 100 * kMB,
+                                  [&] { done_at.push_back(sim.Now()); });
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+  });
+  sim.RunUntil(0);
+  EXPECT_EQ(metrics.CounterValue("sim.events_cancelled"), 0.0);
+  EXPECT_EQ(sim.pending(), static_cast<size_t>(kFlows));
+  const double share = topo.EgressCap(nodes[0]) / kFlows;
+  for (const FlowId id : ids) {
+    ASSERT_NEAR(network.FlowRate(id), share, share * 1e-12);
+  }
+
+  sim.Run();
+  ASSERT_EQ(done_at.size(), static_cast<size_t>(kFlows));
+  for (const double t : done_at) EXPECT_EQ(t, done_at.front());
+  EXPECT_NEAR(done_at.front(), 100 * kMB / share, 1e-9);
+  EXPECT_EQ(metrics.CounterValue("sim.events_cancelled"), 0.0);
+}
+
 TEST(NetSolverPropertyTest, RefreshAfterPathChangeMatchesOracle) {
   SolverScenario scenario(/*seed=*/7);
   for (int i = 0; i < 24; ++i) scenario.StartRandomFlow();
@@ -437,11 +515,12 @@ TEST(NetSolverPropertyTest, LazyMetersMatchEagerIntegrationOracle) {
 }
 
 // Fleet-scale oracle check: a single connected component of ten thousand
-// flows through the SoA slab path. Built in two phases so construction
-// stays cheap: 100 node-disjoint islands of 100 intra-site flows each
-// (every arrival re-solves only its island), then 99 cross-site bridge
-// flows chaining the islands — and the WAN paths they share — into one
-// component. The full-rebuild oracle then prices all ~10k flows at once.
+// flows through the SoA slab path: 100 node-disjoint islands of 100
+// intra-site flows each, then 99 cross-site bridge flows chaining the
+// islands — and the WAN paths they share — into one component. Every
+// start only marks its resources dirty; the first FlowRate() flushes the
+// ~30k dirty seeds, which must come to one solve of the whole component.
+// The full-rebuild oracle then prices all ~10k flows at once.
 TEST(NetSolverPropertyTest, TenThousandFlowComponentMatchesOracle) {
   sim::Simulator sim;
   Topology topo = StandardWorld();

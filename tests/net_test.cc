@@ -273,6 +273,23 @@ TEST_F(NetworkTest, PeakEgressRateRecorded) {
               GbpsToBytesPerSec(0.01));
 }
 
+// Two flows into one 10 Gb/s NIC, started in the same callback: each only
+// ever sends at 5 Gb/s. The solo state in between the two starts lasts
+// zero seconds and must not count as a peak.
+TEST_F(NetworkTest, PeakEgressIgnoresZeroDurationStates) {
+  BuildTwoSites(10, 100, 1);
+  const NodeId n3 = topo_.AddNode(a_);
+  sim_.Schedule(0, [&] {
+    ASSERT_TRUE(network_.StartFlow(n0_, n1_, 125 * kMB, nullptr).ok());
+    ASSERT_TRUE(network_.StartFlow(n3, n1_, 125 * kMB, nullptr).ok());
+  });
+  sim_.Run();
+  EXPECT_NEAR(network_.NodePeakEgressRate(n0_), GbpsToBytesPerSec(5),
+              GbpsToBytesPerSec(0.01));
+  EXPECT_NEAR(network_.NodePeakEgressRate(n3), GbpsToBytesPerSec(5),
+              GbpsToBytesPerSec(0.01));
+}
+
 TEST_F(NetworkTest, InvalidEndpointsRejected) {
   BuildTwoSites();
   EXPECT_FALSE(network_.StartFlow(99, n1_, 1, nullptr).ok());

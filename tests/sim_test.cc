@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -354,6 +355,89 @@ TEST(SimulatorTest, RunUntilLeavesFutureCohortIntact) {
   EXPECT_EQ(sim.Now(), 1.0);
   sim.RunUntil(2.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// A cohort-end hook runs once every event of its instant has fired —
+// including same-time events scheduled after the hook was registered —
+// and before any later-time event. It is not an event: events_fired and
+// pending() never see it.
+TEST(SimulatorTest, CohortEndHookRunsAfterCohortBeforeLaterEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  double hook_time = -1;
+  sim.Schedule(1.0, [&] {
+    order.push_back(0);
+    sim.AtCohortEnd([&] {
+      order.push_back(-1);
+      hook_time = sim.Now();
+    });
+    EXPECT_EQ(sim.pending(), 3u);
+  });
+  sim.Schedule(1.0, [&] { order.push_back(1); });
+  sim.Schedule(1.0, [&] { order.push_back(2); });
+  sim.Schedule(2.0, [&] { order.push_back(3); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, -1, 3}));
+  EXPECT_EQ(hook_time, 1.0);
+  EXPECT_EQ(sim.events_fired(), 4u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// An event a hook schedules at Now() fires before the clock moves, and a
+// hook registered by a hook runs in the same drain.
+TEST(SimulatorTest, CohortEndHookSchedulingAtNowFiresBeforeClockMoves) {
+  Simulator sim;
+  std::vector<std::pair<int, double>> log;
+  sim.Schedule(1.0, [&] {
+    sim.AtCohortEnd([&] {
+      log.emplace_back(0, sim.Now());
+      sim.Schedule(0.0, [&] { log.emplace_back(1, sim.Now()); });
+      sim.AtCohortEnd([&] { log.emplace_back(2, sim.Now()); });
+    });
+  });
+  sim.Schedule(2.0, [&] { log.emplace_back(3, sim.Now()); });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, double>>{
+                     {0, 1.0}, {2, 1.0}, {1, 1.0}, {3, 2.0}}));
+  EXPECT_EQ(sim.events_fired(), 3u);
+}
+
+// RunUntil drains pending hooks even when no event is due, and those of
+// the last due cohort run at that cohort's time, before RunUntil moves the
+// clock to the bound and returns.
+TEST(SimulatorTest, RunUntilRunsPendingHooksWithNoEventDue) {
+  Simulator sim;
+  std::vector<double> hook_times;
+  sim.AtCohortEnd([&] { hook_times.push_back(sim.Now()); });
+  sim.Schedule(5.0, [] {});
+  sim.RunUntil(1.0);
+  EXPECT_EQ(hook_times, (std::vector<double>{0.0}));
+  EXPECT_EQ(sim.events_fired(), 0u);
+  EXPECT_EQ(sim.Now(), 1.0);
+
+  sim.Schedule(0.5, [&] {
+    sim.AtCohortEnd([&] { hook_times.push_back(sim.Now()); });
+  });
+  sim.RunUntil(3.0);
+  EXPECT_EQ(hook_times, (std::vector<double>{0.0, 1.5}));
+  EXPECT_EQ(sim.events_fired(), 1u);
+  EXPECT_EQ(sim.Now(), 3.0);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+// Step drains hooks before it pops, so a hook queued outside the run loop
+// runs ahead of the next event, and an empty queue still runs it.
+TEST(SimulatorTest, StepDrainsHooksFirst) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.Schedule(1.0, [&] { order.push_back(1); });
+  sim.AtCohortEnd([&] { order.push_back(0); });
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  sim.AtCohortEnd([&] { order.push_back(2); });
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.events_fired(), 1u);
 }
 
 }  // namespace
