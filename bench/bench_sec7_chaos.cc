@@ -1,5 +1,5 @@
 // Scripted Section 7 "bad day": an 8xT4 transatlantic CV fleet trains
-// for a simulated day while a chaos schedule replays every failure mode
+// for a simulated day while a scenario pack replays every failure mode
 // the paper discusses — a spot capacity crunch reclaiming the US half of
 // the fleet, a degraded transatlantic link, a full US<->EU partition
 // (survived by degrading to the reachable partition), and a churn burst
@@ -9,20 +9,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <iostream>
-#include <memory>
-#include <vector>
 
 #include "bench_util.h"
-#include "cloud/spot_market.h"
-#include "cloud/vm.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
 #include "common/units.h"
-#include "faults/chaos.h"
-#include "hivemind/trainer.h"
-#include "net/profiles.h"
-#include "sim/simulator.h"
+#include "core/experiment.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -30,6 +25,45 @@ using namespace hivesim;
 
 constexpr int kBuckets = 12;
 constexpr double kBucketSec = 2 * kHour;
+
+// Both days run on the same spot market (10% monthly interruptions).
+constexpr char kCalmDay[] = R"({
+  "schema": "hivesim-scenario/1",
+  "name": "sec7-calm-day",
+  "spot_market": {"monthly_interruption_rate": 0.10}
+})";
+
+// Hours 2-4: a capacity crunch reclaims US spot VMs. Hours 10-12: the
+// transatlantic link degrades to 10% + 100 ms. Hour 16-17: full US<->EU
+// partition. Hours 20-21: a churn burst crashes two of the first three
+// EU peers, each back 10 min later.
+constexpr char kChaosDay[] = R"({
+  "schema": "hivesim-scenario/1",
+  "name": "sec7-chaos-day",
+  "spot_market": {"monthly_interruption_rate": 0.10},
+  "wan": [
+    {"a": "gc-us", "b": "gc-eu", "start": 36000, "duration": 7200,
+     "bandwidth_factor": 0.10, "extra_rtt_ms": 100},
+    {"a": "gc-us", "b": "gc-eu", "start": 57600, "duration": 3600,
+     "bandwidth_factor": 0}
+  ],
+  "spot_storms": [
+    {"zone": "US", "start": 7200, "duration": 7200, "hazard_multiplier": 5000}
+  ],
+  "crash_storms": [
+    {"peers": [4, 5, 6], "start": 72000, "duration": 3600, "crashes": 2,
+     "restart_after_sec": 600}
+  ]
+})";
+
+scenario::ScenarioPack ParsePack(const char* json) {
+  auto pack = scenario::ParseScenario(json);
+  if (!pack.ok()) {
+    std::cerr << pack.status().ToString() << "\n";
+    std::exit(1);
+  }
+  return *pack;
+}
 
 struct ChaosRun {
   double bucket_sps[kBuckets] = {};
@@ -40,95 +74,39 @@ struct ChaosRun {
   uint64_t fingerprint = 0;
 };
 
-ChaosRun RunDay(uint64_t seed, bool with_chaos) {
-  sim::Simulator sim;
-  net::Topology topo = net::StandardWorld();
-  net::Network network(&sim, &topo);
-
-  cloud::SpotMarketConfig market_config;
-  market_config.base_monthly_interruption_rate = 0.10;
-  cloud::SpotMarket market(Rng(seed), market_config);
-
-  hivemind::TrainerConfig config;
+ChaosRun RunDay(uint64_t seed, const scenario::ScenarioPack& pack) {
+  const core::ClusterSpec fleet{
+      {core::GcT4s(4, net::kGcUs), core::GcT4s(4, net::kGcEu)}};
+  core::ExperimentConfig config;
   config.model = models::ModelId::kConvNextLarge;
+  config.duration_sec = kBuckets * kBucketSec;
   config.seed = seed;
-  // Churn hardening: rounds frozen by the partition abort and degrade to
-  // the surviving partition.
-  hivemind::Trainer trainer(&network, hivemind::ChurnHardened(config));
-
-  constexpr int kVmsPerSite = 4;
-  const net::SiteId sites[2] = {net::kGcUs, net::kGcEu};
-  const net::Continent continents[2] = {net::Continent::kUs,
-                                        net::Continent::kEu};
-  std::vector<hivemind::PeerSpec> peers;
-  std::vector<std::unique_ptr<cloud::VmInstance>> vms;
-  for (int s = 0; s < 2; ++s) {
-    for (int i = 0; i < kVmsPerSite; ++i) {
-      hivemind::PeerSpec peer;
-      peer.node = topo.AddNode(sites[s], net::CloudVmNetConfig());
-      peers.push_back(peer);
-      if (!trainer.AddPeer(peer).ok()) return {};
-
-      cloud::VmInstance::Config vm_config;
-      vm_config.spot = true;
-      vm_config.auto_restart = true;
-      vm_config.interruptible = true;
-      auto vm = std::make_unique<cloud::VmInstance>(&sim, &market,
-                                                    continents[s], vm_config);
-      cloud::VmInstance* vm_ptr = vm.get();
-      vm_ptr->on_interrupted = [&trainer, peer] {
-        trainer.RemovePeer(peer.node).ok();
-      };
-      vm_ptr->on_running = [&trainer, peer, vm_ptr] {
-        if (vm_ptr->interruptions() > 0) trainer.JoinPeer(peer).ok();
-      };
-      vms.push_back(std::move(vm));
-    }
-  }
-
-  // Arm before the VMs draw interruption times so the storm is part of
-  // their hazard from the first draw.
-  faults::ChaosInjector injector(&sim, &topo, &network, seed);
-  injector.AttachSpotMarket(&market);
-  injector.AttachTrainer(&trainer);
-  if (with_chaos) {
-    faults::ChaosSchedule schedule;
-    // Hours 2-4: a capacity crunch reclaims US spot VMs.
-    schedule.SpotStorm(net::Continent::kUs, 2 * kHour, 2 * kHour, 5000.0);
-    // Hours 10-12: the transatlantic link degrades to 10% + 100 ms.
-    schedule.DegradeWan(net::kGcUs, net::kGcEu, 10 * kHour, 2 * kHour, 0.10,
-                        MsToSec(100));
-    // Hour 16-17: full US<->EU partition.
-    schedule.Partition(net::kGcUs, net::kGcEu, 16 * kHour, 1 * kHour);
-    // Hours 20-21: a churn burst crashes two EU peers, back 10 min later.
-    schedule.CrashStorm({peers[4].node, peers[5].node, peers[6].node},
-                        20 * kHour, 1 * kHour, /*crashes=*/2,
-                        /*restart_after_sec=*/600);
-    if (!injector.Arm(schedule).ok()) return {};
-  }
-
-  for (auto& vm : vms) vm->Start();
-  sim.RunUntil(market.config().vm_startup_max_sec + 1);
+  // The world comes back with its spot VMs booted and the pack armed;
+  // rounds frozen by the partition abort and degrade to the surviving
+  // partition (churn hardening).
+  auto built = core::BuildExperimentWorld(fleet, config, &pack);
+  if (!built.ok()) return {};
+  core::ExperimentWorld& world = **built;
+  hivemind::Trainer& trainer = *world.trainer;
   if (!trainer.Start().ok()) return {};
 
   ChaosRun run;
-  const double start = sim.Now();
+  const double start = world.sim.Now();
   double prev_samples = 0;
   for (int b = 0; b < kBuckets; ++b) {
-    sim.RunUntil(start + (b + 1) * kBucketSec);
+    world.sim.RunUntil(start + (b + 1) * kBucketSec);
     const double samples = trainer.Stats().total_samples;
     run.bucket_sps[b] = (samples - prev_samples) / kBucketSec;
     prev_samples = samples;
   }
   trainer.Stop();
-  for (auto& vm : vms) vm->Stop();
 
   const hivemind::RunStats stats = trainer.Stats();
   run.total_samples = stats.total_samples;
   run.epochs = stats.epochs;
-  for (auto& vm : vms) run.interruptions += vm->interruptions();
-  run.chaos = injector.stats();
-  run.fingerprint = injector.TraceFingerprint();
+  for (const auto& vm : world.vms) run.interruptions += vm->interruptions();
+  run.chaos = world.chaos->stats();
+  run.fingerprint = world.chaos->TraceFingerprint();
   return run;
 }
 
@@ -145,8 +123,9 @@ const char* BucketEvent(int bucket) {
 ChaosRun PrintChaos() {
   bench::PrintHeading(
       "Section 7: scripted chaos day (4xT4 US + 4xT4 EU, CV, 24h)");
-  const ChaosRun calm = RunDay(7, /*with_chaos=*/false);
-  const ChaosRun chaos = RunDay(7, /*with_chaos=*/true);
+  const scenario::ScenarioPack chaos_day = ParsePack(kChaosDay);
+  const ChaosRun calm = RunDay(7, ParsePack(kCalmDay));
+  const ChaosRun chaos = RunDay(7, chaos_day);
 
   TableWriter table({"Hours", "Scripted fault", "Calm SPS", "Chaos SPS",
                      "Penalty"});
@@ -170,7 +149,7 @@ ChaosRun PrintChaos() {
 
   // The chaos subsystem's contract: a fixed seed replays the whole day
   // bit-identically (event trace and training outcome).
-  const ChaosRun replay = RunDay(7, /*with_chaos=*/true);
+  const ChaosRun replay = RunDay(7, chaos_day);
   const bool identical = replay.fingerprint == chaos.fingerprint &&
                          replay.total_samples == chaos.total_samples &&
                          replay.epochs == chaos.epochs;
@@ -185,9 +164,10 @@ ChaosRun PrintChaos() {
 }
 
 void BM_ChaosDay(benchmark::State& state) {
-  const bool with_chaos = state.range(0) != 0;
+  const scenario::ScenarioPack pack =
+      ParsePack(state.range(0) != 0 ? kChaosDay : kCalmDay);
   for (auto _ : state) {
-    const ChaosRun run = RunDay(7, with_chaos);
+    const ChaosRun run = RunDay(7, pack);
     state.counters["sps"] = run.total_samples / (24.0 * kHour);
   }
 }

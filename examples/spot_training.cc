@@ -1,101 +1,62 @@
 // Spot training under fire: eight spot T4s train RoBERTa-XLM for a
-// simulated day on a hostile spot market. VMs are interrupted and
-// replaced live (startup delay + two epochs of state sync); the training
-// monitor scrapes progress once a second, exactly like the paper's
-// monitor scraping the DHT.
+// simulated day on a hostile spot market. The scenario pack's
+// spot_market section rents the fleet as auto-restarting spot VMs: an
+// interrupted VM drops its peer, and its replacement re-joins after its
+// startup delay and two epochs of state sync. The training monitor
+// scrapes progress once a second, exactly like the paper's monitor
+// scraping the DHT.
 //
 //   $ ./build/examples/spot_training [monthly_interruption_rate=0.9]
 
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 
-#include "cloud/spot_market.h"
-#include "cloud/vm.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
 #include "common/units.h"
+#include "core/experiment.h"
 #include "hivemind/monitor.h"
-#include "hivemind/trainer.h"
-#include "net/profiles.h"
-#include "sim/simulator.h"
 
 int main(int argc, char** argv) {
   using namespace hivesim;
 
-  const double monthly_rate = argc > 1 ? std::atof(argv[1]) : 0.9;
+  scenario::ScenarioPack pack;
+  pack.name = "spot-training";
+  pack.spot_market =
+      scenario::SpotMarketSpec{argc > 1 ? std::atof(argv[1]) : 0.9};
 
-  sim::Simulator sim;
-  net::Topology topo = net::StandardWorld();
-  net::Network network(&sim, &topo);
-
-  cloud::SpotMarketConfig market_config;
-  market_config.base_monthly_interruption_rate = monthly_rate;
-  market_config.daylight_multiplier = 8.0;
-  cloud::SpotMarket market(Rng(42), market_config);
-
-  hivemind::TrainerConfig config;
+  core::ExperimentConfig config;
   config.model = models::ModelId::kRobertaXlm;
-  hivemind::Trainer trainer(&network, config);
+  config.duration_sec = 24 * kHour;
+  config.seed = 42;
 
   std::cout << "Provisioning 8 spot T4 VMs in GC us-central1 "
             << "(monthly interruption rate "
-            << StrFormat("%.0f%%", monthly_rate * 100) << ")...\n";
-
-  std::vector<std::unique_ptr<cloud::VmInstance>> vms;
-  int events_interrupted = 0, events_rejoined = 0;
-  for (int i = 0; i < 8; ++i) {
-    hivemind::PeerSpec peer;
-    peer.node = topo.AddNode(net::kGcUs, net::CloudVmNetConfig());
-    if (auto s = trainer.AddPeer(peer); !s.ok()) {
-      std::cerr << s.ToString() << "\n";
-      return 1;
-    }
-    cloud::VmInstance::Config vm_config;
-    vm_config.spot = true;
-    vm_config.auto_restart = true;
-    auto vm = std::make_unique<cloud::VmInstance>(&sim, &market,
-                                                  net::Continent::kUs,
-                                                  vm_config);
-    cloud::VmInstance* raw = vm.get();
-    raw->on_interrupted = [&trainer, &sim, &events_interrupted, peer] {
-      ++events_interrupted;
-      std::cout << StrFormat("[%7.0fs] spot interruption: peer %u dropped\n",
-                             sim.Now(), peer.node);
-      trainer.RemovePeer(peer.node).ok();
-    };
-    raw->on_running = [&trainer, &sim, &events_rejoined, peer, raw] {
-      if (raw->interruptions() == 0) return;  // Initial provisioning.
-      ++events_rejoined;
-      std::cout << StrFormat(
-          "[%7.0fs] replacement up: peer %u re-joins (2 epochs of sync)\n",
-          sim.Now(), peer.node);
-      trainer.JoinPeer(peer).ok();
-    };
-    vms.push_back(std::move(vm));
-  }
-  for (auto& vm : vms) vm->Start();
-  // Run past the provisioning window (auto-restarting spot VMs schedule
-  // events forever, so an unbounded Run() would never return).
-  sim.RunUntil(market.config().vm_startup_max_sec + 1);
-
-  hivemind::TrainingMonitor monitor(&sim, &trainer, 1.0);
-  if (auto s = trainer.Start(); !s.ok()) {
-    std::cerr << s.ToString() << "\n";
+            << StrFormat("%.0f%%",
+                         pack.spot_market->monthly_interruption_rate * 100)
+            << ")...\n";
+  auto world =
+      core::BuildExperimentWorld(core::ClusterSpec{{core::GcT4s(8)}}, config,
+                                 &pack);
+  if (!world.ok()) {
+    std::cerr << world.status().ToString() << "\n";
     return 1;
   }
+  hivemind::TrainingMonitor monitor(&(*world)->sim, (*world)->trainer.get(),
+                                    1.0);
   monitor.Start();
-  sim.RunUntil(sim.Now() + 24 * kHour);
-  trainer.Stop();
+  auto result = core::CompleteExperiment(**world, config);
   monitor.Stop();
-  for (auto& vm : vms) vm->Stop();
+  if (!result.ok()) {
+    std::cerr << result.status().ToString() << "\n";
+    return 1;
+  }
 
-  const hivemind::RunStats stats = trainer.Stats();
-  std::cout << "\n";
+  const hivemind::RunStats& stats = result->train;
   TableWriter table({"Metric", "Value"});
   table.AddRow({"Simulated duration", FormatDuration(stats.duration_sec)});
-  table.AddRow({"Interruptions", StrFormat("%d", events_interrupted)});
-  table.AddRow({"Re-joins", StrFormat("%d", events_rejoined)});
+  table.AddRow(
+      {"Spot interruptions", StrFormat("%d", result->spot_interruptions)});
   table.AddRow({"Hivemind epochs", StrFormat("%d", stats.epochs)});
   table.AddRow({"Throughput", StrFormat("%.1f SPS", stats.throughput_sps)});
   table.AddRow({"Granularity", StrFormat("%.2f", stats.granularity)});

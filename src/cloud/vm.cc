@@ -41,7 +41,7 @@ void VmInstance::Start() {
 void VmInstance::EnterRunning() {
   state_ = VmState::kRunning;
   running_since_ = sim_->Now();
-  if (config_.spot && config_.interruptible) {
+  if (config_.spot) {
     const double delay =
         market_->SampleInterruptionDelay(continent_, sim_->Now());
     // An infinite delay means the market hazard is zero ("never"):

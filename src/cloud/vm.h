@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "cloud/pricing.h"
 #include "cloud/spot_market.h"
 #include "net/location.h"
 #include "sim/simulator.h"
@@ -34,14 +33,11 @@ std::string_view VmStateName(VmState s);
 class VmInstance {
  public:
   struct Config {
-    VmTypeId type = VmTypeId::kGcT4;
-    net::SiteId site = 0;
+    /// On-demand VMs are never interrupted; a spot VM on a zero-rate
+    /// market is not either (the paper's uninterrupted measurement mode).
     bool spot = true;
     /// Replace the VM automatically after a spot interruption.
     bool auto_restart = false;
-    /// If false, the VM never gets interrupted even when spot (used by
-    /// the throughput experiments, which the paper ran uninterrupted).
-    bool interruptible = true;
   };
 
   VmInstance(sim::Simulator* sim, SpotMarket* market, net::Continent continent,

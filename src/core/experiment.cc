@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "baselines/baselines.h"
+#include "common/strings.h"
 #include "common/units.h"
 #include "net/network.h"
 #include "net/profiles.h"
@@ -24,6 +25,42 @@ scenario::FleetView FleetViewOf(const Cluster& cluster,
                        topology.site(member.site).continent});
   }
   return scenario::MakeFleetView(std::move(members));
+}
+
+/// Rents every spot member as an auto-restarting VM on the world's new
+/// market: an interruption removes the member's peer, and the
+/// replacement re-joins and resynchronizes. The VMs are not started.
+void RentSpotFleet(ExperimentWorld& world,
+                   const scenario::SpotMarketSpec& spec, uint64_t seed) {
+  cloud::SpotMarketConfig market_config;
+  market_config.base_monthly_interruption_rate =
+      spec.monthly_interruption_rate;
+  world.spot_market =
+      std::make_unique<cloud::SpotMarket>(Rng(seed), market_config);
+  hivemind::Trainer* trainer = world.trainer.get();
+  const std::vector<hivemind::PeerSpec> peers = world.cluster.PeerSpecs();
+  const auto& members = world.cluster.members();
+  for (size_t i = 0; i < members.size(); ++i) {
+    if (!members[i].spot) continue;
+    cloud::VmInstance::Config vm_config;
+    vm_config.spot = true;
+    vm_config.auto_restart = true;
+    cloud::VmInstance* vm =
+        world.vms
+            .emplace_back(std::make_unique<cloud::VmInstance>(
+                &world.sim, world.spot_market.get(),
+                world.topology.site(members[i].site).continent, vm_config))
+            .get();
+    const hivemind::PeerSpec peer = peers[i];
+    vm->on_interrupted = [trainer, peer] {
+      trainer->RemovePeer(peer.node).ok();
+    };
+    // The first on_running is the initial boot (the peer is already
+    // registered); later ones are replacements.
+    vm->on_running = [trainer, peer, vm] {
+      if (vm->interruptions() > 0) trainer->JoinPeer(peer).ok();
+    };
+  }
 }
 
 }  // namespace
@@ -67,10 +104,26 @@ Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
         schedule,
         scenario::Compile(*pack, FleetViewOf(world->cluster, world->topology),
                           config.duration_sec));
+    if (!schedule.spot_storms().empty() && !pack->spot_market) {
+      return Status::FailedPrecondition(
+          StrCat("scenario pack '", pack->name,
+                 "' has spot hazard events but no spot_market section"));
+    }
     world->chaos = std::make_unique<faults::ChaosInjector>(
         &world->sim, &world->topology, world->network.get(), config.seed);
     world->chaos->AttachTrainer(world->trainer.get());
+    if (pack->spot_market) {
+      RentSpotFleet(*world, *pack->spot_market, config.seed);
+      world->chaos->AttachSpotMarket(world->spot_market.get());
+    }
+    // Armed before the VMs draw interruption times, so hazard windows are
+    // part of their hazard from the first draw.
     HIVESIM_RETURN_IF_ERROR(world->chaos->Arm(schedule));
+    if (world->spot_market) {
+      for (const auto& vm : world->vms) vm->Start();
+      world->sim.RunUntil(world->spot_market->config().vm_startup_max_sec +
+                          1);
+    }
   }
   return world;
 }
@@ -130,6 +183,9 @@ Result<ExperimentResult> CompleteExperiment(ExperimentWorld& world,
   result.cost_per_million_excl_data = cloud::CostPerMillionSamples(
       result.fleet_cost_per_hour_excl_data, result.train.throughput_sps);
   if (world.chaos) result.chaos_fingerprint = world.chaos->TraceFingerprint();
+  for (const auto& vm : world.vms) {
+    result.spot_interruptions += vm->interruptions();
+  }
   return result;
 }
 

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "cloud/cost.h"
+#include "cloud/spot_market.h"
+#include "cloud/vm.h"
 #include "common/result.h"
 #include "core/cluster.h"
 #include "faults/chaos.h"
@@ -47,6 +49,9 @@ struct ExperimentResult {
   /// The armed scenario pack's injector trace FNV (the replay handle
   /// sweep manifests and `hivesim run --scenario` print); 0 without one.
   uint64_t chaos_fingerprint = 0;
+  /// Spot interruptions across the fleet's VMs (a pack's `spot_market`
+  /// section rents them); 0 without one.
+  int spot_interruptions = 0;
 };
 
 /// A fully provisioned experiment universe: its own simulator, a private
@@ -59,17 +64,24 @@ struct ExperimentResult {
 ///
 /// A world built with a scenario pack also owns the `faults::ChaosInjector`
 /// armed with that pack, compiled against this fleet; `chaos` is null
-/// without one. The world is built paused between provisioning and
+/// without one. A pack with a `spot_market` section also gives the world
+/// its `cloud::SpotMarket` and one auto-restarting VM per spot member: an
+/// interruption removes the member's peer, and its replacement re-joins
+/// and resynchronizes. The world is built paused between provisioning and
 /// training so callers can still schedule machinery that must observe the
-/// run from t=0 (the fuzzer's monotone-clock probes). Not movable (the
-/// simulator pins itself as the thread's log-clock), so it lives behind a
-/// unique_ptr.
+/// run from there (the fuzzer's monotone-clock probes): at t=0, or, with
+/// spot VMs, at `vm_startup_max_sec + 1` once every VM has booted. Not
+/// movable (the simulator pins itself as the thread's log-clock), so it
+/// lives behind a unique_ptr.
 struct ExperimentWorld {
   sim::Simulator sim;
   net::Topology topology;
   Cluster cluster;
   std::unique_ptr<net::Network> network;
   std::unique_ptr<hivemind::Trainer> trainer;
+  std::unique_ptr<cloud::SpotMarket> spot_market;
+  /// One per spot cluster member, in member order.
+  std::vector<std::unique_ptr<cloud::VmInstance>> vms;
   /// Declared last so it is destroyed first: it points into everything
   /// above.
   std::unique_ptr<faults::ChaosInjector> chaos;
@@ -79,7 +91,11 @@ struct ExperimentWorld {
 /// every peer to a configured trainer; training has not started yet.
 /// With `pack`, the trainer gets the churn hardening
 /// (`hivemind::ChurnHardened`) and `world->chaos` is armed with the pack
-/// compiled against the provisioned fleet, seeded by `config.seed`.
+/// compiled against the provisioned fleet, seeded by `config.seed`. A
+/// `spot_market` section adds the market (seeded by `config.seed`), arms
+/// it with the pack's hazard events, boots the spot VMs and runs the clock
+/// to `vm_startup_max_sec + 1`. Hazard events without the section are a
+/// FailedPrecondition naming it.
 Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
     const ClusterSpec& cluster, const ExperimentConfig& config,
     const scenario::ScenarioPack* pack = nullptr);

@@ -278,8 +278,8 @@ FuzzCase GenerateCase(const FuzzOptions& options, int iteration) {
         scenario::ZoneStormSpec storm;
         storm.zone = zone;
         storm.window = window;
-        // Hazard stays 1: fuzz worlds train fixed fleets with no
-        // SpotMarket, and Arm() rejects hazard windows without one.
+        // Hazard stays 1: generated packs carry no spot_market section,
+        // and a world rejects hazard windows without one.
         storm.hazard_multiplier = 1.0;
         const double fractions[] = {0.25, 0.5, 1.0};
         storm.crash_fraction = fractions[rng.UniformInt(0, 2)];
@@ -343,7 +343,8 @@ Status CheckCanonical(const FuzzCase& fuzz_case) {
   const scenario::FleetView fleet = SpecFleetView(fuzz_case.cluster);
   const int num_peers = static_cast<int>(fleet.members.size());
 
-  // Hazard events need a SpotMarket, which fuzz worlds do not have.
+  // Hazard events need a spot_market section, which generated packs do
+  // not carry.
   if (!pack.spot_storms.empty() || !pack.diurnal_preemption.empty()) {
     return Status::InvalidArgument("generated pack has spot-hazard events");
   }

@@ -418,6 +418,25 @@ Result<CrashStormSpec> ParseCrashStorm(const JsonValue& item,
   return spec;
 }
 
+/// A 30-day interruption probability: finite and within [0, 1) (1 would
+/// make the hazard infinite).
+bool IsMonthlyRate(double rate) { return rate >= 0 && rate < 1; }
+
+Result<SpotMarketSpec> ParseSpotMarket(const JsonValue& item,
+                                       const std::string& path) {
+  HIVESIM_RETURN_IF_ERROR(
+      CheckKeys(item, path, {"monthly_interruption_rate"}));
+  SpotMarketSpec spec;
+  HIVESIM_ASSIGN_OR_RETURN(
+      spec.monthly_interruption_rate,
+      GetNumber(item, path, "monthly_interruption_rate"));
+  if (!IsMonthlyRate(spec.monthly_interruption_rate)) {
+    return Err(item.Find("monthly_interruption_rate")->offset, path,
+               "'monthly_interruption_rate' must be within [0, 1)");
+  }
+  return spec;
+}
+
 Result<ReproInfo> ParseRepro(const JsonValue& item, const std::string& path) {
   HIVESIM_RETURN_IF_ERROR(CheckKeys(
       item, path, {"fleet", "seed", "duration_sec", "tbs", "model",
@@ -500,9 +519,9 @@ Result<ScenarioPack> ParseScenario(std::string_view text) {
   }
   HIVESIM_RETURN_IF_ERROR(CheckKeys(
       root, "$",
-      {"schema", "name", "description", "wan", "contention", "diurnal_wan",
-       "spot_storms", "diurnal_preemption", "zone_storms", "crashes",
-       "crash_storms", "repro"}));
+      {"schema", "name", "description", "spot_market", "wan", "contention",
+       "diurnal_wan", "spot_storms", "diurnal_preemption", "zone_storms",
+       "crashes", "crash_storms", "repro"}));
   std::string schema;
   HIVESIM_ASSIGN_OR_RETURN(schema,
                            GetString(root, "$", "schema"));
@@ -518,6 +537,14 @@ Result<ScenarioPack> ParseScenario(std::string_view text) {
   }
   HIVESIM_ASSIGN_OR_RETURN(pack.description,
                            GetStringOr(root, "$", "description", ""));
+  const JsonValue* spot_market = root.Find("spot_market");
+  if (spot_market != nullptr) {
+    if (!spot_market->is_object()) {
+      return Err(spot_market->offset, "spot_market", "must be an object");
+    }
+    HIVESIM_ASSIGN_OR_RETURN(pack.spot_market,
+                             ParseSpotMarket(*spot_market, "spot_market"));
+  }
   HIVESIM_RETURN_IF_ERROR(ParseSection(root, "wan", ParseWan, pack.wan));
   HIVESIM_RETURN_IF_ERROR(
       ParseSection(root, "contention", ParseContention, pack.contention));
@@ -582,6 +609,18 @@ Result<ScenarioPack> ParseScenarioCsv(std::string_view text) {
     } else if (kind == "description") {
       if (fields.size() != 2) return line_err("want description,<text>");
       pack.description = fields[1];
+    } else if (kind == "spot_market") {
+      if (fields.size() != 2) {
+        return line_err("want spot_market,monthly_interruption_rate");
+      }
+      if (pack.spot_market) return line_err("duplicate spot_market row");
+      SpotMarketSpec spec;
+      HIVESIM_RETURN_IF_ERROR(number(fields[1], "monthly_interruption_rate",
+                                     &spec.monthly_interruption_rate));
+      if (!IsMonthlyRate(spec.monthly_interruption_rate)) {
+        return line_err("'monthly_interruption_rate' must be within [0, 1)");
+      }
+      pack.spot_market = spec;
     } else if (kind == "wan" || kind == "partition") {
       const size_t want = kind == "wan" ? 7 : 5;
       if (fields.size() != want) {
@@ -667,7 +706,8 @@ Result<ScenarioPack> ParseScenarioCsv(std::string_view text) {
     } else {
       return line_err(StrCat(
           "unknown row kind '", kind,
-          "' (name, description, wan, partition, contention, spot, crash)"));
+          "' (name, description, spot_market, wan, partition, contention, "
+          "spot, crash)"));
     }
   }
   if (pack.name.empty()) {
@@ -700,6 +740,12 @@ std::string ScenarioToJson(const ScenarioPack& pack) {
   json.Key("schema").String(kSchemaId);
   json.Key("name").String(pack.name);
   json.Key("description").String(pack.description);
+  if (pack.spot_market) {
+    json.Key("spot_market").BeginObject();
+    json.Key("monthly_interruption_rate")
+        .Number(pack.spot_market->monthly_interruption_rate);
+    json.EndObject();
+  }
   if (!pack.wan.empty()) {
     json.Key("wan").BeginArray();
     for (const WanSpec& spec : pack.wan) {
@@ -850,6 +896,14 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
                                       const FleetView& fleet,
                                       double duration_sec) {
   faults::ChaosSchedule schedule;
+  // Packs built in code skip the parser's range check.
+  if (pack.spot_market &&
+      !IsMonthlyRate(pack.spot_market->monthly_interruption_rate)) {
+    return Status::InvalidArgument(
+        StrCat("scenario pack '", pack.name,
+               "': spot_market monthly_interruption_rate must be within "
+               "[0, 1)"));
+  }
   if (fleet.members.empty() || duration_sec <= 0) return schedule;
   const bool multi_site = fleet.distinct_sites.size() > 1;
   const auto applies = [multi_site](When when) {

@@ -1,6 +1,7 @@
 #ifndef HIVESIM_SCENARIO_SCENARIO_H_
 #define HIVESIM_SCENARIO_SCENARIO_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,7 +79,16 @@ struct DiurnalWanSpec {
   std::vector<double> hourly_bandwidth_factor;
 };
 
-/// A scripted spot-hazard window (requires a SpotMarket at Arm time).
+/// The pack's spot market: a world built with this section rents every
+/// spot fleet member as an auto-restarting VM on a `cloud::SpotMarket`
+/// with this 30-day interruption rate (finite, within [0, 1)), so spot
+/// interruptions remove and re-join trainer peers. Every hazard event
+/// (spot storms, diurnal preemption, zone-storm hazards) needs it.
+struct SpotMarketSpec {
+  double monthly_interruption_rate = 0.10;
+};
+
+/// A scripted spot-hazard window (requires the `spot_market` section).
 struct SpotStormSpec {
   net::Continent zone = net::Continent::kUs;
   TimeWindow window;
@@ -88,7 +98,7 @@ struct SpotStormSpec {
 /// Diurnal per-zone preemption curve: hour h multiplies the zone's spot
 /// interruption hazard by `hourly_multiplier[h % size]` (the daylight
 /// capacity crunches of transient-GPU fleets). Multiplier 1 hours
-/// compile to nothing; requires a SpotMarket at Arm time.
+/// compile to nothing; requires the `spot_market` section.
 struct DiurnalPreemptionSpec {
   net::Continent zone = net::Continent::kUs;
   std::vector<double> hourly_multiplier;
@@ -99,8 +109,8 @@ struct DiurnalPreemptionSpec {
 /// != 1), and `crash_fraction` of the fleet's peers in that zone crash
 /// at seeded-random times inside the window, restarting
 /// `restart_after_sec` later (< 0 = never). This is the trainer-visible
-/// form of zone-correlated preemption and needs no SpotMarket when
-/// `hazard_multiplier` is 1.
+/// form of zone-correlated preemption and needs no `spot_market` section
+/// when `hazard_multiplier` is 1.
 struct ZoneStormSpec {
   net::Continent zone = net::Continent::kUs;
   TimeWindow window;
@@ -153,9 +163,12 @@ struct ReproInfo {
 /// order everywhere: serialization, compilation, and the fuzzer's
 /// shrinking all walk wan -> contention -> diurnal_wan -> spot_storms ->
 /// diurnal_preemption -> zone_storms -> crashes -> crash_storms.
+/// `spot_market` is world setup, not an event; it serializes before the
+/// event sections.
 struct ScenarioPack {
   std::string name;
   std::string description;
+  std::optional<SpotMarketSpec> spot_market;
   std::vector<WanSpec> wan;
   std::vector<ContentionSpec> contention;
   std::vector<DiurnalWanSpec> diurnal_wan;
@@ -223,9 +236,10 @@ Result<net::SiteId> ResolveSiteRef(const SiteRef& ref,
 
 /// Compiles the pack against a fleet into the chaos schedule to arm.
 /// `duration_sec` anchors fractional windows and diurnal curves. Errors
-/// are peer indices out of range and (belt) schedule validation; events
-/// guarded by a non-matching `when` clause, crash storms resolving to
-/// zero peers, and factor/multiplier-1 diurnal hours compile to nothing.
+/// are peer indices out of range, a `spot_market` rate outside [0, 1),
+/// and (belt) schedule validation; events guarded by a non-matching
+/// `when` clause, crash storms resolving to zero peers, and
+/// factor/multiplier-1 diurnal hours compile to nothing.
 Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
                                       const FleetView& fleet,
                                       double duration_sec);

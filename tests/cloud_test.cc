@@ -386,10 +386,13 @@ TEST_F(VmTest, AutoRestartReplacesInterruptedVm) {
 }
 
 TEST_F(VmTest, UninterruptibleSpotVmNeverDies) {
+  // The paper's measurement mode: a zero-rate market never interrupts.
+  SpotMarketConfig market_config;
+  market_config.base_monthly_interruption_rate = 0;
+  SpotMarket calm_market(Rng(5), market_config);
   VmInstance::Config config;
   config.spot = true;
-  config.interruptible = false;  // The paper's measurement mode.
-  VmInstance vm(&sim_, &market_, Continent::kUs, config);
+  VmInstance vm(&sim_, &calm_market, Continent::kUs, config);
   vm.Start();
   sim_.Run();
   sim_.RunUntil(sim_.Now() + 100 * kHour);

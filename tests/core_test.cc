@@ -224,6 +224,43 @@ TEST(ExperimentTest, ScenarioPackArmsChaosAndHardensTheTrainer) {
             (*armed)->chaos->TraceFingerprint());
 }
 
+// A pack's spot_market section rents every spot member as a VM on a
+// market the pack's hazard events act on, and returns the world paused
+// once the VMs have booted; hazard events without the section are an
+// error that names it.
+TEST(ExperimentTest, SpotMarketSectionRentsTheSpotMembersAsVms) {
+  const ClusterSpec cluster{
+      {GcT4s(2, net::kGcUs), GcT4s(2, net::kGcEu), LambdaA10s(1)}};
+  ExperimentConfig config;
+  config.duration_sec = 2 * kHour;
+  scenario::ScenarioPack pack;
+  pack.name = "us-storm";
+  pack.spot_storms.push_back(
+      {net::Continent::kUs, {0, 2 * kHour, /*frac=*/false}, 5000});
+
+  auto missing = BuildExperimentWorld(cluster, config, &pack);
+  EXPECT_EQ(missing.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(missing.status().message().find("spot_market"),
+            std::string::npos)
+      << missing.status().ToString();
+
+  pack.spot_market = scenario::SpotMarketSpec{0.10};
+  auto world = BuildExperimentWorld(cluster, config, &pack);
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  ASSERT_NE((*world)->spot_market, nullptr);
+  EXPECT_EQ((*world)->vms.size(), 4u);  // The on-demand A10 rents none.
+  EXPECT_EQ((*world)->sim.Now(),
+            (*world)->spot_market->config().vm_startup_max_sec + 1);
+  auto result = CompleteExperiment(**world, config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->spot_interruptions, 0);  // The US storm reclaims VMs.
+  EXPECT_GT(result->train.epochs, 0);        // And training goes on.
+
+  pack.spot_market->monthly_interruption_rate = 1.0;
+  EXPECT_EQ(BuildExperimentWorld(cluster, config, &pack).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ExperimentTest, CentralizedBaselinesPriceLikeThePaper) {
   auto dgx = RunCentralizedBaseline(cloud::VmTypeId::kGcDgx2,
                                     ModelId::kConvNextLarge);

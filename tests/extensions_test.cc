@@ -1,6 +1,5 @@
 // Tests for the extension modules: experiment reports, the DHT progress
-// board, config validation, and the SkyPilot-style zone-aware
-// provisioner.
+// board, and config validation.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "cloud/provisioner.h"
 #include "common/units.h"
 #include "core/catalog.h"
 #include "core/report.h"
@@ -211,72 +209,6 @@ TEST_F(ProgressBoardTest, CrashedPeerEntriesExpire) {
     }
   }
   EXPECT_EQ(unreachable, 1);
-}
-
-// --- Zone-aware provisioner ---
-
-class ProvisionerTest : public ::testing::Test {
- protected:
-  ProvisionerTest() : topo_(net::StandardWorld()), market_(Rng(3)) {}
-
-  sim::Simulator sim_;
-  net::Topology topo_;
-  cloud::SpotMarket market_{Rng(3)};
-};
-
-TEST_F(ProvisionerTest, NightZoneAcquiresQuickly) {
-  // Simulation time 0 = 00:00 UTC: Belgium is 01:00 (night).
-  cloud::ZoneAwareProvisioner provisioner(&sim_, &topo_, &market_, Rng(1));
-  EXPECT_NEAR(provisioner.AvailabilityNow(net::kGcEu), 0.90, 1e-9);
-  Result<cloud::ZoneAwareProvisioner::Acquisition> got =
-      Status::Internal("pending");
-  provisioner.Acquire({net::kGcEu}, [&](auto r) { got = std::move(r); });
-  sim_.Run();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->site, net::kGcEu);
-  EXPECT_LT(got->wait_sec, 30 * 60.0);
-}
-
-TEST_F(ProvisionerTest, DaylightZoneFallsOverToNightSide) {
-  // At 00:00 UTC Sydney is 10:00 (day, scarce); Belgium is night.
-  cloud::ProvisionerConfig config;
-  config.day_availability = 0.0;   // Hard daylight drought.
-  config.night_availability = 1.0;
-  cloud::ZoneAwareProvisioner provisioner(&sim_, &topo_, &market_, Rng(2),
-                                          config);
-  Result<cloud::ZoneAwareProvisioner::Acquisition> got =
-      Status::Internal("pending");
-  provisioner.Acquire({net::kGcAus, net::kGcEu},
-                      [&](auto r) { got = std::move(r); });
-  sim_.Run();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->site, net::kGcEu);  // Rescued by the night-side zone.
-  EXPECT_GE(got->attempts, 2);
-}
-
-TEST_F(ProvisionerTest, ExhaustsAfterMaxSweeps) {
-  cloud::ProvisionerConfig config;
-  config.day_availability = 0.0;
-  config.night_availability = 0.0;  // Nothing anywhere.
-  config.max_sweeps = 5;
-  config.retry_interval_sec = 60;
-  cloud::ZoneAwareProvisioner provisioner(&sim_, &topo_, &market_, Rng(2),
-                                          config);
-  Result<cloud::ZoneAwareProvisioner::Acquisition> got =
-      Status::Internal("pending");
-  provisioner.Acquire({net::kGcUs, net::kGcEu},
-                      [&](auto r) { got = std::move(r); });
-  sim_.Run();
-  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_GE(sim_.Now(), 4 * 60.0);  // It really swept and waited.
-}
-
-TEST_F(ProvisionerTest, EmptyZoneListRejected) {
-  cloud::ZoneAwareProvisioner provisioner(&sim_, &topo_, &market_, Rng(1));
-  Result<cloud::ZoneAwareProvisioner::Acquisition> got =
-      Status::Internal("pending");
-  provisioner.Acquire({}, [&](auto r) { got = std::move(r); });
-  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

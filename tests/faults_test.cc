@@ -178,7 +178,6 @@ TEST(ChaosSpotTest, SpotStormInterruptsVms) {
     cloud::VmInstance::Config vm_config;
     vm_config.spot = true;
     vm_config.auto_restart = true;
-    vm_config.interruptible = true;
     std::vector<std::unique_ptr<cloud::VmInstance>> vms;
     for (int i = 0; i < 4; ++i) {
       vms.push_back(std::make_unique<cloud::VmInstance>(

@@ -10,6 +10,7 @@
 
 #include "core/sweep.h"
 #include "reproduce/reproduce.h"
+#include "scenario/scenario.h"
 
 namespace hivesim::reproduce {
 namespace {
@@ -70,6 +71,43 @@ TEST(ReproduceTest, FailedValueOrUndeclaredCellFailsTheFigure) {
   }
 }
 
+// Cells are read by every axis value, the chaos label included: a spec
+// with two chaos entries returns each entry's own cell, and a label the
+// spec does not declare fails the figure.
+TEST(ReproduceTest, CellMatchesTheChaosLabel) {
+  core::SweepSpec spec;
+  spec.clusters = {{"2xT4", {{core::GcT4s(2)}}}};
+  scenario::ScenarioPack pack;
+  pack.name = "spot-market";
+  pack.spot_market = scenario::SpotMarketSpec{0.10};
+  spec.chaos.push_back({"spot-market", pack});
+  core::SweepRunSummary run;
+  run.cells = core::ExpandSweep(spec);
+  ASSERT_EQ(run.cells.size(), 2u);
+  run.outcomes.resize(run.cells.size());
+  for (size_t i = 0; i < run.outcomes.size(); ++i) {
+    run.outcomes[i].ok = true;
+    run.outcomes[i].result.train.throughput_sps = 100.0 * (i + 1);
+  }
+  const std::vector<core::SweepRunSummary> runs = {run};
+  auto render = [&runs](std::string_view label) {
+    const Figure figure{"chaos", "", {}, [label](Page& page) {
+      page.out() << page.Cell(0, "2xT4", models::ModelId::kConvNextLarge,
+                              32768, 1, label)
+                        .train.throughput_sps;
+    }};
+    std::ostringstream out;
+    std::vector<Anchor> anchors;
+    const Status status = RenderFigure(figure, runs, "", out, &anchors);
+    return status.ok() ? out.str() : status.ToString();
+  };
+  EXPECT_EQ(render("none"), "100");
+  EXPECT_EQ(render("spot-market"), "200");
+  const std::string undeclared = render("partition");
+  EXPECT_NE(undeclared.find("declares no cell"), std::string::npos)
+      << undeclared;
+}
+
 TEST(ReproduceTest, UnknownFigureIdListsTheValidOnes) {
   Options options;
   options.figures = {"fig7", "nosuch"};
@@ -99,9 +137,9 @@ TEST(ReproduceTest, AnchorsAreUniqueTaggedAndNearThePaper) {
   // Figures whose tables carry only shape checks: the paper prints no
   // number for them.
   const std::set<std::string> shape_only = {
-      "fig3",         "fig12",          "ablation_allreduce",
-      "ablation_dpu", "ablation_compression", "ablation_matchmaking",
-      "ablation_variance"};
+      "fig3",         "fig12",          "sec7_spot",
+      "ablation_allreduce",   "ablation_dpu", "ablation_compression",
+      "ablation_matchmaking", "ablation_variance"};
   std::set<std::string> ids;
   std::set<std::string> figures_with_anchors;
   double error_sum = 0;

@@ -83,6 +83,29 @@ TEST(ScenarioRoundTrip, ReproSectionSurvives) {
   EXPECT_EQ(bytes, scenario::ScenarioToJson(*reparsed));
 }
 
+TEST(ScenarioRoundTrip, SpotMarketSectionSurvives) {
+  auto pack = scenario::ParseScenario(
+      R"({"schema":"hivesim-scenario/1","name":"spot",)"
+      R"("spot_market":{"monthly_interruption_rate":0.35}})");
+  ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+  ASSERT_TRUE(pack->spot_market.has_value());
+  EXPECT_EQ(pack->spot_market->monthly_interruption_rate, 0.35);
+  EXPECT_EQ(pack->NumEvents(), 0u);  // World setup, not an event.
+  const std::string bytes = scenario::ScenarioToJson(*pack);
+  EXPECT_NE(bytes.find(R"("spot_market":{"monthly_interruption_rate":0.35})"),
+            std::string::npos)
+      << bytes;
+  auto reparsed = scenario::ParseScenario(bytes);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  ASSERT_TRUE(reparsed->spot_market.has_value());
+  EXPECT_EQ(bytes, scenario::ScenarioToJson(*reparsed));
+
+  // Without the section nothing is written for it.
+  pack->spot_market.reset();
+  EXPECT_EQ(scenario::ScenarioToJson(*pack).find("spot_market"),
+            std::string::npos);
+}
+
 // The committed scenarios/<name>.json files are the builtin packs'
 // canonical bytes plus a trailing newline — preset and pack file can
 // never drift apart.
@@ -273,6 +296,7 @@ TEST(ScenarioCsv, ParsesTheRowGrammar) {
       "wan,gc-us,gc-eu,600,1200,0.25,80\n"
       "partition,$site0,$site1,3600,300\n"
       "contention,gc-us,gc-eu,0,600,3\n"
+      "spot_market,0.2\n"
       "crash,1,4000,600\n";
   auto pack = scenario::ParseScenarioCsv(csv);
   ASSERT_TRUE(pack.ok()) << pack.status().ToString();
@@ -284,6 +308,11 @@ TEST(ScenarioCsv, ParsesTheRowGrammar) {
   EXPECT_EQ(pack->contention[0].jobs, 3);
   ASSERT_EQ(pack->crashes.size(), 1u);
   EXPECT_EQ(pack->crashes[0].peer, 1);
+  ASSERT_TRUE(pack->spot_market.has_value());
+  EXPECT_EQ(pack->spot_market->monthly_interruption_rate, 0.2);
+  EXPECT_FALSE(scenario::ParseScenarioCsv("name,x\nspot_market,0.2\n"
+                                          "spot_market,0.3\n")
+                   .ok());  // One market per pack.
   // The CSV form serializes through the same canonical JSON.
   auto reparsed = scenario::ParseScenario(scenario::ScenarioToJson(*pack));
   ASSERT_TRUE(reparsed.ok());

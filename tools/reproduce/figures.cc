@@ -18,6 +18,7 @@
 #include "net/profiler.h"
 #include "net/profiles.h"
 #include "reproduce/reproduce.h"
+#include "scenario/scenario.h"
 
 namespace hivesim::reproduce {
 namespace {
@@ -47,6 +48,13 @@ constexpr collective::Strategy kStrategies[] = {
 constexpr models::Compression kCompressions[] = {
     models::Compression::kNone, models::Compression::kFp16,
     models::Compression::kInt8};
+// Section 7's monthly spot interruption rates. Realistic AWS-advertised
+// rates (5-20%/month) barely dent a day of training; the sweep extends
+// far beyond to expose the linear relation between fleet-time lost and
+// throughput. Interruptions are rare events, so each rate averages a
+// few seeds.
+constexpr double kSpotRates[] = {0.10, 0.30, 0.60, 0.95, 0.99999};
+constexpr uint64_t kSpotSeeds[] = {13, 26, 39};
 
 // --- Grids -----------------------------------------------------------
 
@@ -146,6 +154,31 @@ std::vector<core::SweepSpec> CompressionSpecs() {
                                  Pick(core::CSeries(), {"C-8"})}),
                          {kRxlm}));
     specs.back().compression = compression;
+  }
+  return specs;
+}
+
+std::string SpotLabel(double rate) { return StrFormat("spot-%g", rate); }
+
+/// The chaos axis entry renting the fleet on a spot market with `rate`.
+core::ChaosAxisEntry SpotMarketEntry(double rate) {
+  scenario::ScenarioPack pack;
+  pack.name = SpotLabel(rate);
+  pack.spot_market = scenario::SpotMarketSpec{rate};
+  return {pack.name, std::move(pack)};
+}
+
+/// A day of 8xT4 CV training: the uninterrupted baseline at seed 7, then
+/// every rate at every spot seed.
+std::vector<core::SweepSpec> SpotSpecs() {
+  std::vector<core::SweepSpec> specs(2, Grid({T4Fleet(8)}, {kConv}, {32768},
+                                             24));
+  specs[0].seeds = {7};
+  specs[0].chaos = {SpotMarketEntry(0)};
+  specs[1].seeds.assign(std::begin(kSpotSeeds), std::end(kSpotSeeds));
+  specs[1].chaos.clear();
+  for (double rate : kSpotRates) {
+    specs[1].chaos.push_back(SpotMarketEntry(rate));
   }
   return specs;
 }
@@ -1143,6 +1176,41 @@ void Sec7Multistream(Page& page) {
                 "the paper's Section 7 points at rows 2+ as the fix.\n";
 }
 
+void Sec7Spot(Page& page) {
+  // Each interruption costs the lost accumulation, the replacement's
+  // startup (45-600 s) and two hivemind epochs of state sync; the paper's
+  // rule of thumb is "a 5% interruption frequency ... means roughly a 5%
+  // slower training".
+  page.Heading(
+      "Section 7: throughput under spot interruptions (8xT4, CV, 24h)");
+  const double baseline =
+      page.Cell(0, "8xT4", kConv, 32768, 7, SpotLabel(0))
+          .train.throughput_sps;
+  TableWriter table({"Monthly interruption rate", "Interruptions/24h",
+                     "SPS", "Penalty vs uninterrupted"});
+  table.AddRow({"0% (measurement mode)", "0",
+                StrFormat("%.1f", baseline), "0%"});
+  constexpr int kSeeds = static_cast<int>(std::size(kSpotSeeds));
+  for (double rate : kSpotRates) {
+    double sps = 0;
+    int interruptions = 0;
+    for (uint64_t seed : kSpotSeeds) {
+      const core::ExperimentResult& r = page.Cell(
+          1, "8xT4", kConv, 32768, seed, SpotLabel(rate));
+      sps += r.train.throughput_sps / kSeeds;
+      interruptions += r.spot_interruptions;
+    }
+    table.AddRow(
+        {StrFormat("%.0f%%", rate * 100),
+         StrFormat("%.1f", static_cast<double>(interruptions) / kSeeds),
+         StrFormat("%.1f", sps),
+         StrFormat("%.1f%%", (1.0 - sps / baseline) * 100)});
+  }
+  page.Print(table);
+  page.out() << "Paper rule of thumb: the penalty tracks the fraction of "
+                "fleet-time lost to interruptions.\n";
+}
+
 void AblationAllreduce(Page& page) {
   page.Heading("Ablation: averaging strategy on geo-distributed fleets (NLP)");
   TableWriter table({"Fleet", "Strategy", "SPS", "Ext. egress cost ($/h)"});
@@ -1345,6 +1413,7 @@ const std::vector<Figure>& Figures() {
        {Grid({T4Fleet(8)}, {kWhisper}, {1024}, 3)}, Fig17},
       {"sec7_multistream", "Section 7: multi-stream TCP", StreamSpecs(),
        Sec7Multistream},
+      {"sec7_spot", "Section 7: spot interruptions", SpotSpecs(), Sec7Spot},
       {"ablation_allreduce", "Ablation: averaging strategy", StrategySpecs(),
        AblationAllreduce},
       {"ablation_dpu", "Ablation: delayed parameter updates", DpuSpecs(),

@@ -28,21 +28,23 @@ Page::Page(std::string figure, const std::vector<core::SweepRunSummary>* runs,
 
 const core::ExperimentResult& Page::Cell(size_t spec, std::string_view cluster,
                                          models::ModelId model, int tbs,
-                                         uint64_t seed) {
+                                         uint64_t seed,
+                                         std::string_view chaos) {
   static const core::ExperimentResult kNone;
   if (spec < runs_->size()) {
     const core::SweepRunSummary& run = (*runs_)[spec];
     for (size_t i = 0; i < run.cells.size(); ++i) {
       const core::SweepCell& cell = run.cells[i];
       if (cell.cluster.name == cluster && cell.config.model == model &&
-          cell.config.target_batch_size == tbs && cell.config.seed == seed) {
+          cell.config.target_batch_size == tbs && cell.config.seed == seed &&
+          cell.chaos.label == chaos) {
         return run.outcomes[i].result;
       }
     }
   }
   Fail(Status::NotFound(StrCat("spec ", spec, " declares no cell ", cluster,
                                "/", models::ModelName(model), "/tbs", tbs,
-                               "/seed", seed)));
+                               "/seed", seed, "/chaos ", chaos)));
   return kNone;
 }
 

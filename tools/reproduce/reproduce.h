@@ -66,10 +66,12 @@ class Page {
   Page(std::string figure, const std::vector<core::SweepRunSummary>* runs,
        std::string csv_dir);
 
-  /// The result of the cell of spec `spec` with these axis values.
+  /// The result of the cell of spec `spec` with these axis values
+  /// (`chaos` is the chaos axis entry's label).
   const core::ExperimentResult& Cell(size_t spec, std::string_view cluster,
                                      models::ModelId model, int tbs = 32768,
-                                     uint64_t seed = 1);
+                                     uint64_t seed = 1,
+                                     std::string_view chaos = "none");
 
   /// Unwraps a library result; an error fails the figure (the returned
   /// default value is never shown).
