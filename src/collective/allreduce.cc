@@ -1,8 +1,7 @@
 #include "collective/allreduce.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <limits>
 
 #include "common/strings.h"
 #include "models/calibration.h"
@@ -12,14 +11,60 @@ namespace hivesim::collective {
 
 namespace {
 
-/// Site -> peer indices, in peer order.
-std::map<net::SiteId, std::vector<int>> GroupBySite(
-    const std::vector<Peer>& peers, const net::Topology& topology) {
-  std::map<net::SiteId, std::vector<int>> groups;
+/// Fills `by_site` with every peer, sorted by (site, peer index).
+void GroupBySite(const std::vector<Peer>& peers,
+                 const net::Topology& topology,
+                 std::vector<SitePeer>* by_site) {
+  by_site->resize(peers.size());
   for (size_t i = 0; i < peers.size(); ++i) {
-    groups[topology.SiteOf(peers[i].node)].push_back(static_cast<int>(i));
+    (*by_site)[i] = {topology.SiteOf(peers[i].node), static_cast<int>(i)};
   }
-  return groups;
+  std::sort(by_site->begin(), by_site->end(),
+            [](const SitePeer& a, const SitePeer& b) {
+              return a.site != b.site ? a.site < b.site : a.peer < b.peer;
+            });
+}
+
+/// End of the site group that starts at `begin` in a sorted grouping.
+size_t GroupEnd(const std::vector<SitePeer>& by_site, size_t begin) {
+  size_t end = begin + 1;
+  while (end < by_site.size() && by_site[end].site == by_site[begin].site) {
+    ++end;
+  }
+  return end;
+}
+
+/// ChooseStrategy over a grouping from GroupBySite.
+Strategy ChooseGrouped(const std::vector<SitePeer>& by_site,
+                       const net::Topology& topology, Strategy requested) {
+  if (requested != Strategy::kAuto) return requested;
+  size_t groups = 0;
+  bool all_singletons = true;
+  bool all_groups = true;
+  bool many_continents = false;
+  for (size_t begin = 0, end = 0; begin < by_site.size(); begin = end) {
+    end = GroupEnd(by_site, begin);
+    ++groups;
+    if (end - begin > 1) all_singletons = false;
+    if (end - begin < 2) all_groups = false;
+    if (topology.site(by_site[begin].site).continent !=
+        topology.site(by_site.front().site).continent) {
+      many_continents = true;
+    }
+  }
+  if (groups <= 1) {
+    return by_site.size() <= 4 ? Strategy::kFlatAllToAll : Strategy::kRing;
+  }
+  if (all_singletons) {
+    return groups >= 3 ? Strategy::kStarViaHub : Strategy::kFlatAllToAll;
+  }
+  // Locality-aware grouping only forms when every site can build a local
+  // group (the paper's C-6/C-8 and B-4..8 pattern). Lopsided fleets — a
+  // single on-prem box plus a remote cloud pack (settings E/F) — fall
+  // back to flat N-to-N, which is why their intercontinental NLP runs
+  // collapse (Table 6's E-C-8 at 223.7 SPS).
+  if (many_continents && all_groups) return Strategy::kHierarchical;
+  return Strategy::kFlatAllToAll;
 }
 
 /// Peer with the highest aggregate path bandwidth to all other peers —
@@ -69,112 +114,117 @@ int Plan::TotalTransfers() const {
 Strategy ChooseStrategy(const std::vector<Peer>& peers,
                         const net::Topology& topology, Strategy requested) {
   if (requested != Strategy::kAuto) return requested;
-  const auto groups = GroupBySite(peers, topology);
-  if (groups.size() <= 1) {
-    return peers.size() <= 4 ? Strategy::kFlatAllToAll : Strategy::kRing;
-  }
-
-  bool all_singletons = true;
-  bool all_groups = true;
-  std::set<net::Continent> continents;
-  for (const auto& [site, members] : groups) {
-    if (members.size() > 1) all_singletons = false;
-    if (members.size() < 2) all_groups = false;
-    continents.insert(topology.site(site).continent);
-  }
-  if (all_singletons) {
-    return groups.size() >= 3 ? Strategy::kStarViaHub
-                              : Strategy::kFlatAllToAll;
-  }
-  // Locality-aware grouping only forms when every site can build a local
-  // group (the paper's C-6/C-8 and B-4..8 pattern). Lopsided fleets — a
-  // single on-prem box plus a remote cloud pack (settings E/F) — fall
-  // back to flat N-to-N, which is why their intercontinental NLP runs
-  // collapse (Table 6's E-C-8 at 223.7 SPS).
-  if (continents.size() > 1 && all_groups) return Strategy::kHierarchical;
-  return Strategy::kFlatAllToAll;
+  std::vector<SitePeer> by_site;
+  GroupBySite(peers, topology, &by_site);
+  return ChooseGrouped(by_site, topology, requested);
 }
 
 Result<Plan> BuildPlan(const std::vector<Peer>& peers,
                        const net::Topology& topology, Strategy requested) {
+  Plan plan;
+  HIVESIM_RETURN_IF_ERROR(BuildPlan(peers, topology, requested, &plan));
+  return plan;
+}
+
+Status BuildPlan(const std::vector<Peer>& peers,
+                 const net::Topology& topology, Strategy requested,
+                 Plan* plan) {
   if (peers.size() < 2) {
     return Status::InvalidArgument("all-reduce needs at least two peers");
   }
-  Plan plan;
-  plan.strategy = ChooseStrategy(peers, topology, requested);
+  GroupBySite(peers, topology, &plan->by_site);
+  plan->strategy = ChooseGrouped(plan->by_site, topology, requested);
+  plan->hub = -1;
   const int n = static_cast<int>(peers.size());
+  // Stages are sized before any is filled and addressed by index, so no
+  // reference outlives a resize. Shrinking frees the dropped stages'
+  // buffers; a round that repeats its strategy keeps all of them.
+  std::vector<std::vector<Transfer>>& stages = plan->stages;
 
-  switch (plan.strategy) {
+  switch (plan->strategy) {
     case Strategy::kFlatAllToAll: {
-      std::vector<Transfer> stage;
+      stages.resize(1);
+      stages[0].clear();
       for (int i = 0; i < n; ++i) {
         for (int j = 0; j < n; ++j) {
-          if (i != j) stage.push_back({i, j});
+          if (i != j) stages[0].push_back({i, j});
         }
       }
-      plan.stages.push_back(std::move(stage));
       break;
     }
     case Strategy::kRing: {
       // Fluid model of a chunked ring all-reduce: each peer streams
       // 2(m-1)/m payloads to its successor over the round.
-      std::vector<Transfer> stage;
+      stages.resize(1);
+      stages[0].clear();
       const double factor = 2.0 * (n - 1) / n;
       for (int i = 0; i < n; ++i) {
-        stage.push_back({i, (i + 1) % n, factor});
+        stages[0].push_back({i, (i + 1) % n, factor});
       }
-      plan.stages.push_back(std::move(stage));
       break;
     }
     case Strategy::kStarViaHub: {
-      plan.hub = PickHub(peers, topology);
+      const int hub = PickHub(peers, topology);
+      plan->hub = hub;
       // Gather and scatter run as one pipelined stage: the hub streams
       // averaged chunks back while later chunks are still arriving (the
       // fluid view of a chunked reduce-then-broadcast).
-      std::vector<Transfer> stage;
+      stages.resize(1);
+      stages[0].clear();
       for (int i = 0; i < n; ++i) {
-        if (i == plan.hub) continue;
-        stage.push_back({i, plan.hub});
-        stage.push_back({plan.hub, i});
+        if (i == hub) continue;
+        stages[0].push_back({i, hub});
+        stages[0].push_back({hub, i});
       }
-      plan.stages.push_back(std::move(stage));
       break;
     }
     case Strategy::kHierarchical: {
-      const auto groups = GroupBySite(peers, topology);
-      std::vector<std::vector<int>> member_lists;
-      std::vector<Transfer> gather, exchange, scatter;
-      for (const auto& [site, members] : groups) {
-        member_lists.push_back(members);
-        const int leader = members.front();
-        for (size_t m = 1; m < members.size(); ++m) {
-          gather.push_back({members[m], leader});
-          scatter.push_back({leader, members[m]});
+      // Gather to each site's leader (its first peer), exchange between
+      // the sites, scatter back; the local stages exist only when some
+      // site holds more than one peer.
+      const std::vector<SitePeer>& by_site = plan->by_site;
+      const bool local =
+          std::adjacent_find(by_site.begin(), by_site.end(),
+                             [](const SitePeer& a, const SitePeer& b) {
+                               return a.site == b.site;
+                             }) != by_site.end();
+      stages.resize(local ? 3 : 1);
+      for (std::vector<Transfer>& stage : stages) stage.clear();
+      const size_t exchange = local ? 1 : 0;
+      for (size_t begin = 0, end = 0; begin < by_site.size(); begin = end) {
+        end = GroupEnd(by_site, begin);
+        const int leader = by_site[begin].peer;
+        for (size_t m = begin + 1; m < end; ++m) {
+          stages[0].push_back({by_site[m].peer, leader});
+          stages[2].push_back({leader, by_site[m].peer});
         }
       }
       // Cross-group exchange, chunked over the members of both groups:
       // every member opens its own TCP stream, so the aggregate escapes
       // the per-stream WAN pacing (the Section 7 "one stream per peer"
       // observation; E-B's communication time *drops* with more peers).
-      for (const auto& from : member_lists) {
-        for (const auto& to : member_lists) {
-          if (&from == &to) continue;
-          const int k = static_cast<int>(std::max(from.size(), to.size()));
+      for (size_t from = 0, from_end = 0; from < by_site.size();
+           from = from_end) {
+        from_end = GroupEnd(by_site, from);
+        const size_t from_size = from_end - from;
+        for (size_t to = 0, to_end = 0; to < by_site.size(); to = to_end) {
+          to_end = GroupEnd(by_site, to);
+          if (to == from) continue;
+          const size_t to_size = to_end - to;
+          const int k = static_cast<int>(std::max(from_size, to_size));
           for (int i = 0; i < k; ++i) {
-            exchange.push_back({from[i % from.size()], to[i % to.size()],
-                                1.0 / k});
+            stages[exchange].push_back({by_site[from + i % from_size].peer,
+                                        by_site[to + i % to_size].peer,
+                                        1.0 / k});
           }
         }
       }
-      if (!gather.empty()) plan.stages.push_back(std::move(gather));
-      plan.stages.push_back(std::move(exchange));
-      if (!scatter.empty()) plan.stages.push_back(std::move(scatter));
       break;
     }
     case Strategy::kAuto:
       return Status::Internal("ChooseStrategy returned kAuto");
   }
-  return plan;
+  return Status::OK();
 }
 
 Status AllReduce::Start(const std::vector<Peer>& peers,
@@ -185,18 +235,17 @@ Status AllReduce::Start(const std::vector<Peer>& peers,
   if (opts.payload_bytes <= 0) {
     return Status::InvalidArgument("payload must be positive");
   }
-  Plan plan;
-  HIVESIM_ASSIGN_OR_RETURN(
-      plan, BuildPlan(peers, network_->topology(), opts.strategy));
+  HIVESIM_RETURN_IF_ERROR(
+      BuildPlan(peers, network_->topology(), opts.strategy, &plan_));
 
   running_ = true;
   ++generation_;
   peers_ = peers;
   opts_ = opts;
-  plan_ = std::move(plan);
   done_ = std::move(done);
   start_time_ = network_->simulator().Now();
-  RunStage(0);
+  stage_ = 0;
+  RunStage();
   return Status::OK();
 }
 
@@ -217,8 +266,8 @@ void AllReduce::Abort() {
   }
 }
 
-void AllReduce::RunStage(size_t stage_index) {
-  if (stage_index >= plan_.stages.size()) {
+void AllReduce::RunStage() {
+  if (stage_ >= plan_.stages.size()) {
     running_ = false;
     AllReduceResult result;
     result.wall_sec = network_->simulator().Now() - start_time_;
@@ -238,63 +287,69 @@ void AllReduce::RunStage(size_t stage_index) {
     return;
   }
 
-  const auto& stage = plan_.stages[stage_index];
+  const std::vector<Transfer>& stage = plan_.stages[stage_];
   stage_start_ = network_->simulator().Now();
   stage_flows_.clear();
   aggregate_cpu_.assign(peers_.size(), 0.0);
   outstanding_flows_ = static_cast<int>(stage.size());
   if (outstanding_flows_ == 0) {
-    RunStage(stage_index + 1);
+    ++stage_;
+    RunStage();
     return;
   }
 
-  const uint64_t gen = generation_;
+  const uint32_t gen = generation_;
   const double params = opts_.payload_bytes / 2.0;  // FP16: 2 B/param.
-
-  for (const Transfer& t : stage) {
-    const Peer& src = peers_[t.src];
-    const Peer& dst = peers_[t.dst];
+  for (uint32_t i = 0; i < stage.size(); ++i) {
+    const Transfer& t = stage[i];
     // Receiver-side aggregation debt (overlapped with the transfers).
     if (opts_.model_cpu_costs) {
       aggregate_cpu_[t.dst] +=
-          models::AccumulateSec(params * t.bytes_factor, dst.host);
+          models::AccumulateSec(params * t.bytes_factor, peers_[t.dst].host);
     }
     const double serialize =
-        opts_.model_cpu_costs ? models::SerializeSec(params, src.host) : 0.0;
-
-    net::FlowOptions flow_opts;
-    flow_opts.streams = opts_.streams_per_transfer;
-    flow_opts.app_rate_cap_bps =
-        std::min(models::GradientStreamCapBps(src.host),
-                 models::GradientStreamCapBps(dst.host)) *
-        std::max(1, opts_.streams_per_transfer);
-    if (!opts_.model_cpu_costs) {
-      flow_opts.app_rate_cap_bps =
-          std::numeric_limits<double>::infinity();
-    }
-
+        opts_.model_cpu_costs
+            ? models::SerializeSec(params, peers_[t.src].host)
+            : 0.0;
     // The flow starts once the sender has serialized its gradient.
-    network_->simulator().Schedule(
-        serialize, [this, gen, t, flow_opts, stage_index] {
-          if (gen != generation_) return;
-          auto flow = network_->StartFlow(
-              peers_[t.src].node, peers_[t.dst].node,
-              opts_.payload_bytes * t.bytes_factor,
-              [this, gen, stage_index] {
-                if (gen != generation_) return;
-                if (--outstanding_flows_ == 0) FinishStage(stage_index);
-              },
-              flow_opts);
-          if (flow.ok()) {
-            stage_flows_.push_back(*flow);
-          } else if (--outstanding_flows_ == 0) {
-            FinishStage(stage_index);
-          }
-        });
+    network_->simulator().Schedule(serialize, [this, gen, i] {
+      if (gen == generation_) StartTransfer(i);
+    });
   }
 }
 
-void AllReduce::FinishStage(size_t stage_index) {
+void AllReduce::StartTransfer(uint32_t index) {
+  const Transfer& t = plan_.stages[stage_][index];
+  const Peer& src = peers_[t.src];
+  const Peer& dst = peers_[t.dst];
+  net::FlowOptions flow_opts;
+  flow_opts.streams = opts_.streams_per_transfer;
+  flow_opts.app_rate_cap_bps =
+      std::min(models::GradientStreamCapBps(src.host),
+               models::GradientStreamCapBps(dst.host)) *
+      std::max(1, opts_.streams_per_transfer);
+  if (!opts_.model_cpu_costs) {
+    flow_opts.app_rate_cap_bps = std::numeric_limits<double>::infinity();
+  }
+  const uint32_t gen = generation_;
+  auto flow = network_->StartFlow(
+      src.node, dst.node, opts_.payload_bytes * t.bytes_factor,
+      [this, gen] {
+        if (gen == generation_) TransferDone();
+      },
+      flow_opts);
+  if (flow.ok()) {
+    stage_flows_.push_back(*flow);
+  } else {
+    TransferDone();
+  }
+}
+
+void AllReduce::TransferDone() {
+  if (--outstanding_flows_ == 0) FinishStage();
+}
+
+void AllReduce::FinishStage() {
   stage_flows_.clear();
   // Aggregation overlaps with the transfers: a receiver is done at
   // max(last byte in, stage start + its total accumulate CPU). All flows
@@ -304,24 +359,18 @@ void AllReduce::FinishStage(size_t stage_index) {
   for (double cpu : aggregate_cpu_) {
     residual = std::max(residual, (stage_start_ + cpu) - now);
   }
-  const uint64_t gen = generation_;
-  const double stage_start = stage_start_;
-  const size_t transfers = plan_.stages[stage_index].size();
-  network_->simulator().Schedule(std::max(0.0, residual),
-                                 [this, gen, stage_index, stage_start,
-                                  transfers] {
-                                   if (gen != generation_) return;
-                                   if (telemetry::Enabled()) {
-                                     telemetry::Span(
-                                         stage_start,
-                                         network_->simulator().Now(),
-                                         "collective",
-                                         StrFormat("stage %zu", stage_index),
-                                         StrFormat("{\"transfers\":%zu}",
-                                                   transfers));
-                                   }
-                                   RunStage(stage_index + 1);
-                                 });
+  const uint32_t gen = generation_;
+  network_->simulator().Schedule(std::max(0.0, residual), [this, gen] {
+    if (gen != generation_) return;
+    if (telemetry::Enabled()) {
+      telemetry::Span(stage_start_, network_->simulator().Now(), "collective",
+                      StrFormat("stage %zu", stage_),
+                      StrFormat("{\"transfers\":%zu}",
+                                plan_.stages[stage_].size()));
+    }
+    ++stage_;
+    RunStage();
+  });
 }
 
 }  // namespace hivesim::collective

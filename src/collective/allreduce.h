@@ -50,12 +50,22 @@ struct Transfer {
   double bytes_factor = 1.0;
 };
 
+/// A peer index tagged with the peer's site.
+struct SitePeer {
+  net::SiteId site = 0;
+  int peer = 0;
+  bool operator==(const SitePeer&) const = default;
+};
+
 /// Staged transfer schedule; stage n+1 starts when stage n has fully
 /// completed (Hivemind's averaging is synchronous within a round).
 struct Plan {
   Strategy strategy = Strategy::kFlatAllToAll;
   std::vector<std::vector<Transfer>> stages;
   int hub = -1;  ///< Peer index of the star hub / informative only.
+  /// Every peer, sorted by (site, peer index): the site groups in site
+  /// order, each in peer order.
+  std::vector<SitePeer> by_site;
 
   /// Total number of transfers across stages.
   int TotalTransfers() const;
@@ -68,6 +78,13 @@ Strategy ChooseStrategy(const std::vector<Peer>& peers,
 /// Builds the transfer schedule. Requires >= 2 peers.
 Result<Plan> BuildPlan(const std::vector<Peer>& peers,
                        const net::Topology& topology, Strategy requested);
+
+/// Rebuilds `plan` in place with the same result, reusing its buffers: a
+/// rebuild for the peers and strategy of the previous one allocates
+/// nothing.
+Status BuildPlan(const std::vector<Peer>& peers,
+                 const net::Topology& topology, Strategy requested,
+                 Plan* plan);
 
 /// Knobs of one averaging round.
 struct AllReduceOptions {
@@ -91,6 +108,13 @@ struct AllReduceResult {
 /// are pushed through `net::Network` flows (so egress meters, fair
 /// sharing, and TCP caps all apply) with calibrated CPU costs for
 /// serialize/accumulate around them.
+///
+/// A round on a peer set the instance has seen before allocates nothing:
+/// the plan is rebuilt into buffers the instance owns (rebuilt, not
+/// cached, because the star hub follows live path bandwidth), and every
+/// callback it schedules captures at most 16 bytes — `this`, a 32-bit
+/// generation and a transfer index — so it fits `std::function`'s inline
+/// buffer.
 class AllReduce {
  public:
   using DoneCallback = std::function<void(Result<AllReduceResult>)>;
@@ -109,17 +133,24 @@ class AllReduce {
   bool running() const { return running_; }
 
  private:
-  void RunStage(size_t stage_index);
-  void FinishStage(size_t stage_index);
+  /// Starts stage `stage_`, or completes the round past the last one.
+  void RunStage();
+  /// Opens the flow of transfer `index` of the current stage (its sender
+  /// has serialized its gradient).
+  void StartTransfer(uint32_t index);
+  /// Counts one transfer of the current stage as delivered.
+  void TransferDone();
+  void FinishStage();
 
   net::Network* network_;
   bool running_ = false;
-  uint64_t generation_ = 0;  // Invalidates callbacks after Abort().
+  uint32_t generation_ = 0;  // Invalidates callbacks after Abort().
   std::vector<Peer> peers_;
   AllReduceOptions opts_;
-  Plan plan_;
+  Plan plan_;  // Rebuilt in place by every Start.
   DoneCallback done_;
   double start_time_ = 0;
+  size_t stage_ = 0;  // Index of the stage in flight.
   double stage_start_ = 0;
   int outstanding_flows_ = 0;
   std::vector<net::FlowId> stage_flows_;

@@ -103,15 +103,18 @@ WorldRun DoRun(const FuzzCase& fuzz_case, const FuzzOptions& options,
   }
 
   // Monotone-clock probes: 64 checkpoints across the run, each asserting
-  // the clock never moved backwards since the previous one.
+  // the clock never moved backwards since the previous one. The run starts
+  // where the build left the clock (a spot world returns after its VMs
+  // boot), so the probes span [start, start + duration].
   struct ProbeState {
     double last = 0;
     bool monotone = true;
   };
   auto probe = std::make_shared<ProbeState>();
   sim::Simulator* sim = &(*world)->sim;
+  const double start = sim->Now();
   for (int k = 1; k <= 64; ++k) {
-    sim->ScheduleAt(config.duration_sec * k / 64.0, [probe, sim] {
+    sim->ScheduleAt(start + config.duration_sec * k / 64.0, [probe, sim] {
       if (sim->Now() + 1e-12 < probe->last) probe->monotone = false;
       probe->last = sim->Now();
     });

@@ -220,11 +220,8 @@ void Trainer::BeginAveraging() {
   averaging_started_ = network_->simulator().Now();
   telemetry::Gauge("trainer.averaging_in_flight", 1);
 
-  int participants = 0;
-  for (const PeerState& p : peers_) {
-    (void)p;
-    ++participants;  // Syncing peers join rounds to receive state.
-  }
+  // Syncing peers join rounds to receive state.
+  const int participants = static_cast<int>(peers_.size());
 
   const uint64_t gen = generation_;
   if (participants < 2) {
@@ -239,10 +236,10 @@ void Trainer::BeginAveraging() {
 
   // Two prerequisites before the transfers start: the group-forming
   // overhead timer and (optionally) the DHT coordination round.
-  auto pending = std::make_shared<int>(1);
-  auto arm = [this, gen, pending] {
+  round_prerequisites_ = 1;
+  auto arm = [this, gen] {
     if (gen != generation_) return;
-    if (--*pending == 0) RunAllReduce();
+    if (--round_prerequisites_ == 0) RunAllReduce();
   };
 
   if (config_.dht != nullptr && peers_.size() >= 2) {
@@ -254,7 +251,7 @@ void Trainer::BeginAveraging() {
                                  static_cast<unsigned long long>(
                                      config_.seed)));
     }
-    ++*pending;
+    ++round_prerequisites_;
     matchmaker_->FormGroup(PeerNodes(),
                            static_cast<int>(completed_.size()),
                            models::MinMatchmakingSec(),
@@ -270,19 +267,18 @@ void Trainer::RunAllReduce() {
     return;
   }
 
-  std::vector<collective::Peer> members;
   if (degraded_round_) {
     // Too many consecutive failures: continue with the surviving
     // partition instead of stalling on unreachable peers.
-    members = LargestReachableGroup();
-    if (members.size() < 2) {
+    members_ = LargestReachableGroup();
+    if (members_.size() < 2) {
       ScheduleApplyAndFinish();
       return;
     }
   } else {
-    members.reserve(peers_.size());
+    members_.clear();
     for (const PeerState& p : peers_) {
-      members.push_back({p.spec.node, p.spec.host});
+      members_.push_back({p.spec.node, p.spec.host});
     }
   }
   collective::AllReduceOptions opts;
@@ -293,7 +289,7 @@ void Trainer::RunAllReduce() {
   ArmRoundWatchdog();
   const uint64_t gen = generation_;
   Status started = allreduce_.Start(
-      members, opts, [this, gen](Result<collective::AllReduceResult> r) {
+      members_, opts, [this, gen](Result<collective::AllReduceResult> r) {
         if (gen != generation_) return;
         CancelRoundWatchdog();
         if (!r.ok()) {

@@ -228,6 +228,12 @@ class Trainer {
   bool has_averaging_event_ = false;
   sim::EventId watchdog_event_ = 0;
   bool has_watchdog_event_ = false;
+  /// Prerequisites (group-forming timer, DHT matchmaking) the round in
+  /// formation still waits for.
+  int round_prerequisites_ = 0;
+  /// Participants of the current averaging attempt; kept across rounds so
+  /// its buffer is reused.
+  std::vector<collective::Peer> members_;
   int round_retries_ = 0;       ///< Consecutive failed averaging attempts.
   bool degraded_round_ = false; ///< Next attempt averages the partition only.
   uint64_t generation_ = 0;

@@ -32,20 +32,27 @@ void Network::GrowMeters() {
     node_egress_bytes_.resize(nodes, 0.0);
     node_ingress_bytes_.resize(nodes, 0.0);
     node_peak_egress_.resize(nodes, 0.0);
+    egress_res_.resize(nodes, kNoRes);
+    ingress_res_.resize(nodes, kNoRes);
   }
   const size_t sites = topology_->num_sites();
   if (sites <= site_stride_) return;
-  // Re-lay the matrix at the new stride and re-point the live flows'
-  // cached site-pair slots. Sites are added rarely, flows often.
+  // Re-lay the matrix and its path-slot array at the new stride and
+  // re-point the live flows' cached site-pair slots. Sites are added
+  // rarely, flows often.
   std::vector<double> grown(sites * sites, 0.0);
+  std::vector<ResSlot> grown_paths(sites * sites, kNoRes);
   for (size_t src = 0; src < site_stride_; ++src) {
     std::copy_n(site_pair_bytes_.begin() + src * site_stride_, site_stride_,
                 grown.begin() + src * sites);
+    std::copy_n(path_res_.begin() + src * site_stride_, site_stride_,
+                grown_paths.begin() + src * sites);
   }
   site_pair_bytes_ = std::move(grown);
+  path_res_ = std::move(grown_paths);
   site_stride_ = sites;
   for (Flow& flow : flow_slab_) {
-    if (flow.id != 0) {
+    if (flow.seq != 0) {
       flow.site_pair = SitePairIndex(flow.src_site, flow.dst_site);
     }
   }
@@ -67,6 +74,7 @@ Network::FlowSlot Network::AllocFlowSlot() {
   }
   const FlowSlot slot = static_cast<FlowSlot>(flow_slab_.size());
   flow_slab_.emplace_back();
+  user_links_.emplace_back();
   flow_mark_.push_back(0);
   flow_comp_pos_.push_back(0);
   return slot;
@@ -74,12 +82,37 @@ Network::FlowSlot Network::AllocFlowSlot() {
 
 void Network::FreeFlowSlot(FlowSlot slot) {
   Flow& flow = flow_slab_[slot];
-  flow.id = 0;
+  flow.seq = 0;
+  if (++flow.generation == 0) flow.generation = 1;  // Keep handles nonzero.
   flow.on_complete = nullptr;
   flow.has_completion_event = false;
   flow.num_res = 0;
   free_flow_slots_.push_back(slot);
   --live_flows_;
+}
+
+bool Network::LiveSlot(FlowId id, FlowSlot* slot) const {
+  const FlowSlot s = static_cast<FlowSlot>(id >> 32);
+  // A latency-tagged id decodes to a slot >= 2^31, past any slab.
+  if (s >= flow_slab_.size()) return false;
+  const Flow& flow = flow_slab_[s];
+  if (flow.seq == 0 || flow.generation != static_cast<uint32_t>(id)) {
+    return false;
+  }
+  *slot = s;
+  return true;
+}
+
+Network::ResSlot& Network::ResIndex(const ResourceKey& key) {
+  switch (key.kind) {
+    case ResourceKind::kEgress:
+      return egress_res_[key.a];
+    case ResourceKind::kIngress:
+      return ingress_res_[key.a];
+    case ResourceKind::kPath:
+      break;
+  }
+  return path_res_[SitePairIndex(key.a, key.b)];
 }
 
 Network::ResSlot Network::AllocResSlot() {
@@ -98,7 +131,6 @@ Network::ResSlot Network::AllocResSlot() {
 void Network::FreeResSlot(ResSlot slot) {
   Resource& res = res_slab_[slot];
   res.live = false;
-  res.flows.clear();  // Keeps capacity for the slot's next occupant.
   free_res_slots_.push_back(slot);
 }
 
@@ -114,11 +146,11 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
   Path path;
   HIVESIM_ASSIGN_OR_RETURN(path, topology_->PathBetweenNodes(src, dst));
 
-  const FlowId id = next_flow_id_++;
   if (bytes <= kEpsilonBytes) {
     // Latency-only delivery. The flow is tracked so it can be cancelled
     // (the completion must not fire after CancelFlow), and its payload is
     // metered on delivery like any other traffic.
+    const FlowId id = kLatencyFlowTag | next_latency_id_++;
     LatencyFlow lf;
     lf.src = src;
     lf.dst = dst;
@@ -133,13 +165,16 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
   }
 
   GrowMeters();
-  Flow flow;
-  flow.id = id;
+  const uint32_t node_pair = NodePairSlot(src, dst);
+  // Filled in place: the slot keeps its generation.
+  const FlowSlot slot = AllocFlowSlot();
+  Flow& flow = flow_slab_[slot];
+  flow.seq = next_flow_seq_++;
   flow.src = src;
   flow.dst = dst;
   flow.src_site = topology_->SiteOf(src);
   flow.dst_site = topology_->SiteOf(dst);
-  flow.node_pair = NodePairSlot(src, dst);
+  flow.node_pair = node_pair;
   flow.site_pair = SitePairIndex(flow.src_site, flow.dst_site);
   flow.started_sec = sim_->Now();
   flow.settled_sec = flow.started_sec;
@@ -189,17 +224,15 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
     caps[n++] = path.bandwidth_bps;
   }
 
-  const FlowSlot slot = AllocFlowSlot();
-  flow_slab_[slot] = std::move(flow);
-  flow_index_.emplace(id, slot);
   AddFlowToResources(slot, keys, caps, n);
-  MarkDirty(flow_slab_[slot].res_slots, n);
-  return id;
+  MarkDirty(flow.res_slots, n);
+  return PackHandle(slot, flow.generation);
 }
 
 bool Network::CancelFlow(FlowId id) {
-  auto lit = latency_flows_.find(id);
-  if (lit != latency_flows_.end()) {
+  if (id & kLatencyFlowTag) {
+    auto lit = latency_flows_.find(id);
+    if (lit == latency_flows_.end()) return false;
     sim_->Cancel(lit->second.completion_event);
     if (telemetry::Enabled()) {
       flows_cancelled_counter_.Add();
@@ -214,9 +247,8 @@ bool Network::CancelFlow(FlowId id) {
     latency_flows_.erase(lit);
     return true;
   }
-  auto it = flow_index_.find(id);
-  if (it == flow_index_.end()) return false;
-  const FlowSlot slot = it->second;
+  FlowSlot slot;
+  if (!LiveSlot(id, &slot)) return false;
   Flow& flow = flow_slab_[slot];
   Settle(flow, sim_->Now());
   if (flow.has_completion_event) {
@@ -238,7 +270,6 @@ bool Network::CancelFlow(FlowId id) {
   std::copy(flow.res_slots, flow.res_slots + flow.num_res, seed);
   const int num_seed = flow.num_res;
   RemoveFlowFromResources(slot);
-  flow_index_.erase(it);
   FreeFlowSlot(slot);
   MarkDirty(seed, num_seed);
   return true;
@@ -296,7 +327,7 @@ void Network::Refresh() {
   const uint64_t already_solved = solve_epoch_;
   for (FlowSlot slot = 0; slot < flow_slab_.size(); ++slot) {
     const Flow& flow = flow_slab_[slot];
-    if (flow.id == 0) continue;
+    if (flow.seq == 0) continue;
     if (flow_mark_[slot] > already_solved) {
       continue;  // Covered by a prior component.
     }
@@ -306,8 +337,8 @@ void Network::Refresh() {
 
 double Network::FlowRate(FlowId id) {
   FlushDirty();
-  auto it = flow_index_.find(id);
-  return it == flow_index_.end() ? 0.0 : flow_slab_[it->second].rate_bps;
+  FlowSlot slot;
+  return LiveSlot(id, &slot) ? flow_slab_[slot].rate_bps : 0.0;
 }
 
 void Network::Settle(const Flow& flow, double now) const {
@@ -327,7 +358,7 @@ void Network::SettleAll() const {
   if (now == settled_all_sec_) return;
   settled_all_sec_ = now;
   for (const Flow& flow : flow_slab_) {
-    if (flow.id != 0) Settle(flow, now);
+    if (flow.seq != 0) Settle(flow, now);
   }
 }
 
@@ -336,18 +367,16 @@ void Network::AddFlowToResources(FlowSlot slot, const ResourceKey* keys,
   Flow& flow = flow_slab_[slot];
   flow.num_res = num_res;
   for (int i = 0; i < num_res; ++i) {
-    auto [it, inserted] = res_index_.try_emplace(keys[i], 0);
-    if (inserted) {
-      const ResSlot rs = AllocResSlot();
-      it->second = rs;
-      Resource& res = res_slab_[rs];
+    ResSlot& index = ResIndex(keys[i]);
+    if (index == kNoRes) {
+      index = AllocResSlot();
+      Resource& res = res_slab_[index];
       res.key = keys[i];
       res.capacity_bps = caps[i];
       res.live = true;
     }
-    const ResSlot rs = it->second;
-    res_slab_[rs].flows.push_back(slot);
-    flow.res_slots[i] = rs;
+    flow.res_slots[i] = index;
+    AppendUser(index, slot);
   }
 }
 
@@ -355,18 +384,58 @@ void Network::RemoveFlowFromResources(FlowSlot slot) {
   const Flow& flow = flow_slab_[slot];
   for (int i = 0; i < flow.num_res; ++i) {
     const ResSlot rs = flow.res_slots[i];
-    std::vector<FlowSlot>& users = res_slab_[rs].flows;
-    for (size_t j = 0; j < users.size(); ++j) {
-      if (users[j] == slot) {
-        users[j] = users.back();
-        users.pop_back();
-        break;
-      }
-    }
-    if (users.empty()) {
-      res_index_.erase(res_slab_[rs].key);
+    RemoveUser(rs, slot);
+    if (res_slab_[rs].users == 0) {
+      ResIndex(res_slab_[rs].key) = kNoRes;
       FreeResSlot(rs);
     }
+  }
+}
+
+void Network::AppendUser(ResSlot rs, FlowSlot fs) {
+  Resource& res = res_slab_[rs];
+  const int k = static_cast<int>(res.key.kind);
+  UserLinks& links = user_links_[fs];
+  links.prev[k] = res.tail;
+  links.next[k] = kNoFlow;
+  if (res.tail == kNoFlow) {
+    res.head = fs;
+  } else {
+    user_links_[res.tail].next[k] = fs;
+  }
+  res.tail = fs;
+  ++res.users;
+}
+
+void Network::RemoveUser(ResSlot rs, FlowSlot fs) {
+  Resource& res = res_slab_[rs];
+  const int k = static_cast<int>(res.key.kind);
+  // Detach the last user, then let it take `fs`'s place unless it is `fs`:
+  // the order an array erase by swap-with-last leaves. Walks over the list
+  // depend on it; the peak-egress sums add in list order.
+  const FlowSlot last = res.tail;
+  const FlowSlot before_last = user_links_[last].prev[k];
+  res.tail = before_last;
+  if (before_last == kNoFlow) {
+    res.head = kNoFlow;
+  } else {
+    user_links_[before_last].next[k] = kNoFlow;
+  }
+  --res.users;
+  if (last == fs) return;
+  const UserLinks& gone = user_links_[fs];
+  UserLinks& moved = user_links_[last];
+  moved.prev[k] = gone.prev[k];
+  moved.next[k] = gone.next[k];
+  if (moved.prev[k] == kNoFlow) {
+    res.head = last;
+  } else {
+    user_links_[moved.prev[k]].next[k] = last;
+  }
+  if (moved.next[k] == kNoFlow) {
+    res.tail = last;
+  } else {
+    user_links_[moved.next[k]].prev[k] = last;
   }
 }
 
@@ -386,7 +455,7 @@ void Network::FlushDirty() {
   const uint64_t flush_start = solve_epoch_;
   for (const ResSlot rs : dirty_seeds_) {
     const Resource& res = res_slab_[rs];
-    if (!res.live || flow_mark_[res.flows.front()] > flush_start) continue;
+    if (!res.live || flow_mark_[res.head] > flush_start) continue;
     SolveComponent(&rs, 1);
   }
   dirty_seeds_.clear();
@@ -410,8 +479,8 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
   }
   while (scan < comp_res_slots_.size()) {
     const ResSlot rs = comp_res_slots_[scan++];
-    for (const FlowSlot fs : res_slab_[rs].flows) {
-      if (flow_mark_[fs] == epoch) continue;
+    ForEachUser(rs, [&](FlowSlot fs) {
+      if (flow_mark_[fs] == epoch) return;
       flow_mark_[fs] = epoch;
       comp_flow_slots_.push_back(fs);
       const Flow& flow = flow_slab_[fs];
@@ -421,7 +490,7 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
         res_mark_[other] = epoch;
         comp_res_slots_.push_back(other);
       }
-    }
+    });
   }
   if (comp_flow_slots_.empty()) return;
 
@@ -444,7 +513,7 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
               if (fa.stream_cap_bps != fb.stream_cap_bps) {
                 return fa.stream_cap_bps < fb.stream_cap_bps;
               }
-              return fa.id < fb.id;  // Deterministic tie-break.
+              return fa.seq < fb.seq;  // Deterministic tie-break.
             });
 
   const size_t num_flows = comp_flow_slots_.size();
@@ -465,7 +534,7 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
     comp_res_remaining_[j] = res_slab_[rs].capacity_bps;
     // Small integer counts held as doubles: exact, and the level update
     // multiplies without int->double conversion in the loop.
-    comp_res_unfrozen_[j] = static_cast<double>(res_slab_[rs].flows.size());
+    comp_res_unfrozen_[j] = static_cast<double>(res_slab_[rs].users);
   }
 
   size_t frozen_count = 0;
@@ -520,12 +589,12 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
     }
     for (size_t j = 0; j < active; ++j) {
       if (comp_res_remaining_[j] > kEpsilonRate) continue;
-      for (const FlowSlot fs : res_slab_[comp_res_slots_[j]].flows) {
+      ForEachUser(comp_res_slots_[j], [&](FlowSlot fs) {
         const size_t i = flow_comp_pos_[fs];
-        if (comp_flow_frozen_[i]) continue;
+        if (comp_flow_frozen_[i]) return;
         freeze_flow(i);
         froze_any = true;
-      }
+      });
     }
 
     if (!froze_any) {
@@ -577,9 +646,10 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
     }
     if (new_rate > kEpsilonRate) {
       const double eta = flow.remaining_bytes / new_rate;
-      const FlowId fid = flow.id;
+      // 16 bytes of capture: fits std::function's inline buffer.
+      const FlowId handle = PackHandle(fs, flow.generation);
       flow.completion_event =
-          sim_->Schedule(eta, [this, fs, fid] { OnFlowDeadline(fs, fid); });
+          sim_->Schedule(eta, [this, handle] { OnFlowDeadline(handle); });
       flow.has_completion_event = true;
     }
   }
@@ -595,9 +665,7 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
     if (res_mark_[rs] != epoch) continue;
     res_mark_[rs] = epoch - 1;  // Sum each sender once.
     double rate = 0;
-    for (const FlowSlot fs : res_slab_[rs].flows) {
-      rate += flow_slab_[fs].rate_bps;
-    }
+    ForEachUser(rs, [&](FlowSlot fs) { rate += flow_slab_[fs].rate_bps; });
     if (node_peak_egress_.size() <= flow.src) {
       node_peak_egress_.resize(flow.src + 1, 0.0);
     }
@@ -606,8 +674,9 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
   }
 }
 
-void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
-  if (slot >= flow_slab_.size() || flow_slab_[slot].id != id) return;
+void Network::OnFlowDeadline(FlowId handle) {
+  FlowSlot slot;
+  if (!LiveSlot(handle, &slot)) return;
   Flow& flow = flow_slab_[slot];
   flow.has_completion_event = false;
   const double now = sim_->Now();
@@ -631,7 +700,7 @@ void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
 
 void Network::FinishFlow(FlowSlot slot) {
   Flow& flow = flow_slab_[slot];
-  if (flow.id == 0) return;
+  if (flow.seq == 0) return;
   if (telemetry::Enabled()) {
     flows_completed_counter_.Add();
     // Zone identity rides in the span args so the critical-path analyzer
@@ -649,7 +718,6 @@ void Network::FinishFlow(FlowSlot slot) {
   std::copy(flow.res_slots, flow.res_slots + flow.num_res, seed);
   const int num_seed = flow.num_res;
   RemoveFlowFromResources(slot);
-  flow_index_.erase(flow.id);
   FreeFlowSlot(slot);
   MarkDirty(seed, num_seed);
   if (cb) cb();

@@ -15,7 +15,11 @@
 
 namespace hivesim::net {
 
-/// Handle to a transfer in flight.
+/// Handle to a transfer in flight. A fair-share flow's handle packs its
+/// slab slot (high 32 bits) with the slot's generation (low 32 bits), the
+/// way `sim::EventId` does, so a handle kept past its flow's end never
+/// names the slot's next occupant. Latency-only flows draw ids with bit 63
+/// set, a space no slab handle reaches. Never zero.
 using FlowId = uint64_t;
 
 /// Per-flow knobs.
@@ -65,10 +69,17 @@ struct FlowOptions {
 ///
 /// Storage is structure-of-arrays at fleet scale: flows and resources
 /// live in index-based slabs (`flow_slab_` / `res_slab_`, free-listed,
-/// never shrinking), resource user-lists hold slab indices, and each
-/// flow caches its resources' slab indices and its two meter slots — the
-/// component BFS, the freeze bookkeeping, the peak-egress sums and the
-/// settle path are all direct array indexing with no hashed lookup.
+/// never shrinking), a resource's users form a list threaded through a
+/// slab-parallel link array, and each flow caches its resources' slab
+/// indices and its two meter slots — the component BFS, the freeze
+/// bookkeeping, the peak-egress sums and the settle path are all direct
+/// array indexing with no hashed lookup. The API boundary does not hash
+/// either: a `FlowId` decodes to its slot, and a flow finds its resources
+/// through dense per-node and per-site-pair slot arrays. Once the slabs
+/// and scratch arrays have grown to a workload's high-water mark,
+/// starting, solving and finishing flows allocates nothing (callbacks
+/// that fit `std::function`'s inline buffer included).
+///
 /// Within a component the water-filling rounds run over contiguous
 /// parallel arrays (`comp_res_remaining_`, `comp_res_unfrozen_`,
 /// `comp_flow_cap_`, ...), so the per-round
@@ -166,31 +177,38 @@ class Network {
   sim::Simulator& simulator() { return *sim_; }
 
  private:
-  // Shared-resource identifiers for the fair-share solver.
+  // Shared-resource identifiers for the fair-share solver. A kind is also
+  // the position of such a resource in every user's `res_slots`.
   enum class ResourceKind : uint8_t { kEgress, kIngress, kPath };
   // 12 bytes: node and site ids are 32-bit.
   struct ResourceKey {
     ResourceKind kind;
     uint32_t a;  // node id or src site.
     uint32_t b;  // unused or dst site.
-    bool operator==(const ResourceKey& o) const {
-      return kind == o.kind && a == o.a && b == o.b;
-    }
-  };
-  struct ResourceKeyHash {
-    size_t operator()(const ResourceKey& k) const {
-      return std::hash<uint64_t>()((static_cast<uint64_t>(k.kind) << 62) ^
-                                   (k.a * 0x9e3779b97f4a7c15ULL) ^ k.b);
-    }
   };
 
   /// Index into `flow_slab_` / `res_slab_`. Slab entries never move, so
   /// slots are stable for an entry's whole lifetime and safe to cache.
   using FlowSlot = uint32_t;
   using ResSlot = uint32_t;
+  /// No resource: an empty entry of the dense resource-slot arrays.
+  static constexpr ResSlot kNoRes = std::numeric_limits<ResSlot>::max();
+  /// No flow: the end of a resource's user list.
+  static constexpr FlowSlot kNoFlow = std::numeric_limits<FlowSlot>::max();
+  /// Bit 63 tags latency-only flow ids; slab handles keep it clear.
+  static constexpr FlowId kLatencyFlowTag = FlowId{1} << 63;
+
+  static constexpr FlowId PackHandle(FlowSlot slot, uint32_t generation) {
+    return (static_cast<FlowId>(slot) << 32) | generation;
+  }
 
   struct Flow {
-    FlowId id = 0;  // 0 marks a free slab slot.
+    // Start order, the solver's tie-break among equal stream caps; 0
+    // marks a free slab slot.
+    uint64_t seq = 0;
+    // Bumped (skipping 0) each time the slot is freed, so a handle
+    // outliving its flow fails the generation compare.
+    uint32_t generation = 1;
     NodeId src = 0;
     NodeId dst = 0;
     SiteId src_site = 0;
@@ -212,19 +230,33 @@ class Network {
     // Slab slots of the resources this flow contends on, fixed at
     // StartFlow (NICs and, cross-site, the directed inter-site path) —
     // valid as long as the flow lives, because a resource outlives its
-    // last user. res_slots[0] is always the sender's egress NIC.
+    // last user. res_slots[k] holds the resource of kind k: [0] is the
+    // sender's egress NIC, [1] the receiver's ingress NIC, [2] the path.
     ResSlot res_slots[3];
     int num_res = 0;
   };
 
+  /// A flow's links in the user list of each of its resources, indexed by
+  /// resource kind. Kept out of `Flow`, in `user_links_`, so a walk over
+  /// a list chases through a dense 24-byte-per-flow array.
+  struct UserLinks {
+    FlowSlot next[3];
+    FlowSlot prev[3];
+  };
+
   /// Persistent per-resource state: the capacity snapshot and the live
-  /// flows contending on it (by flow slab slot). Updated on flow
-  /// add/remove; capacities are re-read from the topology by `Refresh`.
+  /// flows contending on it, a doubly linked list through the users'
+  /// `user_links_` at the resource's kind. The list keeps the order an
+  /// array with swap-with-last removal would (see `RemoveUser`), which
+  /// fixes the order of every walk over it. Updated on flow add/remove;
+  /// capacities are re-read from the topology by `Refresh`.
   struct Resource {
     ResourceKey key{ResourceKind::kEgress, 0, 0};
     bool live = false;  // False marks a free slab slot.
     double capacity_bps = 0;
-    std::vector<FlowSlot> flows;
+    FlowSlot head = kNoFlow;
+    FlowSlot tail = kNoFlow;
+    uint32_t users = 0;
   };
 
   // A sub-epsilon transfer riding pure latency: no fair-share state, just
@@ -241,8 +273,15 @@ class Network {
   /// Takes a flow slab slot from the free list (growing the slab and its
   /// parallel mark/position arrays together when empty).
   FlowSlot AllocFlowSlot();
-  /// Clears the slot (id=0 releases the callback) and recycles it.
+  /// Clears the slot (seq=0, callback released), bumps its generation and
+  /// recycles it.
   void FreeFlowSlot(FlowSlot slot);
+  /// Decodes a slab handle into the slot of its live flow; false for a
+  /// stale handle, a latency-flow id, or an id never issued.
+  bool LiveSlot(FlowId id, FlowSlot* slot) const;
+  /// The dense-array entry holding the slot of the resource `key` names
+  /// (`kNoRes` while the resource has no users).
+  ResSlot& ResIndex(const ResourceKey& key);
   ResSlot AllocResSlot();
   void FreeResSlot(ResSlot slot);
 
@@ -261,6 +300,25 @@ class Network {
   /// Unregisters the flow at `slot`; resources left without users are
   /// dropped.
   void RemoveFlowFromResources(FlowSlot slot);
+  /// Appends flow `fs` to the user list of resource `rs`.
+  void AppendUser(ResSlot rs, FlowSlot fs);
+  /// Unlinks flow `fs` from the user list of resource `rs`; the list's
+  /// last user takes its place, as in an array's swap-with-last erase.
+  void RemoveUser(ResSlot rs, FlowSlot fs);
+  /// Calls `fn(flow slot)` for each user of resource `rs`, in list order.
+  /// `fn` must not change the list.
+  template <typename Fn>
+  void ForEachUser(ResSlot rs, Fn&& fn) const {
+    const Resource& res = res_slab_[rs];
+    const int k = static_cast<int>(res.key.kind);
+    // The next link is read before `fn` runs, so the chase does not wait
+    // behind `fn`'s stores.
+    for (FlowSlot fs = res.head; fs != kNoFlow;) {
+      const FlowSlot next = user_links_[fs].next[k];
+      fn(fs);
+      fs = next;
+    }
+  }
   /// Queues the resources `seeds` of a changed flow for the next flush.
   /// The first seeds after a flush register one with the simulator (a
   /// flush that finds the list already emptied does nothing).
@@ -274,14 +332,15 @@ class Network {
   /// completion events inside it are only rescheduled when the flow's
   /// rate moved by more than epsilon.
   void SolveComponent(const ResSlot* seeds, int num_seeds);
-  /// Fires when the flow occupying `slot` (verified against `id`) is
-  /// expected to finish.
-  void OnFlowDeadline(FlowSlot slot, FlowId id);
+  /// Fires when the flow `handle` names is expected to finish; a stale
+  /// handle does nothing.
+  void OnFlowDeadline(FlowId handle);
   void FinishFlow(FlowSlot slot);
   /// Delivers a latency-only flow: meters its bytes and fires the callback.
   void FinishLatencyFlow(FlowId id);
-  /// Sizes the per-node meters and the site-pair matrix to the topology
-  /// (nodes and sites may be added after construction).
+  /// Sizes the per-node meters and resource slots, and the site-pair
+  /// matrix with its parallel path-slot array, to the topology (nodes and
+  /// sites may be added after construction).
   void GrowMeters();
   /// Slot of the (src, dst) node-pair meter, created on first use. The
   /// only hashed meter lookup; the settle path uses the flow's cached slot.
@@ -301,19 +360,23 @@ class Network {
 
   sim::Simulator* sim_;
   const Topology* topology_;
-  FlowId next_flow_id_ = 1;
+  uint64_t next_flow_seq_ = 1;
+  uint64_t next_latency_id_ = 1;
 
   // --- SoA slabs -------------------------------------------------------
-  // Flows and resources live in flat slabs addressed by slot; the hash
-  // maps exist only at the API boundary (FlowId -> slot) and for resource
-  // creation (key -> slot). Hot paths never hash.
+  // Flows and resources live in flat slabs addressed by slot. A FlowId
+  // carries its slot; a resource's slot sits in a dense array indexed by
+  // node (NIC resources) or by site pair (paths, parallel to
+  // `site_pair_bytes_`). No lookup hashes.
   std::vector<Flow> flow_slab_;
+  std::vector<UserLinks> user_links_;  // Parallel to flow_slab_.
   std::vector<FlowSlot> free_flow_slots_;
   size_t live_flows_ = 0;
   std::vector<Resource> res_slab_;
   std::vector<ResSlot> free_res_slots_;
-  std::unordered_map<FlowId, FlowSlot> flow_index_;
-  std::unordered_map<ResourceKey, ResSlot, ResourceKeyHash> res_index_;
+  std::vector<ResSlot> egress_res_;
+  std::vector<ResSlot> ingress_res_;
+  std::vector<ResSlot> path_res_;
 
   // Slab-parallel solver bookkeeping: component-visit epochs and the
   // slot's position in the current component's dense arrays. Kept out of
@@ -328,7 +391,7 @@ class Network {
   std::vector<ResSlot> dirty_seeds_;
 
   // Per-component SoA scratch (cleared per solve, capacity retained).
-  // Flow arrays are parallel and sorted by (stream cap, flow id);
+  // Flow arrays are parallel and sorted by (stream cap, start seq);
   // resource arrays are parallel and compacted in place as resources
   // drain. `comp_res_unfrozen_` holds small integer counts as doubles so
   // the water-level update multiplies without conversion.

@@ -150,6 +150,58 @@ TEST_F(AllReduceTest, C8PlanMatchesPaperTrafficSplit) {
   EXPECT_NEAR(internal_payloads / payloads, 8.0 / 20.0, 1e-9);
 }
 
+// One plan buffer rebuilt through every strategy, growing and shrinking
+// its stage list and peer count, must equal a fresh plan each time.
+TEST_F(AllReduceTest, RebuiltPlanEqualsAFreshOne) {
+  std::vector<Peer> mixed;
+  for (net::SiteId s : {net::kGcUs, net::kGcEu, net::kGcAsia}) {
+    mixed.push_back(AddPeer(s));
+    mixed.push_back(AddPeer(s));
+  }
+  mixed.push_back(AddPeer(net::kGcUs));
+  std::vector<Peer> ring;
+  for (int i = 0; i < 8; ++i) ring.push_back(AddPeer(net::kGcUs));
+  // One peer per site: hierarchical without local stages.
+  const std::vector<Peer> singletons = {AddPeer(net::kGcUs),
+                                        AddPeer(net::kGcEu),
+                                        AddPeer(net::kGcAus)};
+  const struct {
+    const std::vector<Peer>* peers;
+    Strategy strategy;
+    size_t stages;
+  } steps[] = {
+      {&mixed, Strategy::kHierarchical, 3},
+      {&mixed, Strategy::kFlatAllToAll, 1},
+      {&mixed, Strategy::kStarViaHub, 1},
+      {&ring, Strategy::kRing, 1},
+      {&singletons, Strategy::kHierarchical, 1},
+      {&mixed, Strategy::kHierarchical, 3},
+      {&mixed, Strategy::kAuto, 3},
+  };
+  Plan reused;
+  for (const auto& step : steps) {
+    SCOPED_TRACE(StrategyName(step.strategy));
+    ASSERT_TRUE(BuildPlan(*step.peers, topo_, step.strategy, &reused).ok());
+    auto fresh = BuildPlan(*step.peers, topo_, step.strategy);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(reused.strategy, fresh->strategy);
+    EXPECT_EQ(reused.hub, fresh->hub);
+    EXPECT_EQ(reused.by_site, fresh->by_site);
+    ASSERT_EQ(reused.stages.size(), step.stages);
+    ASSERT_EQ(fresh->stages.size(), step.stages);
+    for (size_t g = 0; g < step.stages; ++g) {
+      ASSERT_EQ(reused.stages[g].size(), fresh->stages[g].size());
+      for (size_t i = 0; i < fresh->stages[g].size(); ++i) {
+        const Transfer& a = reused.stages[g][i];
+        const Transfer& b = fresh->stages[g][i];
+        EXPECT_EQ(a.src, b.src);
+        EXPECT_EQ(a.dst, b.dst);
+        EXPECT_EQ(a.bytes_factor, b.bytes_factor);
+      }
+    }
+  }
+}
+
 TEST_F(AllReduceTest, PlanRejectsFewerThanTwoPeers) {
   std::vector<Peer> one = {AddPeer(net::kGcUs)};
   EXPECT_FALSE(BuildPlan(one, topo_, Strategy::kAuto).ok());

@@ -173,6 +173,66 @@ TEST_F(NetworkTest, CancelLatencyOnlyFlowSuppressesDelivery) {
   EXPECT_DOUBLE_EQ(network_.BytesBetweenNodes(n0_, n2_), 0.0);
 }
 
+TEST_F(NetworkTest, StaleHandleNeverNamesTheSlotsNextFlow) {
+  BuildTwoSites();
+  auto old_flow = network_.StartFlow(n0_, n1_, 100 * kMB, nullptr);
+  ASSERT_TRUE(old_flow.ok());
+  ASSERT_TRUE(network_.CancelFlow(*old_flow));
+  bool done = false;
+  auto new_flow = network_.StartFlow(n0_, n1_, 100 * kMB, [&] { done = true; });
+  ASSERT_TRUE(new_flow.ok());
+  // The new flow took the freed slab slot (the handle's high half) under a
+  // new generation, so the two handles differ only in their low half.
+  ASSERT_EQ(*new_flow >> 32, *old_flow >> 32);
+  ASSERT_NE(*new_flow, *old_flow);
+  EXPECT_FALSE(network_.CancelFlow(*old_flow));
+  EXPECT_EQ(network_.FlowRate(*old_flow), 0.0);
+  EXPECT_GT(network_.FlowRate(*new_flow), 0.0);
+  EXPECT_EQ(network_.active_flows(), 1u);
+  sim_.Run();
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(network_.CancelFlow(*new_flow));  // Finished.
+}
+
+TEST_F(NetworkTest, LatencyAndSlabFlowIdsNeverAlias) {
+  BuildTwoSites();
+  bool slab_done = false;
+  bool latency_done = false;
+  auto slab = network_.StartFlow(n0_, n1_, 100 * kMB, [&] { slab_done = true; });
+  auto latency =
+      network_.StartFlow(n0_, n2_, 0, [&] { latency_done = true; });
+  ASSERT_TRUE(slab.ok());
+  ASSERT_TRUE(latency.ok());
+  // The first of each kind share their low bits: exactly the ids a shared
+  // numbering would confuse. Bit 63 tells them apart.
+  constexpr FlowId kTag = FlowId{1} << 63;
+  ASSERT_EQ(*latency & ~kTag, *slab);
+  ASSERT_NE(*latency, *slab);
+  EXPECT_EQ(network_.FlowRate(*latency), 0.0);  // Not read as the slab flow.
+  EXPECT_GT(network_.FlowRate(*slab), 0.0);
+  EXPECT_FALSE(network_.CancelFlow(*latency + 1));  // Never issued.
+
+  // Cancelling the slab flow leaves the latency flow to deliver ...
+  EXPECT_TRUE(network_.CancelFlow(*slab));
+  EXPECT_EQ(network_.active_flows(), 1u);
+  sim_.Run();
+  EXPECT_FALSE(slab_done);
+  EXPECT_TRUE(latency_done);
+
+  // ... and cancelling a latency flow leaves the slab flow running.
+  auto slab2 = network_.StartFlow(n0_, n1_, 100 * kMB, [&] { slab_done = true; });
+  latency_done = false;
+  auto latency2 =
+      network_.StartFlow(n0_, n2_, 0, [&] { latency_done = true; });
+  ASSERT_TRUE(slab2.ok());
+  ASSERT_TRUE(latency2.ok());
+  EXPECT_TRUE(network_.CancelFlow(*latency2));
+  EXPECT_GT(network_.FlowRate(*slab2), 0.0);
+  sim_.Run();
+  EXPECT_TRUE(slab_done);
+  EXPECT_FALSE(latency_done);
+}
+
 TEST_F(NetworkTest, LatencyOnlyFlowMetersDeliveredBytes) {
   // Sub-epsilon payloads ride the latency-only path but still count as
   // delivered traffic for the egress cost engine.
