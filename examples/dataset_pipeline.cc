@@ -5,11 +5,11 @@
 //
 //   $ ./build/examples/dataset_pipeline [num_samples=500]
 
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
 #include "cloud/pricing.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
 #include "common/units.h"
@@ -19,7 +19,15 @@
 int main(int argc, char** argv) {
   using namespace hivesim;
 
-  const int num_samples = argc > 1 ? std::atoi(argv[1]) : 500;
+  int num_samples = 500;
+  if (argc > 1) {
+    auto parsed = ParseIntArg("num_samples", argv[1]);
+    if (!parsed.ok()) {
+      std::cerr << parsed.status().ToString() << "\n";
+      return 1;
+    }
+    num_samples = *parsed;
+  }
   const std::string dir =
       (std::filesystem::temp_directory_path() / "hivesim_quickstart_ds")
           .string();

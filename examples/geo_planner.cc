@@ -7,9 +7,9 @@
 //   $ ./build/examples/geo_planner RXLM 500
 //   $ ./build/examples/geo_planner WhSmall 20
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/flags.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
 #include "core/advisor.h"
@@ -29,7 +29,14 @@ int main(int argc, char** argv) {
     }
     request.model = *parsed;
   }
-  request.min_throughput_sps = argc > 2 ? std::atof(argv[2]) : 0.0;
+  if (argc > 2) {
+    auto parsed = ParseDoubleArg("min_throughput_sps", argv[2]);
+    if (!parsed.ok()) {
+      std::cerr << parsed.status().ToString() << "\n";
+      return 1;
+    }
+    request.min_throughput_sps = *parsed;
+  }
   if (models::GetModelSpec(request.model).domain == models::Domain::kASR) {
     request.target_batch_size = 1024;  // Section 11's workable TBS.
   }

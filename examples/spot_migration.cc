@@ -7,10 +7,10 @@
 //
 //   $ ./build/examples/spot_migration [days=7]
 
-#include <cstdlib>
 #include <iostream>
 
 #include "cloud/spot_market.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
 #include "common/units.h"
@@ -21,7 +21,15 @@
 int main(int argc, char** argv) {
   using namespace hivesim;
 
-  const double days = argc > 1 ? std::atof(argv[1]) : 7.0;
+  double days = 7.0;
+  if (argc > 1) {
+    auto parsed = ParseDoubleArg("days", argv[1]);
+    if (!parsed.ok()) {
+      std::cerr << parsed.status().ToString() << "\n";
+      return 1;
+    }
+    days = *parsed;
+  }
 
   sim::Simulator sim;
   net::Topology topo = net::StandardWorld();

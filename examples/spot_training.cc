@@ -8,9 +8,9 @@
 //
 //   $ ./build/examples/spot_training [monthly_interruption_rate=0.9]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/flags.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
 #include "common/units.h"
@@ -20,10 +20,24 @@
 int main(int argc, char** argv) {
   using namespace hivesim;
 
+  double monthly_rate = 0.9;
+  if (argc > 1) {
+    auto parsed = ParseDoubleArg("monthly_interruption_rate", argv[1]);
+    // The same domain a pack file's spot_market section must respect.
+    if (parsed.ok() && !(*parsed >= 0 && *parsed < 1)) {
+      parsed = Status::InvalidArgument(
+          StrCat("monthly_interruption_rate must be within [0, 1), got ",
+                 argv[1]));
+    }
+    if (!parsed.ok()) {
+      std::cerr << parsed.status().ToString() << "\n";
+      return 1;
+    }
+    monthly_rate = *parsed;
+  }
   scenario::ScenarioPack pack;
   pack.name = "spot-training";
-  pack.spot_market =
-      scenario::SpotMarketSpec{argc > 1 ? std::atof(argv[1]) : 0.9};
+  pack.spot_market = scenario::SpotMarketSpec{monthly_rate};
 
   core::ExperimentConfig config;
   config.model = models::ModelId::kRobertaXlm;

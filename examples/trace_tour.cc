@@ -35,12 +35,25 @@ int main(int argc, char** argv) {
     std::cerr << s.ToString() << "\n";
     return 1;
   }
-  auto seed_flag = flags.GetInt("seed", 7);
+  if (auto s = flags.CheckKnown({"seed", "trace-out", "metrics-out"});
+      !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
+  if (!flags.positional().empty()) {
+    std::cerr << Status::InvalidArgument(StrCat("unexpected argument '",
+                                                flags.positional()[0], "'"))
+                     .ToString()
+              << "\n";
+    return 1;
+  }
+  auto seed_flag =
+      ParseUint64Arg("flag --seed", flags.GetString("seed", "7"));
   if (!seed_flag.ok()) {
     std::cerr << seed_flag.status().ToString() << "\n";
     return 1;
   }
-  const uint64_t seed = static_cast<uint64_t>(*seed_flag);
+  const uint64_t seed = *seed_flag;
   const std::string trace_path =
       flags.GetString("trace-out", "trace_tour.trace.json");
   const std::string metrics_path =

@@ -46,25 +46,6 @@ DdpNodeConfig Dgx2Node(models::ModelId model) {
   return config;
 }
 
-DdpNodeConfig Gc4xT4Node(models::ModelId model) {
-  DdpNodeConfig config;
-  config.model = model;
-  config.gpu = GpuModel::kT4;
-  config.gpu_count = 4;
-  config.host = HostClass::kGcN1Standard8;
-  config.interconnect_bytes_per_sec = 5.4e9;
-  return config;
-}
-
-DdpNodeConfig A100Node(models::ModelId model) {
-  DdpNodeConfig config;
-  config.model = model;
-  config.gpu = GpuModel::kA100_80GB;
-  config.gpu_count = 1;
-  config.host = HostClass::kDgx2Host;
-  return config;
-}
-
 Result<double> DdpThroughput(const DdpNodeConfig& config) {
   if (config.gpu_count < 1) {
     return Status::InvalidArgument("DDP node needs at least one GPU");

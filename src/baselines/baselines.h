@@ -31,10 +31,6 @@ struct DdpNodeConfig {
 
 /// A DGX-2 (8xV100 over NVLink) running `model`.
 DdpNodeConfig Dgx2Node(models::ModelId model);
-/// The best multi-T4 single node on GC (4xT4 over PCIe).
-DdpNodeConfig Gc4xT4Node(models::ModelId model);
-/// A single A100-80GB (no interconnect), Section 11.
-DdpNodeConfig A100Node(models::ModelId model);
 
 /// Throughput of synchronous DDP on one node: every microbatch step ring-
 /// all-reduces the FP32 gradients across the node's GPUs. Anchored cases

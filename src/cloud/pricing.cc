@@ -91,8 +91,6 @@ const VmType& GetVmType(VmTypeId id) {
   return kVmTypes[static_cast<size_t>(id)];
 }
 
-std::string_view VmTypeName(VmTypeId id) { return GetVmType(id).name; }
-
 double EgressPricePerGb(Provider src_provider, Continent src_continent,
                         Provider dst_provider, Continent dst_continent) {
   const EgressSchedule* s = ScheduleFor(src_provider);

@@ -37,7 +37,6 @@ struct VmType {
 };
 
 const VmType& GetVmType(VmTypeId id);
-std::string_view VmTypeName(VmTypeId id);
 
 /// Egress price in $/GB for a byte leaving a VM of `src_provider` in
 /// `src_continent` toward `dst_continent` under `dst_provider`.

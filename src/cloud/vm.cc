@@ -9,22 +9,6 @@
 
 namespace hivesim::cloud {
 
-std::string_view VmStateName(VmState s) {
-  switch (s) {
-    case VmState::kPending:
-      return "pending";
-    case VmState::kProvisioning:
-      return "provisioning";
-    case VmState::kRunning:
-      return "running";
-    case VmState::kInterrupted:
-      return "interrupted";
-    case VmState::kStopped:
-      return "stopped";
-  }
-  return "?";
-}
-
 VmInstance::VmInstance(sim::Simulator* sim, SpotMarket* market,
                        net::Continent continent, Config config)
     : sim_(sim), market_(market), continent_(continent), config_(config) {}
@@ -85,6 +69,7 @@ void VmInstance::Stop() {
   state_ = VmState::kStopped;
 }
 
+// hivesim-lint: allow(U1) reason=ROADMAP item 2 prices the spot members of spot_market worlds by their billed hours
 double VmInstance::BilledHours() const {
   double secs = billed_seconds_;
   if (state_ == VmState::kRunning) secs += sim_->Now() - running_since_;

@@ -21,8 +21,6 @@ enum class VmState : uint8_t {
   kStopped,       ///< Stopped by us.
 };
 
-std::string_view VmStateName(VmState s);
-
 /// One rented (or on-prem) machine, driven by the simulator clock.
 ///
 /// Spot VMs get an interruption time drawn from the `SpotMarket`; with

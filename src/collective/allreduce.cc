@@ -34,7 +34,8 @@ size_t GroupEnd(const std::vector<SitePeer>& by_site, size_t begin) {
   return end;
 }
 
-/// ChooseStrategy over a grouping from GroupBySite.
+/// The effective strategy (kAuto resolved) for a grouping from
+/// GroupBySite.
 Strategy ChooseGrouped(const std::vector<SitePeer>& by_site,
                        const net::Topology& topology, Strategy requested) {
   if (requested != Strategy::kAuto) return requested;
@@ -109,14 +110,6 @@ int Plan::TotalTransfers() const {
   int total = 0;
   for (const auto& stage : stages) total += static_cast<int>(stage.size());
   return total;
-}
-
-Strategy ChooseStrategy(const std::vector<Peer>& peers,
-                        const net::Topology& topology, Strategy requested) {
-  if (requested != Strategy::kAuto) return requested;
-  std::vector<SitePeer> by_site;
-  GroupBySite(peers, topology, &by_site);
-  return ChooseGrouped(by_site, topology, requested);
 }
 
 Result<Plan> BuildPlan(const std::vector<Peer>& peers,
@@ -222,7 +215,7 @@ Status BuildPlan(const std::vector<Peer>& peers,
       break;
     }
     case Strategy::kAuto:
-      return Status::Internal("ChooseStrategy returned kAuto");
+      return Status::Internal("ChooseGrouped returned kAuto");
   }
   return Status::OK();
 }

@@ -71,9 +71,6 @@ struct Plan {
   int TotalTransfers() const;
 };
 
-/// Chooses the effective strategy for a peer set (resolves kAuto).
-Strategy ChooseStrategy(const std::vector<Peer>& peers,
-                        const net::Topology& topology, Strategy requested);
 
 /// Builds the transfer schedule. Requires >= 2 peers.
 Result<Plan> BuildPlan(const std::vector<Peer>& peers,

@@ -1,11 +1,50 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/strings.h"
 
 namespace hivesim {
+
+Result<int> ParseIntArg(std::string_view what, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      v < INT_MIN || v > INT_MAX) {
+    return Status::InvalidArgument(
+        StrCat(what, " expects an integer, got '", text, "'"));
+  }
+  return static_cast<int>(v);
+}
+
+Result<uint64_t> ParseUint64Arg(std::string_view what,
+                                const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  // strtoull accepts (and negates) a leading '-'; a seed never has one.
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      text.find('-') != std::string::npos) {
+    return Status::InvalidArgument(
+        StrCat(what, " expects an unsigned integer, got '", text, "'"));
+  }
+  return static_cast<uint64_t>(v);
+}
+
+Result<double> ParseDoubleArg(std::string_view what, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
+    return Status::InvalidArgument(
+        StrCat(what, " expects a number, got '", text, "'"));
+  }
+  return v;
+}
 
 Status FlagSet::Parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -55,28 +94,14 @@ std::string FlagSet::GetString(const std::string& name,
 Result<int> FlagSet::GetInt(const std::string& name, int fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrCat("flag --", name, " expects an integer, got '", it->second,
-               "'"));
-  }
-  return static_cast<int>(v);
+  return ParseIntArg(StrCat("flag --", name), it->second);
 }
 
 Result<double> FlagSet::GetDouble(const std::string& name,
                                   double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrCat("flag --", name, " expects a number, got '", it->second,
-               "'"));
-  }
-  return v;
+  return ParseDoubleArg(StrCat("flag --", name), it->second);
 }
 
 bool FlagSet::GetBool(const std::string& name, bool fallback) const {

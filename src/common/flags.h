@@ -1,13 +1,24 @@
 #ifndef HIVESIM_COMMON_FLAGS_H_
 #define HIVESIM_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 
 namespace hivesim {
+
+/// Strict parsers for one command-line value (a flag's text or a
+/// positional argument): all of `text` must be the number, else
+/// InvalidArgument "<what> expects ..., got '<text>'". No silent
+/// default, no trailing junk, no out-of-range wrap, no NaN or inf.
+Result<int> ParseIntArg(std::string_view what, const std::string& text);
+Result<uint64_t> ParseUint64Arg(std::string_view what,
+                                const std::string& text);
+Result<double> ParseDoubleArg(std::string_view what, const std::string& text);
 
 /// Minimal command-line parser for the CLI tool and examples. Accepts
 /// `--flag=value`, `--flag value`, and bare `--flag` (boolean true);

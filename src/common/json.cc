@@ -134,10 +134,4 @@ JsonWriter& JsonWriter::Bool(bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  MaybeComma();
-  out_ += "null";
-  return *this;
-}
-
 }  // namespace hivesim

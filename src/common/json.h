@@ -32,7 +32,6 @@ class JsonWriter {
   JsonWriter& Number(double value);
   JsonWriter& Int(int64_t value);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
 
   /// The document so far.
   const std::string& ToString() const { return out_; }

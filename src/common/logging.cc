@@ -1,21 +1,13 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
-#include "common/thread_annotations.h"
-
 namespace hivesim {
 
 namespace {
-// Lock-free: written only by SetMinLogLevel (test setup / CLI flag
-// parsing, before workers spawn), read on every log call. Relaxed
-// ordering would suffice; the default seq_cst costs nothing on a
-// load-dominated counter and keeps the call sites plain.
-HIVESIM_ATOMIC_LOCK_FREE std::atomic<int> g_min_level{
-    static_cast<int>(LogLevel::kWarning)};
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 
 struct SimTimeSource {
   SimTimeFn fn;
@@ -43,13 +35,7 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
+LogLevel GetLogLevel() { return kMinLevel; }
 
 void PushSimTimeSource(SimTimeFn fn, const void* ctx) {
   g_sim_time_sources.push_back({fn, ctx});

@@ -11,10 +11,8 @@ namespace hivesim {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 /// Returns the process-wide minimum level; messages below it are dropped.
+/// It is kWarning, so library code stays quiet in tests and benches.
 LogLevel GetLogLevel();
-/// Sets the process-wide minimum level (default: kWarning, so library code
-/// stays quiet in tests and benches unless asked).
-void SetLogLevel(LogLevel level);
 
 /// Optional thread-local simulation-clock hook. While a source is
 /// registered, every HIVESIM_LOG line on that thread is prefixed with the

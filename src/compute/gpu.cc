@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "common/strings.h"
 #include "common/units.h"
 
 namespace hivesim::compute {
@@ -26,12 +25,5 @@ const GpuSpec& GetGpuSpec(GpuModel model) {
 }
 
 std::string_view GpuName(GpuModel model) { return GetGpuSpec(model).name; }
-
-Result<GpuModel> ParseGpuModel(std::string_view name) {
-  for (const GpuSpec& spec : kGpuSpecs) {
-    if (spec.name == name) return spec.model;
-  }
-  return Status::NotFound(StrCat("unknown GPU model: ", name));
-}
 
 }  // namespace hivesim::compute

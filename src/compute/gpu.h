@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "common/result.h"
-
 namespace hivesim::compute {
 
 /// Accelerators the paper evaluates. T4 is the cheap spot workhorse at
@@ -38,9 +36,6 @@ const GpuSpec& GetGpuSpec(GpuModel model);
 
 /// Short display name ("T4", "A10", ...).
 std::string_view GpuName(GpuModel model);
-
-/// Parses a display name back to the enum (case-sensitive).
-Result<GpuModel> ParseGpuModel(std::string_view name);
 
 }  // namespace hivesim::compute
 

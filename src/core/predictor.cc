@@ -2,11 +2,13 @@
 
 namespace hivesim::core {
 
+// hivesim-lint: allow(U1) reason=Section 8's best-case speedup bound, which ROADMAP item 1 turns into a sweep oracle (ScalingLawTest holds it today)
 double PredictSpeedupFactor(double granularity, double peer_factor) {
   if (granularity < 0 || peer_factor <= 0) return 0;
   return (granularity + 1.0) / (granularity / peer_factor + 1.0);
 }
 
+// hivesim-lint: allow(U1) reason=the throughput form of the same bound, for the same ROADMAP item 1 oracle
 Result<double> PredictThroughput(double measured_sps, double granularity,
                                  int measured_peers, int target_peers,
                                  double comm_growth_per_peer) {

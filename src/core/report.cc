@@ -88,15 +88,4 @@ std::string ReportBuilder::ToJson() const {
   return json.ToString();
 }
 
-std::vector<double> ReportBuilder::SpeedupsVs(double baseline_sps) const {
-  std::vector<double> speedups;
-  speedups.reserve(rows_.size());
-  for (const ReportRow& row : rows_) {
-    speedups.push_back(baseline_sps > 0
-                           ? row.result.train.throughput_sps / baseline_sps
-                           : 0.0);
-  }
-  return speedups;
-}
-
 }  // namespace hivesim::core

@@ -38,10 +38,6 @@ class ReportBuilder {
   /// The CSV document as a string (header + rows).
   std::string ToCsv() const;
 
-  /// Speedup of each row relative to `baseline_sps` (the paper's A-1
-  /// style normalization); returns one value per added row.
-  std::vector<double> SpeedupsVs(double baseline_sps) const;
-
   /// The report as a JSON document: {"title":..., "experiments":[...]},
   /// one object per row with the same fields as the CSV.
   std::string ToJson() const;

@@ -151,6 +151,7 @@ void SweepAggregator::Add(size_t index, SweepCellOutcome outcome) {
   ++added_;
 }
 
+// hivesim-lint: allow(U1) reason=test observer: sweep_test checks that duplicate and out-of-range adds are dropped through it
 size_t SweepAggregator::added() const {
   MutexLock lock(mu_);
   return added_;

@@ -116,6 +116,9 @@ Result<SweepRunSummary> RunSweep(const SweepSpec& spec,
     }
     pool.Wait();
   }
+  if (!aggregator.complete()) {
+    return Status::Internal("sweep finished with cells missing");
+  }
 
   SweepRunSummary summary;
   summary.wall_sec = HostClock::Seconds() - start_sec;

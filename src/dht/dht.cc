@@ -89,6 +89,7 @@ void Node::ExpireValues() {
   }
 }
 
+// hivesim-lint: allow(U1) reason=test observer: dht_test finds the replica to kill through it
 size_t Node::stored_values() const {
   size_t live = 0;
   const double now = dht_->simulator().Now();
@@ -98,6 +99,7 @@ size_t Node::stored_values() const {
   return live;
 }
 
+// hivesim-lint: allow(U1) reason=test observer: dht_test checks that bootstrap fills the routing tables through it
 std::vector<Contact> Node::KnownContacts() const {
   std::vector<Contact> all;
   for (const auto& bucket : buckets_) {
@@ -357,7 +359,6 @@ void Node::Get(Key key, GetCallback done) {
 void Node::Store(Key key, std::string value, double ttl_sec,
                  StoreCallback done) {
   telemetry::Count("dht.stores");
-  published_[key] = PublishedValue{key, value, ttl_sec};
   FindClosest(key, [this, key, value = std::move(value), ttl_sec,
                     done = std::move(done)](std::vector<Contact> closest) {
     // Always keep a local replica (the publisher caches its own value).
@@ -386,33 +387,6 @@ void Node::Store(Key key, std::string value, double ttl_sec,
 void Node::Bootstrap(const Contact& seed, ContactsCallback done) {
   Touch(seed);
   FindClosest(id_, std::move(done));
-}
-
-void Node::StartMaintenance(double interval_sec) {
-  if (maintaining_) return;
-  maintaining_ = true;
-  maintenance_interval_ = interval_sec;
-  dht_->simulator().Schedule(interval_sec, [this] { MaintenanceTick(); });
-}
-
-void Node::StopMaintenance() { maintaining_ = false; }
-
-void Node::MaintenanceTick() {
-  if (!maintaining_) return;
-  if (online_) {
-    // Republish own values so they outlive their TTL while we do, and
-    // land on the *current* closest nodes after churn.
-    for (const auto& [key, published] : published_) {
-      Store(key, published.value, published.ttl_sec, [](Status) {});
-    }
-    // Refresh the routing table with a pseudo-random probe keyed off the
-    // tick counter (deterministic per node).
-    const Key probe =
-        id_ ^ (0x9e3779b97f4a7c15ULL * (++refresh_counter_ + 1));
-    FindClosest(probe, [](std::vector<Contact>) {});
-  }
-  dht_->simulator().Schedule(maintenance_interval_,
-                             [this] { MaintenanceTick(); });
 }
 
 }  // namespace hivesim::dht

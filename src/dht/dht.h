@@ -107,14 +107,6 @@ class Node {
   /// Iterative FIND_VALUE: returns the value or NotFound.
   void Get(Key key, GetCallback done);
 
-  /// Starts periodic maintenance: every `interval_sec` the node
-  /// re-publishes the values it originated (keeping them alive past
-  /// their TTL and re-replicated to the current closest nodes) and
-  /// refreshes its routing table with a random-key lookup — Kademlia's
-  /// republish/refresh loop, which keeps the swarm healthy under churn.
-  void StartMaintenance(double interval_sec);
-  void StopMaintenance();
-
   /// Contacts currently in the routing table (diagnostics/tests).
   std::vector<Contact> KnownContacts() const;
   /// Number of values held locally on behalf of the network.
@@ -127,11 +119,6 @@ class Node {
   struct StoredValue {
     std::string value;
     double expires_at = 0;
-  };
-  struct PublishedValue {
-    Key key;
-    std::string value;
-    double ttl_sec = 0;
   };
 
   // --- RPC server side (invoked via the registry) ---
@@ -161,7 +148,6 @@ class Node {
   /// Shared iterative-lookup machinery for FindClosest/Get.
   void IterativeLookup(Key target, bool want_value, GetCallback value_done,
                        ContactsCallback contacts_done);
-  void MaintenanceTick();
 
   DhtNetwork* dht_;
   net::NodeId endpoint_;
@@ -170,11 +156,6 @@ class Node {
   // Buckets indexed by the position of the highest differing bit.
   std::vector<std::vector<Contact>> buckets_;
   std::map<Key, StoredValue> store_;
-  // Values this node originated (for republish).
-  std::map<Key, PublishedValue> published_;
-  bool maintaining_ = false;
-  double maintenance_interval_ = 0;
-  uint64_t refresh_counter_ = 0;
 };
 
 }  // namespace hivesim::dht

@@ -92,19 +92,6 @@ Result<ModelId> ParseModelId(std::string_view name) {
   return Status::NotFound(StrCat("unknown model: ", name));
 }
 
-const std::vector<ModelId>& CvModels() {
-  static const auto& models = *new std::vector<ModelId>{
-      ModelId::kResNet18, ModelId::kResNet50, ModelId::kResNet152,
-      ModelId::kWideResNet101, ModelId::kConvNextLarge};
-  return models;
-}
-
-const std::vector<ModelId>& NlpModels() {
-  static const auto& models = *new std::vector<ModelId>{
-      ModelId::kRobertaBase, ModelId::kRobertaLarge, ModelId::kRobertaXlm};
-  return models;
-}
-
 const std::vector<ModelId>& AsrModels() {
   static const auto& models = *new std::vector<ModelId>{
       ModelId::kWhisperTiny, ModelId::kWhisperBase, ModelId::kWhisperSmall};

@@ -86,10 +86,6 @@ std::string_view ModelName(ModelId id);
 /// Parses a paper abbreviation back to the id.
 Result<ModelId> ParseModelId(std::string_view name);
 
-/// The five CV models in ascending size order.
-const std::vector<ModelId>& CvModels();
-/// The three NLP models in ascending size order.
-const std::vector<ModelId>& NlpModels();
 /// The three trainable-on-T4 Whisper sizes in ascending order.
 const std::vector<ModelId>& AsrModels();
 /// CV followed by NLP (the Section 3 evaluation order).

@@ -2,22 +2,6 @@
 
 namespace hivesim::net {
 
-std::string_view ProviderName(Provider p) {
-  switch (p) {
-    case Provider::kGoogleCloud:
-      return "GC";
-    case Provider::kAws:
-      return "AWS";
-    case Provider::kAzure:
-      return "Azure";
-    case Provider::kLambdaLabs:
-      return "LambdaLabs";
-    case Provider::kOnPremise:
-      return "OnPrem";
-  }
-  return "?";
-}
-
 std::string_view ContinentName(Continent c) {
   switch (c) {
     case Continent::kUs:

@@ -17,8 +17,6 @@ enum class Provider : uint8_t {
   kOnPremise,
 };
 
-std::string_view ProviderName(Provider p);
-
 /// Continents used in the geo-distributed experiments (Table 2). Oceania is
 /// abbreviated AUS to match the paper's experiment naming.
 enum class Continent : uint8_t { kUs, kEu, kAsia, kAus };

@@ -335,6 +335,7 @@ void Network::Refresh() {
   }
 }
 
+// hivesim-lint: allow(U1) reason=test observer: net_solver_test and net_test check the solver's max-min rates through it, and ROADMAP item 1's fairness certificate will read it
 double Network::FlowRate(FlowId id) {
   FlushDirty();
   FlowSlot slot;
@@ -804,15 +805,6 @@ double Network::NodeIngressBytes(NodeId node) const {
 
 double Network::NodePeakEgressRate(NodeId node) const {
   return node < node_peak_egress_.size() ? node_peak_egress_[node] : 0.0;
-}
-
-void Network::ResetMeters() {
-  SettleAll();
-  std::fill(node_pair_bytes_.begin(), node_pair_bytes_.end(), 0.0);
-  std::fill(site_pair_bytes_.begin(), site_pair_bytes_.end(), 0.0);
-  std::fill(node_egress_bytes_.begin(), node_egress_bytes_.end(), 0.0);
-  std::fill(node_ingress_bytes_.begin(), node_ingress_bytes_.end(), 0.0);
-  std::fill(node_peak_egress_.begin(), node_peak_egress_.end(), 0.0);
 }
 
 }  // namespace hivesim::net

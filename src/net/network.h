@@ -168,11 +168,6 @@ class Network {
   /// counts.
   double NodePeakEgressRate(NodeId node) const;
 
-  /// Zeroes all meters (peaks included); in-flight flows keep running.
-  /// Bytes delivered before the reset are settled first, so they never
-  /// reappear after it.
-  void ResetMeters();
-
   const Topology& topology() const { return *topology_; }
   sim::Simulator& simulator() { return *sim_; }
 

@@ -31,17 +31,33 @@ SiteId Topology::AddSite(std::string name, Provider provider,
   return sites_.back().id;
 }
 
+void Topology::GrowPathTable(size_t sites) {
+  if (sites <= path_dim_) return;
+  std::vector<std::optional<Path>> grown(sites * sites);
+  for (size_t a = 0; a < path_dim_; ++a) {
+    std::copy_n(paths_.begin() + a * path_dim_, path_dim_,
+                grown.begin() + a * sites);
+  }
+  paths_ = std::move(grown);
+  path_dim_ = sites;
+}
+
 void Topology::SetPath(SiteId a, SiteId b, double bandwidth_bps,
                        double rtt_sec, double single_stream_bps) {
-  paths_[PairKey(a, b)] = Path{bandwidth_bps, rtt_sec, single_stream_bps};
+  // Sized for every site so far: a world that adds its sites first
+  // allocates the table once.
+  GrowPathTable(
+      std::max(sites_.size(), static_cast<size_t>(std::max(a, b)) + 1));
+  const Path path{bandwidth_bps, rtt_sec, single_stream_bps};
+  paths_[a * path_dim_ + b] = path;
+  paths_[b * path_dim_ + a] = path;
 }
 
 Result<Path> Topology::PathBetween(SiteId a, SiteId b) const {
-  auto it = paths_.find(PairKey(a, b));
-  if (it == paths_.end()) {
+  if (a >= path_dim_ || b >= path_dim_ || !paths_[a * path_dim_ + b]) {
     return Status::NotFound(StrFormat("no path between site %u and %u", a, b));
   }
-  return it->second;
+  return *paths_[a * path_dim_ + b];
 }
 
 uint32_t Topology::InternConfig(const NodeNetConfig& config) {

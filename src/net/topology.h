@@ -2,8 +2,8 @@
 #define HIVESIM_NET_TOPOLOGY_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -91,10 +91,9 @@ class Topology {
   double IngressCap(NodeId node) const;
 
  private:
-  static uint64_t PairKey(SiteId a, SiteId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<uint64_t>(a) << 32) | b;
-  }
+  /// Grows the path table to at least `sites` x `sites`, keeping every
+  /// path already set.
+  void GrowPathTable(size_t sites);
   /// Index of `config` in `configs_`, appended if new. O(1) when the
   /// node repeats the previous node's config (fleets add nodes type by
   /// type); otherwise a scan of the distinct configs, which a fleet keeps
@@ -102,7 +101,10 @@ class Topology {
   uint32_t InternConfig(const NodeNetConfig& config);
 
   std::vector<Site> sites_;
-  std::unordered_map<uint64_t, Path> paths_;
+  /// Dense symmetric site-pair table, `path_dim_` x `path_dim_`, row
+  /// major; both (a, b) and (b, a) hold a set path. Empty = never set.
+  std::vector<std::optional<Path>> paths_;
+  size_t path_dim_ = 0;
   std::vector<SiteId> node_sites_;
   std::vector<NodeNetConfig> configs_;  ///< Distinct, first-use order.
   std::vector<uint32_t> node_config_;   ///< Per node, into `configs_`.

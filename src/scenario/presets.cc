@@ -109,8 +109,8 @@ Result<ScenarioPack> BuiltinScenario(std::string_view name) {
   if (name == "churn") return ChurnPack();
   if (name == "zone-diurnal") return ZoneDiurnalPack();
   return Status::InvalidArgument(
-      StrCat("unknown builtin scenario '", name,
-             "' (wan-degrade, partition, churn, zone-diurnal)"));
+      StrCat("unknown builtin scenario '", name, "' (",
+             StrJoin(BuiltinScenarioNames(), ", "), ")"));
 }
 
 }  // namespace hivesim::scenario

@@ -100,17 +100,6 @@ Result<TraceDataset> DatasetFromChromeJson(std::string_view json_text) {
   return dataset;
 }
 
-std::string_view PhaseName(Phase phase) {
-  switch (phase) {
-    case Phase::kCalc: return "calc";
-    case Phase::kMatchmakeWait: return "matchmake-wait";
-    case Phase::kMatchmake: return "matchmake";
-    case Phase::kFlow: return "flow";
-    case Phase::kOverhead: return "overhead";
-  }
-  return "?";
-}
-
 namespace {
 
 bool IsRunMarker(const CanonEvent& e) {

@@ -68,7 +68,6 @@ enum class Phase {
   kOverhead,       ///< Comm window not covered by any flow (serialize,
                    ///< aggregate, apply, retry backoff).
 };
-std::string_view PhaseName(Phase phase);
 
 /// A gradient-exchange (or DHT/control) transfer assigned to a round,
 /// clipped to the round's communication window.

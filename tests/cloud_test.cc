@@ -399,10 +399,5 @@ TEST_F(VmTest, UninterruptibleSpotVmNeverDies) {
   EXPECT_EQ(vm.state(), VmState::kRunning);
 }
 
-TEST_F(VmTest, StateNames) {
-  EXPECT_EQ(VmStateName(VmState::kRunning), "running");
-  EXPECT_EQ(VmStateName(VmState::kInterrupted), "interrupted");
-}
-
 }  // namespace
 }  // namespace hivesim::cloud

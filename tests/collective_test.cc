@@ -36,6 +36,13 @@ class AllReduceTest : public ::testing::Test {
     return out;
   }
 
+  /// The strategy BuildPlan resolves kAuto to for `peers`.
+  Strategy AutoStrategy(const std::vector<Peer>& peers) {
+    auto plan = BuildPlan(peers, topo_, Strategy::kAuto);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? plan->strategy : Strategy::kAuto;
+  }
+
   sim::Simulator sim_;
   net::Topology topo_;
   net::Network network_;
@@ -46,14 +53,14 @@ class AllReduceTest : public ::testing::Test {
 TEST_F(AllReduceTest, SmallSingleSiteFleetUsesFlat) {
   std::vector<Peer> peers;
   for (int i = 0; i < 4; ++i) peers.push_back(AddPeer(net::kGcUs));
-  EXPECT_EQ(ChooseStrategy(peers, topo_, Strategy::kAuto),
+  EXPECT_EQ(AutoStrategy(peers),
             Strategy::kFlatAllToAll);
 }
 
 TEST_F(AllReduceTest, LargeSingleSiteFleetUsesRing) {
   std::vector<Peer> peers;
   for (int i = 0; i < 8; ++i) peers.push_back(AddPeer(net::kGcUs));
-  EXPECT_EQ(ChooseStrategy(peers, topo_, Strategy::kAuto), Strategy::kRing);
+  EXPECT_EQ(AutoStrategy(peers), Strategy::kRing);
   auto plan = BuildPlan(peers, topo_, Strategy::kAuto);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->stages.size(), 1u);
@@ -66,7 +73,7 @@ TEST_F(AllReduceTest, SingletonSitesAcrossContinentsUseStar) {
   // C-4: one VM on each of four continents averaged via the US node.
   std::vector<Peer> peers = {AddPeer(net::kGcUs), AddPeer(net::kGcEu),
                              AddPeer(net::kGcAsia), AddPeer(net::kGcAus)};
-  EXPECT_EQ(ChooseStrategy(peers, topo_, Strategy::kAuto),
+  EXPECT_EQ(AutoStrategy(peers),
             Strategy::kStarViaHub);
   auto plan = BuildPlan(peers, topo_, Strategy::kAuto);
   ASSERT_TRUE(plan.ok());
@@ -77,7 +84,7 @@ TEST_F(AllReduceTest, SingletonSitesAcrossContinentsUseStar) {
 TEST_F(AllReduceTest, TwoSingletonSitesStayFlat) {
   // B-2: one US + one EU VM -> plain pairwise exchange.
   std::vector<Peer> peers = {AddPeer(net::kGcUs), AddPeer(net::kGcEu)};
-  EXPECT_EQ(ChooseStrategy(peers, topo_, Strategy::kAuto),
+  EXPECT_EQ(AutoStrategy(peers),
             Strategy::kFlatAllToAll);
 }
 
@@ -85,7 +92,7 @@ TEST_F(AllReduceTest, MultiPeerSitesAcrossContinentsGoHierarchical) {
   // B-4: two US + two EU VMs -> average locally, then across.
   std::vector<Peer> peers = {AddPeer(net::kGcUs), AddPeer(net::kGcUs),
                              AddPeer(net::kGcEu), AddPeer(net::kGcEu)};
-  EXPECT_EQ(ChooseStrategy(peers, topo_, Strategy::kAuto),
+  EXPECT_EQ(AutoStrategy(peers),
             Strategy::kHierarchical);
 }
 
@@ -97,7 +104,7 @@ TEST_F(AllReduceTest, LopsidedHybridFleetStaysFlat) {
   for (int i = 0; i < 4; ++i) {
     peers.push_back(AddPeer(net::kLambdaUsWest, HostClass::kLambdaA10Host));
   }
-  EXPECT_EQ(ChooseStrategy(peers, topo_, Strategy::kAuto),
+  EXPECT_EQ(AutoStrategy(peers),
             Strategy::kFlatAllToAll);
 }
 
@@ -106,7 +113,7 @@ TEST_F(AllReduceTest, MultiCloudSameContinentStaysFlat) {
   std::vector<Peer> peers = {AddPeer(net::kGcUs), AddPeer(net::kGcUs),
                              AddPeer(net::kAwsUsWest, HostClass::kAwsG4dn2xlarge),
                              AddPeer(net::kAwsUsWest, HostClass::kAwsG4dn2xlarge)};
-  EXPECT_EQ(ChooseStrategy(peers, topo_, Strategy::kAuto),
+  EXPECT_EQ(AutoStrategy(peers),
             Strategy::kFlatAllToAll);
 }
 

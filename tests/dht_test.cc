@@ -201,52 +201,6 @@ TEST_F(DhtTest, StoreIsVisibleToEveryNode) {
   EXPECT_EQ(successes, 10);
 }
 
-TEST_F(DhtTest, MaintenanceRepublishKeepsValuesAlive) {
-  BuildSwarm(8);
-  const Key key = KeyFromString("long-lived");
-  nodes_[2]->Store(key, "v", /*ttl_sec=*/60.0, [](Status) {});
-  sim_.Run();
-  // Republish every 30 s: the 60 s TTL keeps getting renewed.
-  nodes_[2]->StartMaintenance(30.0);
-  sim_.RunUntil(sim_.Now() + 300.0);
-  Result<std::string> got = Status::Internal("pending");
-  nodes_[6]->Get(key, [&](Result<std::string> r) { got = std::move(r); });
-  sim_.RunUntil(sim_.Now() + 30.0);
-  EXPECT_TRUE(got.ok()) << got.status().ToString();
-
-  // Without maintenance the value finally expires.
-  nodes_[2]->StopMaintenance();
-  sim_.RunUntil(sim_.Now() + 300.0);
-  Result<std::string> later = Status::Internal("pending");
-  nodes_[6]->Get(key, [&](Result<std::string> r) { later = std::move(r); });
-  sim_.RunUntil(sim_.Now() + 30.0);
-  EXPECT_EQ(later.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(DhtTest, MaintenanceRefreshDiscoversLateJoiners) {
-  BuildSwarm(4);
-  for (auto* node : nodes_) node->StartMaintenance(20.0);
-  // A newcomer bootstraps off node 0 only.
-  const net::NodeId endpoint = topo_.AddNode(net::kGcUs,
-                                             net::CloudVmNetConfig());
-  dht::Node* newcomer = dht_.CreateNode(endpoint, 0x1234567890abcdefULL);
-  newcomer->Bootstrap(Contact{nodes_[0]->id(), nodes_[0]->endpoint()},
-                      [](std::vector<Contact>) {});
-  sim_.RunUntil(sim_.Now() + 120.0);  // A few refresh rounds.
-  // The old nodes' refresh probes eventually learn about the newcomer.
-  int aware = 0;
-  for (auto* node : nodes_) {
-    for (const Contact& c : node->KnownContacts()) {
-      if (c.node == endpoint) {
-        ++aware;
-        break;
-      }
-    }
-  }
-  EXPECT_GE(aware, 2);
-  for (auto* node : nodes_) node->StopMaintenance();
-}
-
 TEST_F(DhtTest, ControlTrafficIsMetered) {
   BuildSwarm(8);
   double total = 0;

@@ -332,6 +332,74 @@ TEST(LintRules, P1MalformedAndStalePragmas) {
             "this or the next line; delete the stale pragma");
 }
 
+// ---- U1: library code no shipped entry point reaches ----------------
+
+/// Runs U1 over the u1/ fixture tree: u1/tools/ is the entry point,
+/// u1/src/ the library, u1/tests/ a test that is not an entry point.
+LintReport RunU1(std::vector<std::string> files) {
+  LintConfig config;
+  config.library_dir = "u1/src";
+  LintOptions options;
+  options.repo_root = kFixtureRepo;
+  options.extra_files = std::move(files);
+  options.check_layering = false;
+  options.entry_roots = {"u1/tools"};
+  options.config = config;
+  auto report = RunLint(options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? *report : LintReport{};
+}
+
+TEST(LintRules, U1FlagsClassOnlyATestConstructs) {
+  const LintReport report =
+      RunU1({"u1/src/pump.cc", "u1/tests/pump_test.cc"});
+  ASSERT_EQ(report.diagnostics.size(), 2u) << FormatReport(report);
+  EXPECT_EQ(report.diagnostics[0].file, "u1/src/pump.cc");
+  EXPECT_EQ(report.diagnostics[0].line, 11);
+  EXPECT_EQ(report.diagnostics[0].rule, "U1");
+  EXPECT_EQ(report.diagnostics[0].message,
+            "'TestOnlyPump::Start' is not reached from any shipped entry "
+            "point (u1/tools/); delete it, or name its consumer in "
+            "'hivesim-lint: allow(U1) reason=<why>'");
+  EXPECT_EQ(report.diagnostics[1].line, 12);
+  EXPECT_NE(report.diagnostics[1].message.find("'TestOnlyPump::Stop'"),
+            std::string::npos);
+}
+
+TEST(LintRules, U1FollowsVirtualDispatchToConstructedClasses) {
+  const LintReport report = RunU1({"u1/src/policy.cc"});
+  ASSERT_EQ(report.diagnostics.size(), 1u) << FormatReport(report);
+  EXPECT_EQ(report.diagnostics[0].line, 23);
+  EXPECT_NE(report.diagnostics[0].message.find("'UnusedPolicy::Decide'"),
+            std::string::npos);
+}
+
+TEST(LintRules, U1FollowsFunctionPointersAndStdFunctions) {
+  const LintReport report = RunU1({"u1/src/callbacks.cc"});
+  EXPECT_TRUE(report.diagnostics.empty()) << FormatReport(report);
+}
+
+TEST(LintRules, U1FollowsFileScopeTables) {
+  const LintReport report = RunU1({"u1/src/table.cc"});
+  EXPECT_TRUE(report.diagnostics.empty()) << FormatReport(report);
+}
+
+TEST(LintRules, U1AllowPragmaNeedsAReason) {
+  EXPECT_TRUE(RunU1({"u1/src/allowed.cc"}).diagnostics.empty());
+  const LintReport report = RunU1({"u1/src/no_reason.cc"});
+  ASSERT_EQ(report.diagnostics.size(), 2u) << FormatReport(report);
+  EXPECT_EQ(report.diagnostics[0].line, 7);
+  EXPECT_EQ(report.diagnostics[0].rule, "P1");
+  EXPECT_EQ(report.diagnostics[1].line, 8);
+  EXPECT_EQ(report.diagnostics[1].rule, "U1");
+}
+
+/// Without entry roots U1 is off: the fixture rules above stay exact.
+TEST(LintRules, U1OffWithoutEntryRoots) {
+  const LintReport report = RunOn({"u1/src/pump.cc"});
+  EXPECT_TRUE(report.diagnostics.empty()) << FormatReport(report);
+}
+
 // ---- Clean pass -----------------------------------------------------
 
 TEST(LintRules, CleanFixturePasses) {
@@ -432,15 +500,17 @@ TEST(LintLayering, RealRepoLayeringIsClean) {
 }
 
 /// The real repository must be clean under the *full* rule set —
-/// D1-D5, C1, S1, P1 and the lock-order DAG — over every translation
+/// D1-D5, C1, S1, U1, P1 and the lock-order DAG — over every translation
 /// unit. compile_commands.json may not exist for this preset, so the
 /// scan set is enumerated directly: all .cc under src/, tools/ and
-/// bench/, the same universe CI lints.
+/// bench/, the same universe CI lints. U1 walks from the same four
+/// entry-point roots as `hivesim lint`.
 TEST(LintRules, RealRepoTokenRulesAreClean) {
   namespace fs = std::filesystem;
   LintOptions options;
   options.repo_root = kRepoRoot;
   options.check_layering = true;
+  options.entry_roots = ShippedEntryRoots();
   for (const char* dir : {"src", "tools", "bench"}) {
     for (const auto& entry :
          fs::recursive_directory_iterator(fs::path(kRepoRoot) / dir)) {

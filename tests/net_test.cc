@@ -286,8 +286,6 @@ TEST_F(NetworkTest, MetersTrackNodeAndSiteTraffic) {
   EXPECT_NEAR(network_.BytesBetweenSites(a_, b_), 15 * kMB, 1.0);
   EXPECT_NEAR(network_.BytesBetweenSites(a_, a_), 2 * kMB, 1.0);
   EXPECT_NEAR(network_.BytesBetweenSites(b_, a_), 0, 1e-9);
-  network_.ResetMeters();
-  EXPECT_DOUBLE_EQ(network_.NodeEgressBytes(n0_), 0);
 }
 
 TEST_F(NetworkTest, SitePairAggregateMatchesNodePairSums) {
@@ -320,9 +318,6 @@ TEST_F(NetworkTest, SitePairAggregateMatchesNodePairSums) {
   check_all_pairs();
   sim_.Run();  // Everything delivered.
   check_all_pairs();
-  network_.ResetMeters();
-  check_all_pairs();  // Aggregate resets with the node meters.
-  EXPECT_DOUBLE_EQ(network_.BytesBetweenSites(a_, b_), 0);
 }
 
 TEST_F(NetworkTest, PeakEgressRateRecorded) {
@@ -432,6 +427,29 @@ TEST(TopologyTest, MissingPathIsNotFound) {
   t.SetPath(a, b, 100, 0.1);
   EXPECT_TRUE(t.PathBetween(a, b).ok());
   EXPECT_TRUE(t.PathBetween(b, a).ok());  // Symmetric.
+}
+
+TEST(TopologyTest, UnsetPairsStayNotFoundAcrossTableGrowth) {
+  Topology t;
+  SiteId a = t.AddSite("a", Provider::kGoogleCloud, Continent::kUs);
+  SiteId b = t.AddSite("b", Provider::kGoogleCloud, Continent::kEu);
+  t.SetPath(a, a, 100, 0.001);
+  t.SetPath(b, a, 50, 0.1, 5);
+  // A site added after the paths keeps them, and has none of its own.
+  SiteId c = t.AddSite("c", Provider::kAws, Continent::kUs);
+  auto ab = t.PathBetween(a, b);
+  ASSERT_TRUE(ab.ok());
+  EXPECT_EQ(ab->bandwidth_bps, 50);
+  EXPECT_EQ(ab->rtt_sec, 0.1);
+  EXPECT_EQ(ab->single_stream_bps, 5);
+  EXPECT_TRUE(t.PathBetween(a, a).ok());
+  for (const auto& [x, y] : {std::pair{b, b}, std::pair{a, c},
+                             std::pair{c, b}, std::pair{c, c}}) {
+    EXPECT_EQ(t.PathBetween(x, y).status().code(), StatusCode::kNotFound)
+        << x << "->" << y;
+  }
+  // A site id the topology has never seen is NotFound too.
+  EXPECT_EQ(t.PathBetween(a, 9).status().code(), StatusCode::kNotFound);
 }
 
 TEST(TopologyTest, SingleStreamCapMinOfPathAndWindow) {
@@ -585,25 +603,9 @@ TEST_F(StandardWorldTest, MeterReadsCountBytesDeliveredSoFar) {
   EXPECT_NEAR(network_.BytesBetweenSites(kGcUs, kGcUs), 172.5e6, 1.0);
 }
 
-TEST_F(StandardWorldTest, ResetMetersDropsBytesDeliveredBeforeIt) {
-  const NodeId src = nodes_[kGcUs];
-  const NodeId dst = topo_.AddNode(kGcUs, CloudVmNetConfig());
-  ASSERT_TRUE(network_.StartFlow(src, dst, 1e9, nullptr).ok());
-  sim_.RunUntil(0.2);
-  network_.ResetMeters();
-  EXPECT_EQ(network_.NodeEgressBytes(src), 0.0);
-  sim_.Run();
-  // Only the 827.5 MB delivered after the reset count.
-  EXPECT_NEAR(network_.NodeEgressBytes(src), 827.5e6, 1.0);
-  EXPECT_NEAR(network_.NodeIngressBytes(dst), 827.5e6, 1.0);
-  EXPECT_NEAR(network_.BytesBetweenNodes(src, dst), 827.5e6, 1.0);
-  EXPECT_NEAR(network_.BytesBetweenSites(kGcUs, kGcUs), 827.5e6, 1.0);
-}
-
 TEST_F(StandardWorldTest, ProviderAndContinentMetadata) {
   EXPECT_EQ(topo_.site(kGcAus).continent, Continent::kAus);
   EXPECT_EQ(topo_.site(kAwsUsWest).provider, Provider::kAws);
-  EXPECT_EQ(ProviderName(Provider::kLambdaLabs), "LambdaLabs");
   EXPECT_EQ(ContinentName(Continent::kAsia), "ASIA");
 }
 

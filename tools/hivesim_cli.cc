@@ -629,6 +629,7 @@ int CmdLint(const FlagSet& flags) {
   options.repo_root = flags.GetString("root", ".");
   options.compile_commands_path =
       flags.GetString("compile-commands", "build/compile_commands.json");
+  options.entry_roots = lint::ShippedEntryRoots();
   auto report = lint::RunLint(options);
   if (!report.ok()) return Fail(report.status());
   const std::string json_path = flags.GetString("json", "");

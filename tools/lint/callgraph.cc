@@ -174,12 +174,27 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
   struct Scope {
     std::string name;  ///< "" for anonymous namespaces.
     int depth;         ///< Brace depth after the scope's own '{'.
+    bool is_class;
+    int decl;  ///< Index into out.decls of a class body, else -1.
   };
   std::vector<Scope> scopes;
   int depth = 0;        ///< Brace depth over visited tokens.
   int paren_depth = 0;  ///< Paren depth (skipped spans are balanced).
   int open_fn = -1;     ///< Index into out.functions, -1 at scope level.
   int open_fn_depth = 0;
+
+  // Directly inside a namespace (or at file scope), not inside a
+  // class, enum, function or initializer.
+  auto at_namespace_level = [&]() {
+    if (open_fn >= 0 || paren_depth != 0) return false;
+    if (scopes.empty()) return depth == 0;
+    return depth == scopes.back().depth && !scopes.back().is_class;
+  };
+  auto finish_mentions = [](std::vector<std::string>* mentions) {
+    std::sort(mentions->begin(), mentions->end());
+    mentions->erase(std::unique(mentions->begin(), mentions->end()),
+                    mentions->end());
+  };
 
   auto scope_name = [&scopes]() {
     std::string joined;
@@ -268,16 +283,79 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
     return j;
   };
 
+  // Records a namespace-scope `name = initializer;` (rule U1's table
+  // nodes) given the index of its '='. The tokens are still walked by
+  // the main loop afterwards; this only reads them.
+  auto collect_initializer = [&](size_t eq) {
+    if (eq == 0 || eq + 1 >= toks.size() || IsPunct(toks[eq + 1], "=")) {
+      return;  // `==`, or a truncated file.
+    }
+    size_t n = eq - 1;
+    while (n > 0 && IsPunct(toks[n], "]")) {  // `kTable[] = ...`
+      while (n > 0 && !IsPunct(toks[n], "[")) --n;
+      if (n > 0) --n;
+    }
+    if (toks[n].kind != TokKind::kIdentifier) return;
+    if (n > 0 && IsIdent(toks[n - 1], "operator")) return;
+    // A default template argument (`template <class T = int>`) is not
+    // a variable.
+    for (size_t b = n; b > 0; --b) {
+      const Token& p = toks[b - 1];
+      if (IsPunct(p, ";") || IsPunct(p, "{") || IsPunct(p, "}")) break;
+      if (IsIdent(p, "template")) return;
+    }
+    DeclSpan init;
+    init.name = toks[n].text;
+    init.line = toks[n].line;
+    int nest = 0;
+    for (size_t j = eq + 1; j < toks.size(); ++j) {
+      const Token& u = toks[j];
+      if (IsPunct(u, "{") || IsPunct(u, "(")) ++nest;
+      if (IsPunct(u, "}") || IsPunct(u, ")")) --nest;
+      if (nest < 0 || (nest == 0 && IsPunct(u, ";"))) break;
+      if (u.kind == TokKind::kIdentifier) init.mentions.push_back(u.text);
+    }
+    out.decls.push_back(std::move(init));
+  };
+
+  // Records `#define NAME body` (the lexer drops the '#'). The body
+  // runs to the end of the line, or further across `\` continuations.
+  auto collect_macro = [&](size_t define) {
+    if (define + 1 >= toks.size() ||
+        toks[define + 1].kind != TokKind::kIdentifier ||
+        toks[define + 1].line != toks[define].line) {
+      return;
+    }
+    DeclSpan macro;
+    macro.name = toks[define + 1].text;
+    macro.line = toks[define].line;
+    int last_line = macro.line;
+    for (size_t j = define + 2; j < toks.size(); ++j) {
+      if (toks[j].line > last_line) {
+        if (!IsPunct(toks[j - 1], "\\")) break;
+        last_line = toks[j].line;
+      }
+      if (toks[j].kind == TokKind::kIdentifier) {
+        macro.mentions.push_back(toks[j].text);
+      }
+    }
+    out.decls.push_back(std::move(macro));
+  };
+
   for (size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind == TokKind::kPunct) {
       if (t.text == "(") ++paren_depth;
       if (t.text == ")") --paren_depth;
       if (t.text == "{") ++depth;
+      if (t.text == "=" && at_namespace_level()) {
+        collect_initializer(i);
+      }
       if (t.text == "}") {
         --depth;
         if (open_fn >= 0 && depth < open_fn_depth) {
           out.functions[open_fn].body_end = i;
+          finish_mentions(&out.functions[open_fn].mentions);
           open_fn = -1;
         }
         while (!scopes.empty() && depth < scopes.back().depth) {
@@ -355,6 +433,7 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
     if (open_fn >= 0) {
       // ---- Inside a function body: calls + emitter mentions ----------
       FunctionSpan& fn = out.functions[open_fn];
+      fn.mentions.push_back(t.text);
       if (fn.emitter_symbol.empty() && emitter_symbols.count(t.text) > 0) {
         fn.emitter_symbol = t.text;
       }
@@ -366,6 +445,14 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
         }
       }
       continue;
+    }
+
+    if (t.text == "define") collect_macro(i);
+    // Member types and initializers feed the class body's node; member
+    // function names (`name(`) do not.
+    if (!scopes.empty() && scopes.back().decl >= 0 && i + 1 < toks.size() &&
+        !IsPunct(toks[i + 1], "(")) {
+      out.decls[scopes.back().decl].mentions.push_back(t.text);
     }
 
     // ---- Namespace scopes -------------------------------------------
@@ -386,7 +473,7 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
         break;
       }
       if (j < toks.size() && IsPunct(toks[j], "{")) {
-        scopes.push_back({name, depth + 1});
+        scopes.push_back({name, depth + 1, /*is_class=*/false, -1});
         ++depth;
         i = j;
       }
@@ -419,7 +506,21 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
         if (IsPunct(u, ";")) break;  // Forward declaration.
         if (IsPunct(u, "=")) break;  // Alias.
         if (IsPunct(u, "{")) {
-          scopes.push_back({name, depth + 1});
+          int decl = -1;
+          if (!name.empty()) {
+            out.class_names.insert(name);
+            DeclSpan body;
+            body.name = name;
+            body.line = t.line;
+            for (size_t k = i + 1; k < j; ++k) {  // Bases.
+              if (toks[k].kind == TokKind::kIdentifier) {
+                body.mentions.push_back(toks[k].text);
+              }
+            }
+            decl = static_cast<int>(out.decls.size());
+            out.decls.push_back(std::move(body));
+          }
+          scopes.push_back({name, depth + 1, /*is_class=*/true, decl});
           ++depth;
           i = j;
           break;
@@ -446,12 +547,21 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
         }
         while (b >= 2 && IsPunct(toks[b - 1], "::") &&
                toks[b - 2].kind == TokKind::kIdentifier) {
+          if (fn.owner.empty()) fn.owner = toks[b - 2].text;
           qual = toks[b - 2].text + "::" + qual;
           b -= 2;
         }
         if (qual == fn.name) {
           const std::string enclosing = scope_name();
           if (!enclosing.empty()) qual = enclosing + "::" + qual;
+          if (!scopes.empty() && scopes.back().is_class) {
+            fn.owner = scopes.back().name;
+          }
+        }
+        for (size_t j = i + 2; j < body; ++j) {  // Parameters, inits.
+          if (toks[j].kind == TokKind::kIdentifier) {
+            fn.mentions.push_back(toks[j].text);
+          }
         }
         fn.qualified = qual;
         fn.body_begin = body;
@@ -467,6 +577,8 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
   }
   // Unterminated body (truncated file): close at EOF — body_end already
   // points past the last token.
+  if (open_fn >= 0) finish_mentions(&out.functions[open_fn].mentions);
+  for (DeclSpan& decl : out.decls) finish_mentions(&decl.mentions);
   return out;
 }
 

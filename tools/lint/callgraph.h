@@ -29,6 +29,15 @@ struct FunctionSpan {
   /// First emitter symbol the body mentions ("" when none). A non-empty
   /// value makes this function a direct emission sink.
   std::string emitter_symbol;
+  /// Every identifier the parameter list, initializer list and body
+  /// mention, sorted and deduplicated (rule U1's forward edges: a
+  /// function passed as a callback is mentioned, not called).
+  std::vector<std::string> mentions;
+  /// The class this is a member of: the innermost class scope of an
+  /// in-class definition, or the last qualifier of an out-of-line one
+  /// (`Foo::Bar` -> "Foo"; a namespace qualifier is filtered out by
+  /// the U1 linker against FileStructure::class_names).
+  std::string owner;
 
   // Filled in by LinkCallGraph (lint.h):
   bool reaches_emission = false;
@@ -55,9 +64,27 @@ struct SyncDecl {
   std::vector<std::string> acquired_before;
 };
 
+/// A named declaration that is not a function but that rule U1 treats
+/// as a node: mentioning `name` reaches everything it mentions. Three
+/// kinds are recorded: a namespace-scope variable with an `=`
+/// initializer (`const Entry kTable[] = {{"x", &Handler}, ...};`), a
+/// class body (its bases and member types, not its member function
+/// names, so a live class does not keep its dead members alive), and
+/// a `#define` (so `HIVESIM_LOG(...)` reaches what the macro expands
+/// to).
+struct DeclSpan {
+  std::string name;
+  int line = 0;
+  std::vector<std::string> mentions;  ///< Sorted, deduplicated.
+};
+
 /// Everything the structural pass extracts from one file.
 struct FileStructure {
   std::vector<FunctionSpan> functions;
+  std::vector<DeclSpan> decls;
+  /// Names of the classes and structs this file defines (not forward
+  /// declarations).
+  std::set<std::string> class_names;
   std::vector<SyncDecl> sync_decls;
   /// Names of functions observed returning `Status` or `Result<T>` by
   /// value (definitions, declarations, and factory calls alike). Rule

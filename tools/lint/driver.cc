@@ -265,6 +265,43 @@ Result<LintReport> RunLint(const LintOptions& options) {
       }
     }
   }
+  if (!options.entry_roots.empty()) {
+    // U1 walks the whole program: the scanned files plus the library's
+    // headers and the entry points' sources when the scan set lacks
+    // them (examples/ and perfbench/ are not linted, but they ship).
+    // Only scanned library files are candidates, so every finding can
+    // be suppressed in place.
+    std::set<std::string> graph_paths;
+    const auto add_tree = [&](const std::string& dir, bool with_sources) {
+      const fs::path base = root / dir;
+      if (!fs::exists(base, ec)) return;
+      for (const fs::directory_entry& entry :
+           fs::recursive_directory_iterator(base, ec)) {
+        const fs::path ext = entry.path().extension();
+        if (ext != ".h" && !(with_sources && ext == ".cc")) continue;
+        const std::string rel = fs::relative(entry.path(), root).string();
+        if (facts.count(rel) == 0) graph_paths.insert(rel);
+      }
+    };
+    add_tree(options.config.library_dir, /*with_sources=*/false);
+    for (const std::string& dir : options.entry_roots) {
+      add_tree(dir, /*with_sources=*/true);
+    }
+    std::map<std::string, FileStructure> graph_only;
+    for (const std::string& rel : graph_paths) {
+      auto content = ReadFile(root / rel);
+      if (!content.ok()) return content.status();
+      graph_only[rel] =
+          AnalyzeStructure(Lex(*content), options.config.emitter_symbols);
+    }
+    std::vector<std::pair<std::string, const FileStructure*>> program;
+    for (const auto& [rel, f] : facts) program.emplace_back(rel, &f.structure);
+    for (const auto& [rel, st] : graph_only) program.emplace_back(rel, &st);
+    for (Diagnostic& diag : CheckUnreached(program, options.entry_roots,
+                                           options.config.library_dir)) {
+      by_file[diag.file].push_back(std::move(diag));
+    }
+  }
   for (const auto& [rel, f] : facts) {
     std::vector<Diagnostic> raw = CheckTokens(f, options.config);
     auto extra = by_file.find(rel);

@@ -15,7 +15,7 @@ namespace hivesim::lint {
 
 /// One finding. `file` is repo-relative (or the path given for extra
 /// files), `rule` is the short rule id ("D1".."D5", "C1", "S1", "L1",
-/// "P1") and `message` is the full human text. Diagnostics compare by
+/// "U1", "P1") and `message` is the full human text. Diagnostics compare by
 /// (file, line, rule, message) so reports are deterministically ordered.
 struct Diagnostic {
   std::string file;
@@ -79,7 +79,7 @@ struct LintConfig {
       {"data", {"common", "models"}},
       {"dht", {"common", "net", "sim", "telemetry"}},
       {"collective", {"common", "net", "models", "telemetry"}},
-      {"baselines", {"common", "models", "sim"}},
+      {"baselines", {"common", "models"}},
       {"hivemind",
        {"common", "net", "models", "collective", "data", "dht", "telemetry"}},
       {"faults",
@@ -95,7 +95,21 @@ struct LintConfig {
 
   /// CMake library prefix mapping module dirs to targets.
   std::string lib_prefix = "hivesim_";
+
+  /// Rule U1's candidates: functions defined in `.cc` files under this
+  /// repo-relative directory. Its headers join the call graph even
+  /// when they are not scanned.
+  std::string library_dir = "src";
 };
+
+/// The shipped entry points rule U1 walks from: every function defined
+/// under these directories. perfbench is a separate CMake project, so
+/// its sources are lexed from the tree, not from compile_commands.json.
+inline const std::vector<std::string>& ShippedEntryRoots() {
+  static const std::vector<std::string>& roots = *new std::vector<std::string>{
+      "tools", "bench", "examples", "perfbench/cpp"};
+  return roots;
+}
 
 struct LintOptions {
   /// Repository root (absolute or relative to the CWD).
@@ -108,6 +122,10 @@ struct LintOptions {
   std::vector<std::string> extra_files;
   /// Run the L1 layering check over <repo_root>/src.
   bool check_layering = true;
+  /// Rule U1's entry-point directories (repo-relative); empty skips U1.
+  /// Their `.cc` and `.h` files join the call graph whether or not they
+  /// are scanned; see ShippedEntryRoots().
+  std::vector<std::string> entry_roots;
   LintConfig config;
 };
 
@@ -171,6 +189,15 @@ struct GraphLinkResult {
 /// (any same-named function connects), which errs toward flagging.
 GraphLinkResult LinkCallGraph(
     std::vector<std::pair<std::string, FileStructure*>> files);
+
+/// Rule U1: every function defined in a `.cc` file under `library_dir`
+/// that no function in a file under `entry_roots` reaches. `files` is
+/// the whole program (paths repo-relative); see unreached.cc for the
+/// edges and the class gate.
+std::vector<Diagnostic> CheckUnreached(
+    const std::vector<std::pair<std::string, const FileStructure*>>& files,
+    const std::vector<std::string>& entry_roots,
+    const std::string& library_dir);
 
 /// Runs the token rules (D1-D5, C1, S1) over one file. Suppression
 /// and P1 pragma hygiene are applied by the caller via ApplyPragmas.
