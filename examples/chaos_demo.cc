@@ -2,29 +2,27 @@
 // "bad afternoon" against a transatlantic fleet and watch the trainer
 // survive it. The scenario pack partitions the US<->EU link (the trainer
 // degrades to averaging within the reachable half), then crashes an EU
-// peer and brings a replacement back ten minutes later. Every event is
-// replayed from a seed: run the demo twice and the trace fingerprints
-// match bit for bit.
+// peer and brings a replacement back ten minutes later. The pack holds
+// no random event, so every run prints the same fault trace and
+// fingerprint.
 //
-//   $ ./build/examples/chaos_demo [seed=7]
+//   $ ./build/examples/chaos_demo
 
 #include <iostream>
 
-#include "common/flags.h"
+#include "common/status.h"
 #include "common/strings.h"
 #include "core/experiment.h"
 
 int main(int argc, char** argv) {
   using namespace hivesim;
 
-  uint64_t seed = 7;
   if (argc > 1) {
-    auto parsed = ParseUint64Arg("seed", argv[1]);
-    if (!parsed.ok()) {
-      std::cerr << parsed.status().ToString() << "\n";
-      return 1;
-    }
-    seed = *parsed;
+    std::cerr << Status::InvalidArgument(StrCat(
+                     "chaos_demo takes no arguments, got '", argv[1], "'"))
+                     .ToString()
+              << "\n";
+    return 1;
   }
 
   scenario::ScenarioPack pack;
@@ -46,7 +44,6 @@ int main(int argc, char** argv) {
   core::ExperimentConfig config;
   config.model = models::ModelId::kConvNextLarge;
   config.duration_sec = 90 * 60;
-  config.seed = seed;
 
   std::cout << "Fleet: 2x T4 in GC us-central1 + 2x T4 in GC europe-west1, "
                "ConvNext-Large.\n";
@@ -93,9 +90,7 @@ int main(int argc, char** argv) {
       stats.epochs, stats.throughput_sps, w.chaos->stats().crashes,
       w.chaos->stats().restarts, w.chaos->stats().wan_degradations);
   std::cout << StrFormat(
-      "Replay fingerprint (seed %llu): %016llx — run again with the same "
-      "seed and it matches bit for bit.\n",
-      static_cast<unsigned long long>(seed),
+      "Fault trace fingerprint: %016llx\n",
       static_cast<unsigned long long>(w.chaos->TraceFingerprint()));
   std::cout << "The partition window degrades throughput but never stalls "
                "the run; the crashed peer's replacement re-syncs and "

@@ -94,8 +94,9 @@ int main(int argc, char** argv) {
   config.model = models::ModelId::kConvNextLarge;
   config.seed = seed;
   config.dht = &dht;
+  config.churn_hardened = true;
 
-  hivemind::Trainer trainer(&network, hivemind::ChurnHardened(config));
+  hivemind::Trainer trainer(&network, config);
   for (const auto& peer : peers) {
     if (auto s = trainer.AddPeer(peer); !s.ok()) {
       std::cerr << s.ToString() << "\n";

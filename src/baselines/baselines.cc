@@ -8,7 +8,6 @@ namespace hivesim::baselines {
 namespace {
 
 using compute::GpuModel;
-using compute::HostClass;
 using models::ModelId;
 
 /// Paper-measured DDP anchors; checked before the ring model.
@@ -26,6 +25,12 @@ constexpr DdpAnchor kDdpAnchors[] = {
     {ModelId::kWhisperSmall, GpuModel::kA100_80GB, 1, 46.0},
 };
 
+// Effective all-reduce bandwidth between a node's GPUs in bytes/sec.
+// NVLink inside a DGX-2 sustains ~120 GB/s; the 4xT4 node's shared PCIe
+// fabric is calibrated to ~5.4 GB/s from the paper's 207 SPS.
+constexpr double kNvlinkBytesPerSec = 120e9;
+constexpr double kPcieBytesPerSec = 5.4e9;
+
 }  // namespace
 
 Result<double> SingleGpuThroughput(models::ModelId model,
@@ -34,16 +39,6 @@ Result<double> SingleGpuThroughput(models::ModelId model,
   HIVESIM_RETURN_IF_ERROR(models::CheckFits(
       model, models::TrainerKind::kLocalBaseline, gpu, host));
   return models::BaselineSps(model, gpu);
-}
-
-DdpNodeConfig Dgx2Node(models::ModelId model) {
-  DdpNodeConfig config;
-  config.model = model;
-  config.gpu = GpuModel::kV100;
-  config.gpu_count = 8;
-  config.host = HostClass::kDgx2Host;
-  config.interconnect_bytes_per_sec = 120e9;
-  return config;
 }
 
 Result<double> DdpThroughput(const DdpNodeConfig& config) {
@@ -73,7 +68,9 @@ Result<double> DdpThroughput(const DdpNodeConfig& config) {
   const double calc_sec = microbatch / per_gpu_sps;
   const double ring_bytes = 2.0 * (config.gpu_count - 1) / config.gpu_count *
                             spec.GradientBytesFp32();
-  const double comm_sec = ring_bytes / config.interconnect_bytes_per_sec;
+  const double interconnect_bytes_per_sec =
+      config.gpu == GpuModel::kV100 ? kNvlinkBytesPerSec : kPcieBytesPerSec;
+  const double comm_sec = ring_bytes / interconnect_bytes_per_sec;
   const double efficiency = calc_sec / (calc_sec + comm_sec);
   return config.gpu_count * per_gpu_sps * efficiency;
 }

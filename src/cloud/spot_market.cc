@@ -28,6 +28,14 @@ double UtcOffsetHours(net::Continent c) {
 constexpr double kDayStartHour = 8.0;
 constexpr double kDayEndHour = 20.0;
 constexpr double kSecondsPerMonth = 30.0 * 24.0 * kHour;
+// Random hourly spot price multiplier component: +/- jitter.
+constexpr double kPriceJitter = 0.08;
+// Systematic time-of-day price component: prices run this much above 1
+// during the zone's local daytime and the same amount below at night —
+// "spot instance prices change hourly depending on the time of day and
+// zone availability" (Section 4). This is what a price-chasing migrator
+// can durably arbitrage (follow the night).
+constexpr double kDiurnalSwing = 0.10;
 }  // namespace
 
 double SpotMarket::LocalHour(net::Continent continent, double now) {
@@ -39,13 +47,12 @@ double SpotMarket::LocalHour(net::Continent continent, double now) {
 
 double SpotMarket::HazardAt(net::Continent continent, double now) const {
   // Baseline hazard so that P(interrupted in 30 days) at the night rate
-  // equals base_monthly_interruption_rate.
+  // equals the monthly interruption rate.
   const double base =
-      -std::log(1.0 - config_.base_monthly_interruption_rate) /
-      kSecondsPerMonth;
+      -std::log(1.0 - monthly_interruption_rate_) / kSecondsPerMonth;
   const double h = LocalHour(continent, now);
   const bool daytime = h >= kDayStartHour && h < kDayEndHour;
-  double hazard = daytime ? base * config_.daylight_multiplier : base;
+  double hazard = daytime ? base * kDaylightMultiplier : base;
   for (const HazardWindow& w : hazard_windows_) {
     if (w.continent == continent && now >= w.start_sec && now < w.end_sec) {
       hazard *= w.multiplier;
@@ -60,7 +67,7 @@ double SpotMarket::SampleInterruptionDelay(net::Continent continent,
   // A zero base rate makes the hazard identically zero at every hour:
   // return "never" up front instead of spinning through ~87,600 hourly
   // segments (and burning one random draw per segment).
-  if (config_.base_monthly_interruption_rate <= 0) {
+  if (monthly_interruption_rate_ <= 0) {
     return std::numeric_limits<double>::infinity();
   }
   // Piecewise-constant hazard: advance hour by hour, drawing an
@@ -79,7 +86,7 @@ double SpotMarket::SampleInterruptionDelay(net::Continent continent,
 }
 
 double SpotMarket::SampleStartupDelay() {
-  return rng_.Uniform(config_.vm_startup_min_sec, config_.vm_startup_max_sec);
+  return rng_.Uniform(kVmStartupMinSec, kVmStartupMaxSec);
 }
 
 double SpotMarket::SpotPriceMultiplier(net::Continent continent,
@@ -91,11 +98,10 @@ double SpotMarket::SpotPriceMultiplier(net::Continent continent,
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 32;
   const double unit = static_cast<double>(h % 10000) / 10000.0;  // [0,1)
-  const double jitter = config_.price_jitter * (2.0 * unit - 1.0);
+  const double jitter = kPriceJitter * (2.0 * unit - 1.0);
   const double local = LocalHour(continent, now);
   const bool daytime = local >= kDayStartHour && local < kDayEndHour;
-  const double diurnal =
-      daytime ? config_.diurnal_swing : -config_.diurnal_swing;
+  const double diurnal = daytime ? kDiurnalSwing : -kDiurnalSwing;
   return 1.0 + diurnal + jitter;
 }
 

@@ -8,31 +8,6 @@
 
 namespace hivesim::cloud {
 
-/// Tunables of the stochastic spot market.
-struct SpotMarketConfig {
-  /// Probability that a spot VM is interrupted within 30 days at the
-  /// *night-time* baseline hazard. AWS advertises 5-20% per 30 days
-  /// (Section 7); the paper found the real rate strongly time-of-day
-  /// dependent, which `daylight_multiplier` models.
-  double base_monthly_interruption_rate = 0.10;
-  /// Hazard multiplier between 08:00 and 20:00 local zone time (the paper
-  /// "faced difficulties acquiring even a single spot VM during daylight
-  /// hours").
-  double daylight_multiplier = 6.0;
-  /// VM startup (provisioning to training start) range in seconds;
-  /// "seconds to minutes, manual deployment up to 10 minutes" (Section 7).
-  double vm_startup_min_sec = 45;
-  double vm_startup_max_sec = 600;
-  /// Random hourly spot price multiplier component: +/- jitter.
-  double price_jitter = 0.08;
-  /// Systematic time-of-day component: prices run this much above 1
-  /// during the zone's local daytime (08:00-20:00) and the same amount
-  /// below at night — "spot instance prices change hourly depending on
-  /// the time of day and zone availability" (Section 4). This is what a
-  /// price-chasing migrator can durably arbitrage (follow the night).
-  double diurnal_swing = 0.10;
-};
-
 /// A scripted hazard-rate override: between `start_sec` and `end_sec`
 /// the interruption hazard in `continent` is multiplied by `multiplier`
 /// (>1 models a capacity-reclamation storm, <1 a calm window, 0
@@ -50,13 +25,28 @@ struct HazardWindow {
 /// price variation. All draws come from a deterministic seeded stream.
 class SpotMarket {
  public:
-  SpotMarket(Rng rng, SpotMarketConfig config = SpotMarketConfig())
-      : rng_(std::move(rng)), config_(config) {}
+  /// Hazard multiplier between 08:00 and 20:00 local zone time (the paper
+  /// "faced difficulties acquiring even a single spot VM during daylight
+  /// hours", Section 7).
+  static constexpr double kDaylightMultiplier = 6.0;
+  /// VM startup (provisioning to training start) range in seconds;
+  /// "seconds to minutes, manual deployment up to 10 minutes" (Section 7).
+  static constexpr double kVmStartupMinSec = 45;
+  static constexpr double kVmStartupMaxSec = 600;
+
+  /// `monthly_interruption_rate` is the probability that a spot VM is
+  /// interrupted within 30 days at the *night-time* baseline hazard. AWS
+  /// advertises 5-20% per 30 days (Section 7); the paper found the real
+  /// rate strongly time-of-day dependent, which `kDaylightMultiplier`
+  /// models.
+  explicit SpotMarket(Rng rng, double monthly_interruption_rate = 0.10)
+      : rng_(std::move(rng)),
+        monthly_interruption_rate_(monthly_interruption_rate) {}
 
   /// Samples the delay (seconds from `now`) until a spot VM in
   /// `continent` is interrupted. Simulation time 0 is 00:00 UTC; the
   /// hazard is a non-homogeneous Poisson process whose rate rises by
-  /// `daylight_multiplier` during the zone's local daytime and by any
+  /// `kDaylightMultiplier` during the zone's local daytime and by any
   /// active `HazardWindow` multipliers. Returns +infinity ("never") when
   /// the hazard is identically zero, without consuming random draws.
   double SampleInterruptionDelay(net::Continent continent, double now);
@@ -73,26 +63,25 @@ class SpotMarket {
     return hazard_windows_;
   }
 
-  /// Samples the provisioning delay of a fresh VM.
+  /// Samples the provisioning delay of a fresh VM, uniform in
+  /// [kVmStartupMinSec, kVmStartupMaxSec).
   double SampleStartupDelay();
 
-  /// Deterministic hourly spot price multiplier in [1 - jitter,
-  /// 1 + jitter] for a zone (hash of continent and hour index, not a
-  /// random draw, so price series are reproducible and shared by all VMs
-  /// in the zone).
+  /// Deterministic hourly spot price multiplier for a zone: a diurnal
+  /// component (above 1 by day, below by night) plus hourly jitter, both
+  /// from a hash of continent and hour index, not a random draw, so price
+  /// series are reproducible and shared by all VMs in the zone.
   double SpotPriceMultiplier(net::Continent continent, double now) const;
 
   /// Local hour of day [0, 24) in `continent` at simulation time `now`.
   static double LocalHour(net::Continent continent, double now);
-
-  const SpotMarketConfig& config() const { return config_; }
 
  private:
   /// Instantaneous interruption hazard (events/sec) at time `now`.
   double HazardAt(net::Continent continent, double now) const;
 
   Rng rng_;
-  SpotMarketConfig config_;
+  double monthly_interruption_rate_;
   std::vector<HazardWindow> hazard_windows_;
 };
 

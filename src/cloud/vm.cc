@@ -9,10 +9,6 @@
 
 namespace hivesim::cloud {
 
-VmInstance::VmInstance(sim::Simulator* sim, SpotMarket* market,
-                       net::Continent continent, Config config)
-    : sim_(sim), market_(market), continent_(continent), config_(config) {}
-
 void VmInstance::Start() {
   if (state_ != VmState::kPending && state_ != VmState::kInterrupted) return;
   state_ = VmState::kProvisioning;
@@ -25,18 +21,16 @@ void VmInstance::Start() {
 void VmInstance::EnterRunning() {
   state_ = VmState::kRunning;
   running_since_ = sim_->Now();
-  if (config_.spot) {
-    const double delay =
-        market_->SampleInterruptionDelay(continent_, sim_->Now());
-    // An infinite delay means the market hazard is zero ("never"):
-    // scheduling it would park an event at t=inf in the queue.
-    if (std::isfinite(delay)) {
-      interruption_event_ = sim_->Schedule(delay, [this] {
-        has_interruption_event_ = false;
-        if (state_ == VmState::kRunning) EnterInterrupted();
-      });
-      has_interruption_event_ = true;
-    }
+  const double delay =
+      market_->SampleInterruptionDelay(continent_, sim_->Now());
+  // An infinite delay means the market hazard is zero ("never"):
+  // scheduling it would park an event at t=inf in the queue.
+  if (std::isfinite(delay)) {
+    interruption_event_ = sim_->Schedule(delay, [this] {
+      has_interruption_event_ = false;
+      if (state_ == VmState::kRunning) EnterInterrupted();
+    });
+    has_interruption_event_ = true;
   }
   if (on_running) on_running();
 }
@@ -54,7 +48,7 @@ void VmInstance::EnterInterrupted() {
                   std::string(net::ContinentName(continent_)).c_str()));
   }
   if (on_interrupted) on_interrupted();
-  if (config_.auto_restart) Start();
+  Start();
 }
 
 void VmInstance::Stop() {

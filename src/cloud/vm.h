@@ -21,25 +21,18 @@ enum class VmState : uint8_t {
   kStopped,       ///< Stopped by us.
 };
 
-/// One rented (or on-prem) machine, driven by the simulator clock.
+/// One rented spot VM, driven by the simulator clock.
 ///
-/// Spot VMs get an interruption time drawn from the `SpotMarket`; with
-/// `auto_restart` a replacement is provisioned immediately (the paper
-/// assumes "a new VM can be spun up fast enough", Section 7), and
-/// `on_running` fires again when the replacement is up. Billed hours
+/// Each incarnation gets an interruption time drawn from the `SpotMarket`
+/// (never, on a zero-rate market: the paper's uninterrupted measurement
+/// mode). After an interruption a replacement is provisioned immediately
+/// (the paper assumes "a new VM can be spun up fast enough", Section 7),
+/// and `on_running` fires again when the replacement is up. Billed hours
 /// accumulate only while running, across all incarnations.
 class VmInstance {
  public:
-  struct Config {
-    /// On-demand VMs are never interrupted; a spot VM on a zero-rate
-    /// market is not either (the paper's uninterrupted measurement mode).
-    bool spot = true;
-    /// Replace the VM automatically after a spot interruption.
-    bool auto_restart = false;
-  };
-
-  VmInstance(sim::Simulator* sim, SpotMarket* market, net::Continent continent,
-             Config config);
+  VmInstance(sim::Simulator* sim, SpotMarket* market, net::Continent continent)
+      : sim_(sim), market_(market), continent_(continent) {}
 
   VmInstance(const VmInstance&) = delete;
   VmInstance& operator=(const VmInstance&) = delete;
@@ -50,7 +43,6 @@ class VmInstance {
   void Stop();
 
   VmState state() const { return state_; }
-  const Config& config() const { return config_; }
   /// Total hours in kRunning, for billing.
   double BilledHours() const;
   /// Times this VM was interrupted.
@@ -68,7 +60,6 @@ class VmInstance {
   sim::Simulator* sim_;
   SpotMarket* market_;
   net::Continent continent_;
-  Config config_;
   VmState state_ = VmState::kPending;
   double running_since_ = 0;
   double billed_seconds_ = 0;

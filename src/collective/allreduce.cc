@@ -1,7 +1,6 @@
 #include "collective/allreduce.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/strings.h"
 #include "models/calibration.h"
@@ -296,14 +295,9 @@ void AllReduce::RunStage() {
   for (uint32_t i = 0; i < stage.size(); ++i) {
     const Transfer& t = stage[i];
     // Receiver-side aggregation debt (overlapped with the transfers).
-    if (opts_.model_cpu_costs) {
-      aggregate_cpu_[t.dst] +=
-          models::AccumulateSec(params * t.bytes_factor, peers_[t.dst].host);
-    }
-    const double serialize =
-        opts_.model_cpu_costs
-            ? models::SerializeSec(params, peers_[t.src].host)
-            : 0.0;
+    aggregate_cpu_[t.dst] +=
+        models::AccumulateSec(params * t.bytes_factor, peers_[t.dst].host);
+    const double serialize = models::SerializeSec(params, peers_[t.src].host);
     // The flow starts once the sender has serialized its gradient.
     network_->simulator().Schedule(serialize, [this, gen, i] {
       if (gen == generation_) StartTransfer(i);
@@ -321,9 +315,6 @@ void AllReduce::StartTransfer(uint32_t index) {
       std::min(models::GradientStreamCapBps(src.host),
                models::GradientStreamCapBps(dst.host)) *
       std::max(1, opts_.streams_per_transfer);
-  if (!opts_.model_cpu_costs) {
-    flow_opts.app_rate_cap_bps = std::numeric_limits<double>::infinity();
-  }
   const uint32_t gen = generation_;
   auto flow = network_->StartFlow(
       src.node, dst.node, opts_.payload_bytes * t.bytes_factor,

@@ -90,8 +90,6 @@ struct AllReduceOptions {
   /// TCP streams per gradient transfer; Hivemind uses one (the Section 7
   /// bottleneck), >1 models the multi-stream improvement.
   int streams_per_transfer = 1;
-  /// Model CPU (de)serialization/aggregation costs around the transfers.
-  bool model_cpu_costs = true;
 };
 
 /// Outcome of a completed round.

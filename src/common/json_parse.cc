@@ -1,5 +1,6 @@
 #include "common/json_parse.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -105,6 +106,12 @@ class Parser {
     if (end != token.c_str() + token.size()) {
       pos_ = start;
       return Error("malformed number");
+    }
+    // JSON has no infinity: a literal that overflows a double (1e999)
+    // could only be written back as `null`.
+    if (!std::isfinite(value)) {
+      pos_ = start;
+      return Error("number out of range");
     }
     out.kind = JsonValue::Kind::kNumber;
     out.number_value = value;

@@ -8,6 +8,9 @@ namespace hivesim::core {
 
 namespace {
 
+// Simulated duration of one candidate evaluation.
+constexpr double kEvalDurationSec = 1.5 * 3600.0;
+
 struct Candidate {
   std::string label;
   VmGroup group;  // count is overwritten per fleet size.
@@ -22,7 +25,7 @@ AdvisorOption EvaluateFleet(const std::string& description,
   ExperimentConfig config;
   config.model = request.model;
   config.target_batch_size = request.target_batch_size;
-  config.duration_sec = request.eval_duration_sec;
+  config.duration_sec = kEvalDurationSec;
   auto result = RunHivemindExperiment(cluster, config);
   if (!result.ok()) return option;  // Infeasible: stays at 0 throughput.
   option.throughput_sps = result->train.throughput_sps;

@@ -19,8 +19,6 @@ struct AdvisorRequest {
   double min_throughput_sps = 0;
   /// Candidate fleet sizes to evaluate per provider.
   std::vector<int> fleet_sizes = {1, 2, 4, 8};
-  /// Simulated duration per candidate evaluation.
-  double eval_duration_sec = 1.5 * 3600.0;
 };
 
 /// One evaluated option, priced end to end (instance + egress + data).

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/strings.h"
+#include "net/profiles.h"
 
 namespace hivesim::core {
 
@@ -107,22 +108,11 @@ std::vector<NamedExperiment> LambdaSeries() {
   return out;
 }
 
-
-const std::map<std::string, net::SiteId>& FleetSiteAliases() {
-  static const auto& aliases = *new std::map<std::string, net::SiteId>{
-      {"gc-us", net::kGcUs},     {"gc-eu", net::kGcEu},
-      {"gc-asia", net::kGcAsia}, {"gc-aus", net::kGcAus},
-      {"aws", net::kAwsUsWest},  {"azure", net::kAzureUsSouth},
-      {"lambda", net::kLambdaUsWest}, {"onprem", net::kOnPremEu},
-  };
-  return aliases;
-}
-
 namespace {
 
 Result<VmGroup> GroupFor(const std::string& site_alias, int count) {
-  auto it = FleetSiteAliases().find(site_alias);
-  if (it == FleetSiteAliases().end()) {
+  auto it = net::SiteAliases().find(site_alias);
+  if (it == net::SiteAliases().end()) {
     return Status::InvalidArgument(StrCat("unknown site '", site_alias,
                                           "'; see `hivesim list`"));
   }

@@ -1,7 +1,6 @@
 #ifndef HIVESIM_CORE_CATALOG_H_
 #define HIVESIM_CORE_CATALOG_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -47,13 +46,10 @@ std::vector<NamedExperiment> FSeries(HybridVariant variant);
 /// {1,2,3,4,8} x A10.
 std::vector<NamedExperiment> LambdaSeries();
 
-/// Site aliases a fleet spec may rent in ("gc-us", "aws", ...) — the
-/// `hivesim list` set. On-prem machines are singletons (E/F series) and
-/// are rejected by `ParseFleetSpec`.
-const std::map<std::string, net::SiteId>& FleetSiteAliases();
-
 /// Parses the "site:count,site:count" fleet grammar shared by the CLI
 /// (`fleet --spec`, `sweep --fleets`) and the fuzzer's reproducer packs.
+/// Sites are `net::SiteAliases` names; on-prem machines are singletons
+/// (E/F series) and are rejected.
 Result<ClusterSpec> ParseFleetSpec(const std::string& spec);
 
 }  // namespace hivesim::core

@@ -32,24 +32,18 @@ scenario::FleetView FleetViewOf(const Cluster& cluster,
 /// replacement re-joins and resynchronizes. The VMs are not started.
 void RentSpotFleet(ExperimentWorld& world,
                    const scenario::SpotMarketSpec& spec, uint64_t seed) {
-  cloud::SpotMarketConfig market_config;
-  market_config.base_monthly_interruption_rate =
-      spec.monthly_interruption_rate;
-  world.spot_market =
-      std::make_unique<cloud::SpotMarket>(Rng(seed), market_config);
+  world.spot_market = std::make_unique<cloud::SpotMarket>(
+      Rng(seed), spec.monthly_interruption_rate);
   hivemind::Trainer* trainer = world.trainer.get();
   const std::vector<hivemind::PeerSpec> peers = world.cluster.PeerSpecs();
   const auto& members = world.cluster.members();
   for (size_t i = 0; i < members.size(); ++i) {
     if (!members[i].spot) continue;
-    cloud::VmInstance::Config vm_config;
-    vm_config.spot = true;
-    vm_config.auto_restart = true;
     cloud::VmInstance* vm =
         world.vms
             .emplace_back(std::make_unique<cloud::VmInstance>(
                 &world.sim, world.spot_market.get(),
-                world.topology.site(members[i].site).continent, vm_config))
+                world.topology.site(members[i].site).continent))
             .get();
     const hivemind::PeerSpec peer = peers[i];
     vm->on_interrupted = [trainer, peer] {
@@ -89,9 +83,7 @@ Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
   trainer_config.strategy = config.strategy;
   trainer_config.streams_per_transfer = config.streams_per_transfer;
   trainer_config.seed = config.seed;
-  if (pack != nullptr) {
-    trainer_config = hivemind::ChurnHardened(trainer_config);
-  }
+  trainer_config.churn_hardened = pack != nullptr;
 
   world->trainer =
       std::make_unique<hivemind::Trainer>(world->network.get(), trainer_config);
@@ -121,8 +113,7 @@ Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
     HIVESIM_RETURN_IF_ERROR(world->chaos->Arm(schedule));
     if (world->spot_market) {
       for (const auto& vm : world->vms) vm->Start();
-      world->sim.RunUntil(world->spot_market->config().vm_startup_max_sec +
-                          1);
+      world->sim.RunUntil(cloud::SpotMarket::kVmStartupMaxSec + 1);
     }
   }
   return world;
@@ -208,8 +199,6 @@ Result<CentralizedResult> RunCentralizedBaseline(cloud::VmTypeId type,
     node.gpu = vm.gpu;
     node.gpu_count = vm.gpu_count;
     node.host = vm.host;
-    node.interconnect_bytes_per_sec =
-        vm.gpu == compute::GpuModel::kV100 ? 120e9 : 5.4e9;
     HIVESIM_ASSIGN_OR_RETURN(result.throughput_sps,
                              baselines::DdpThroughput(node));
   } else {

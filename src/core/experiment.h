@@ -70,9 +70,9 @@ struct ExperimentResult {
 /// and resynchronizes. The world is built paused between provisioning and
 /// training so callers can still schedule machinery that must observe the
 /// run from there (the fuzzer's monotone-clock probes): at t=0, or, with
-/// spot VMs, at `vm_startup_max_sec + 1` once every VM has booted. Not
-/// movable (the simulator pins itself as the thread's log-clock), so it
-/// lives behind a unique_ptr.
+/// spot VMs, at `SpotMarket::kVmStartupMaxSec + 1` once every VM has
+/// booted. Not movable (the simulator pins itself as the thread's
+/// log-clock), so it lives behind a unique_ptr.
 struct ExperimentWorld {
   sim::Simulator sim;
   net::Topology topology;
@@ -90,12 +90,12 @@ struct ExperimentWorld {
 /// Provisions the fleet on a fresh copy of the standard world and joins
 /// every peer to a configured trainer; training has not started yet.
 /// With `pack`, the trainer gets the churn hardening
-/// (`hivemind::ChurnHardened`) and `world->chaos` is armed with the pack
-/// compiled against the provisioned fleet, seeded by `config.seed`. A
-/// `spot_market` section adds the market (seeded by `config.seed`), arms
-/// it with the pack's hazard events, boots the spot VMs and runs the clock
-/// to `vm_startup_max_sec + 1`. Hazard events without the section are a
-/// FailedPrecondition naming it.
+/// (`TrainerConfig::churn_hardened`) and `world->chaos` is armed with the
+/// pack compiled against the provisioned fleet, seeded by `config.seed`.
+/// A `spot_market` section adds the market (seeded by `config.seed`),
+/// arms it with the pack's hazard events, boots the spot VMs and runs the
+/// clock to `SpotMarket::kVmStartupMaxSec + 1`. Hazard events without the
+/// section are a FailedPrecondition naming it.
 Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
     const ClusterSpec& cluster, const ExperimentConfig& config,
     const scenario::ScenarioPack* pack = nullptr);

@@ -11,6 +11,12 @@
 namespace hivesim::dht {
 
 namespace {
+// Kademlia tunables.
+constexpr int kBucketSize = 8;          // Bucket size and replication (k).
+constexpr int kAlpha = 3;               // Lookup parallelism.
+constexpr double kRpcBytes = 256;       // Approximate size of one RPC.
+constexpr double kRpcTimeoutSec = 2.0;  // Unanswered RPCs count as failed.
+
 int BucketIndex(Key distance) {
   // Position of the highest set bit; distance 0 never reaches here.
   return 63 - __builtin_clzll(distance);
@@ -25,9 +31,6 @@ Key KeyFromString(std::string_view s) {
   }
   return h;
 }
-
-DhtNetwork::DhtNetwork(net::Network* network, DhtConfig config)
-    : network_(network), config_(config) {}
 
 Node* DhtNetwork::CreateNode(net::NodeId endpoint, Key id) {
   auto node = std::unique_ptr<Node>(new Node(this, endpoint, id));
@@ -58,7 +61,7 @@ void Node::Touch(const Contact& contact) {
     bucket.push_back(c);
     return;
   }
-  if (static_cast<int>(bucket.size()) < dht_->config().k) {
+  if (static_cast<int>(bucket.size()) < kBucketSize) {
     bucket.push_back(contact);
   }
   // Full bucket: Kademlia would ping the LRU entry; we keep the old
@@ -112,7 +115,7 @@ std::vector<Contact> Node::KnownContacts() const {
 
 std::vector<Contact> Node::HandleFindNode(const Contact& from, Key target) {
   Touch(from);
-  return ClosestContacts(target, dht_->config().k);
+  return ClosestContacts(target, kBucketSize);
 }
 
 void Node::HandleStore(const Contact& from, Key key, std::string value,
@@ -131,7 +134,7 @@ Node::HandleFindValue(const Contact& from, Key key) {
   if (it != store_.end()) {
     return {it->second.value, {}};
   }
-  return {std::nullopt, ClosestContacts(key, dht_->config().k)};
+  return {std::nullopt, ClosestContacts(key, kBucketSize)};
 }
 
 // --- Client-side RPCs ---
@@ -144,18 +147,17 @@ void Node::RpcLookup(const Contact& peer, Key target, bool want_value,
   sim::Simulator& sim = dht_->simulator();
 
   // Timeout guard.
-  sim.Schedule(dht_->config().rpc_timeout_sec,
-               [replied, on_reply] {
-                 if (!*replied) {
-                   *replied = true;
-                   telemetry::Count("dht.rpc_timeouts");
-                   on_reply(false, std::nullopt, {});
-                 }
-               });
+  sim.Schedule(kRpcTimeoutSec, [replied, on_reply] {
+    if (!*replied) {
+      *replied = true;
+      telemetry::Count("dht.rpc_timeouts");
+      on_reply(false, std::nullopt, {});
+    }
+  });
 
   const Contact self{id_, endpoint_};
   Status sent = dht_->network().SendMessage(
-      endpoint_, peer.node, dht_->config().rpc_bytes,
+      endpoint_, peer.node, kRpcBytes,
       [this, peer, target, want_value, self, replied, on_reply] {
         Node* server = dht_->NodeAt(peer.node);
         if (server == nullptr || !server->online()) return;  // Timeout path.
@@ -168,8 +170,7 @@ void Node::RpcLookup(const Contact& peer, Key target, bool want_value,
         } else {
           contacts = server->HandleFindNode(self, target);
         }
-        const double reply_bytes =
-            dht_->config().rpc_bytes + (value ? value->size() : 0);
+        const double reply_bytes = kRpcBytes + (value ? value->size() : 0);
         dht_->network()
             .SendMessage(peer.node, endpoint_, reply_bytes,
                          [this, replied, on_reply, value = std::move(value),
@@ -196,7 +197,7 @@ void Node::RpcStore(const Contact& peer, Key key, const std::string& value,
   }
   auto replied = std::make_shared<bool>(false);
   sim::Simulator& sim = dht_->simulator();
-  sim.Schedule(dht_->config().rpc_timeout_sec, [replied, on_reply] {
+  sim.Schedule(kRpcTimeoutSec, [replied, on_reply] {
     if (!*replied) {
       *replied = true;
       on_reply(false);
@@ -204,16 +205,14 @@ void Node::RpcStore(const Contact& peer, Key key, const std::string& value,
   });
   const Contact self{id_, endpoint_};
   dht_->network()
-      .SendMessage(endpoint_, peer.node,
-                   dht_->config().rpc_bytes + value.size(),
+      .SendMessage(endpoint_, peer.node, kRpcBytes + value.size(),
                    [this, peer, key, value, ttl_sec, self, replied,
                     on_reply] {
                      Node* server = dht_->NodeAt(peer.node);
                      if (server == nullptr || !server->online()) return;
                      server->HandleStore(self, key, value, ttl_sec);
                      dht_->network()
-                         .SendMessage(peer.node, endpoint_,
-                                      dht_->config().rpc_bytes,
+                         .SendMessage(peer.node, endpoint_, kRpcBytes,
                                       [this, replied, on_reply] {
                                         if (*replied || !online_) return;
                                         *replied = true;
@@ -249,7 +248,7 @@ void Node::IterativeLookup(Key target, bool want_value,
   telemetry::Count("dht.lookups");
   state->value_done = std::move(value_done);
   state->contacts_done = std::move(contacts_done);
-  for (const Contact& c : ClosestContacts(target, dht_->config().k)) {
+  for (const Contact& c : ClosestContacts(target, kBucketSize)) {
     state->shortlist.emplace(Distance(c.id, target), c);
   }
 
@@ -280,7 +279,7 @@ void Node::IterativeLookup(Key target, bool want_value,
     for (const auto& [dist, c] : state->shortlist) {
       if (state->responded.count(c.id)) {
         result.push_back(c);
-        if (static_cast<int>(result.size()) >= dht_->config().k) break;
+        if (static_cast<int>(result.size()) >= kBucketSize) break;
       }
     }
     state->contacts_done(std::move(result));
@@ -312,7 +311,7 @@ void Node::IterativeLookup(Key target, bool want_value,
     if (!step) return;
     int issued = 0;
     for (const auto& [dist, contact] : state->shortlist) {
-      if (state->inflight + issued >= dht_->config().alpha) break;
+      if (state->inflight + issued >= kAlpha) break;
       if (state->queried.count(contact.id)) continue;
       state->queried.insert(contact.id);
       ++issued;

@@ -35,14 +35,6 @@ struct Contact {
   }
 };
 
-/// Tunables of the DHT protocol.
-struct DhtConfig {
-  int k = 8;            ///< Bucket size / replication factor.
-  int alpha = 3;        ///< Lookup parallelism.
-  double rpc_bytes = 256;        ///< Approximate size of one RPC message.
-  double rpc_timeout_sec = 2.0;  ///< Unanswered RPCs count as failures.
-};
-
 /// The in-simulation registry connecting DHT nodes: RPCs are delivered
 /// through `net::Network::SendMessage` to the node registered at the
 /// destination endpoint. Offline nodes (crashed spot VMs) silently drop
@@ -50,11 +42,10 @@ struct DhtConfig {
 /// peer failure.
 class DhtNetwork {
  public:
-  explicit DhtNetwork(net::Network* network, DhtConfig config = DhtConfig());
+  explicit DhtNetwork(net::Network* network) : network_(network) {}
 
   net::Network& network() { return *network_; }
   sim::Simulator& simulator() { return network_->simulator(); }
-  const DhtConfig& config() const { return config_; }
 
   /// Creates a node living on network endpoint `endpoint` with DHT id
   /// `id`; the node starts online but knows no contacts until
@@ -67,7 +58,6 @@ class DhtNetwork {
  private:
   friend class Node;
   net::Network* network_;
-  DhtConfig config_;
   std::unordered_map<net::NodeId, std::unique_ptr<class Node>> nodes_;
 };
 

@@ -9,25 +9,14 @@
 #include "common/strings.h"
 #include "core/catalog.h"
 #include "fuzz/fuzz.h"
+#include "fuzz/internal.h"
 #include "net/profiles.h"
 
 namespace hivesim::fuzz {
 
 namespace {
 
-/// Sites a fuzz fleet may rent in, with the continent each lives on
-/// (mirrors `core::FleetSiteAliases` minus the singleton on-prem
-/// machines, which `ParseFleetSpec` rejects in counted groups).
-struct SiteChoice {
-  const char* alias;
-  net::Continent continent;
-};
-constexpr SiteChoice kSites[] = {
-    {"gc-us", net::Continent::kUs},   {"gc-eu", net::Continent::kEu},
-    {"gc-asia", net::Continent::kAsia}, {"gc-aus", net::Continent::kAus},
-    {"aws", net::Continent::kUs},     {"azure", net::Continent::kUs},
-    {"lambda", net::Continent::kUs},
-};
+using internal::kSites;
 constexpr int kNumSites = static_cast<int>(sizeof(kSites) / sizeof(kSites[0]));
 
 /// Shrink-friendly grids: every generated value sits on the same absolute

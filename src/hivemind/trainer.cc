@@ -12,6 +12,26 @@ namespace hivesim::hivemind {
 
 namespace {
 constexpr double kEpsilon = 1e-9;
+// When accumulation finishes before the 5 s matchmaking floor, the
+// group-forming thread isn't ready and the round start jitters by up to
+// this fraction of the floor (Section 3, observation 2).
+constexpr double kMatchmakingJitterFrac = 0.5;
+// Cap of the exponential backoff between averaging retries.
+constexpr double kAveragingRetryMaxSec = 30.0;
+
+// How an averaging round recovers from failures; see
+// `TrainerConfig::churn_hardened`.
+struct RoundRecovery {
+  double retry_base_sec;     // First backoff; doubles per failed attempt.
+  double round_timeout_sec;  // Watchdog; 0 disables it.
+  int max_retries;           // Failed attempts before degrading the round.
+};
+constexpr RoundRecovery kCalmRecovery{0.5, 0.0, 6};
+constexpr RoundRecovery kChurnHardenedRecovery{1.0, 120.0, 2};
+
+const RoundRecovery& RecoveryOf(const TrainerConfig& config) {
+  return config.churn_hardened ? kChurnHardenedRecovery : kCalmRecovery;
+}
 }  // namespace
 
 Status ValidateTrainerConfig(const TrainerConfig& config) {
@@ -21,30 +41,7 @@ Status ValidateTrainerConfig(const TrainerConfig& config) {
   if (config.streams_per_transfer < 1) {
     return Status::InvalidArgument("streams per transfer must be >= 1");
   }
-  if (config.matchmaking_jitter_frac < 0 ||
-      config.matchmaking_jitter_frac > 2.0) {
-    return Status::InvalidArgument(
-        "matchmaking jitter fraction out of [0, 2]");
-  }
-  if (config.averaging_retry_base_sec < 0 ||
-      config.averaging_retry_max_sec < config.averaging_retry_base_sec) {
-    return Status::InvalidArgument(
-        "averaging retry backoff must satisfy 0 <= base <= max");
-  }
-  if (config.averaging_round_timeout_sec < 0) {
-    return Status::InvalidArgument("averaging round timeout must be >= 0");
-  }
-  if (config.averaging_max_retries < 0) {
-    return Status::InvalidArgument("averaging max retries must be >= 0");
-  }
   return Status::OK();
-}
-
-TrainerConfig ChurnHardened(TrainerConfig config) {
-  config.averaging_round_timeout_sec = 120;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
-  return config;
 }
 
 Trainer::Trainer(net::Network* network, TrainerConfig config)
@@ -200,7 +197,7 @@ void Trainer::ScheduleAveraging() {
     // Accumulation beat the matchmaking thread: the round start becomes
     // unstable (Section 3, observation 2).
     start = floor_time +
-            rng_.Uniform(0, config_.matchmaking_jitter_frac *
+            rng_.Uniform(0, kMatchmakingJitterFrac *
                                 models::MinMatchmakingSec());
   }
 
@@ -331,7 +328,7 @@ void Trainer::FailRound() {
     telemetry::Instant(network_->simulator().Now(), "trainer", "round-retry",
                        StrFormat("{\"attempt\":%d}", round_retries_));
   }
-  if (round_retries_ > config_.averaging_max_retries &&
+  if (round_retries_ > RecoveryOf(config_).max_retries &&
       !degraded_round_) {
     degraded_round_ = true;
     HIVESIM_LOG(Info) << "degrading: averaging the largest reachable "
@@ -345,10 +342,10 @@ void Trainer::FailRound() {
   // Exponential backoff with seeded jitter; attempts are clamped so the
   // shift cannot overflow on very long outages.
   const int attempt = std::min(round_retries_, 30);
-  double delay = config_.averaging_retry_base_sec *
+  double delay = RecoveryOf(config_).retry_base_sec *
                  std::pow(2.0, attempt - 1);
-  delay = std::min(delay, config_.averaging_retry_max_sec);
-  if (delay > 0) delay *= rng_.Uniform(0.8, 1.2);
+  delay = std::min(delay, kAveragingRetryMaxSec);
+  delay *= rng_.Uniform(0.8, 1.2);
   const uint64_t gen = generation_;
   network_->simulator().Schedule(delay, [this, gen] {
     if (gen != generation_ || !running_ || !averaging_) return;
@@ -391,7 +388,7 @@ std::vector<collective::Peer> Trainer::LargestReachableGroup() const {
 
 void Trainer::ArmRoundWatchdog() {
   CancelRoundWatchdog();
-  const double timeout = config_.averaging_round_timeout_sec;
+  const double timeout = RecoveryOf(config_).round_timeout_sec;
   if (timeout <= 0) return;
   const uint64_t gen = generation_;
   watchdog_event_ = network_->simulator().Schedule(timeout, [this, gen] {

@@ -48,43 +48,27 @@ struct TrainerConfig {
   collective::Strategy strategy = collective::Strategy::kAuto;
   /// TCP streams per gradient transfer (1 = Hivemind's behaviour).
   int streams_per_transfer = 1;
-  /// When accumulation finishes before the 5 s matchmaking floor, the
-  /// group-forming thread isn't ready and the round start jitters by up
-  /// to this fraction of the floor (Section 3, observation 2).
-  double matchmaking_jitter_frac = 0.5;
   /// Optional: run real DHT matchmaking before every averaging round
   /// (peers announce under the epoch key and look each other up), so the
   /// group-forming latency emerges from DHT RPC round-trips instead of a
   /// constant. Peers must have DHT nodes registered at their endpoints.
   dht::DhtNetwork* dht = nullptr;
 
-  // --- Churn resilience (Section 7 hardening) ---
-  /// When an averaging round aborts mid-flight (a peer vanished, a WAN
-  /// event stalled the transfers), the round restarts with the surviving
-  /// group after an exponential backoff: min(max, base * 2^(attempt-1)),
-  /// jittered ±20% from the run's seeded stream to decorrelate retries.
-  double averaging_retry_base_sec = 0.5;
-  double averaging_retry_max_sec = 30.0;
-  /// Watchdog: abort an averaging round that has not completed after this
-  /// long (a WAN partition freezes its flows at rate zero, which would
-  /// otherwise stall the run forever). 0 disables the watchdog.
-  double averaging_round_timeout_sec = 0.0;
-  /// After this many consecutive failed rounds the trainer degrades
-  /// gracefully: it averages within the largest mutually reachable subset
-  /// of peers (the surviving partition) and finishes the epoch instead of
-  /// stalling.
-  int averaging_max_retries = 6;
+  /// Section 7 churn hardening, the preset every chaos run uses: a
+  /// 2-minute watchdog aborts rounds a partition froze (its flows stall
+  /// at rate zero), retries start after 1 s, and after two failed retries
+  /// the round degrades to the largest mutually reachable partition
+  /// instead of stalling the run. Off, there is no watchdog, retries start
+  /// after 0.5 s and the round degrades after six. Either way a failed
+  /// round restarts with the surviving group after an exponential backoff
+  /// (doubling, capped at 30 s, jittered ±20% from the run's seeded
+  /// stream to decorrelate retries).
+  bool churn_hardened = false;
   uint64_t seed = 1;
 };
 
-/// Validates a configuration (positive TBS, stream count, jitter range).
+/// Validates a configuration (positive TBS and stream count).
 Status ValidateTrainerConfig(const TrainerConfig& config);
-
-/// Section 7 churn hardening, the one definition every chaos run uses:
-/// a 2-minute watchdog aborts rounds a partition froze, retries start
-/// after 1 s, and two failed retries degrade the round to the surviving
-/// partition instead of stalling the run.
-TrainerConfig ChurnHardened(TrainerConfig config);
 
 /// Per-epoch timing record.
 struct EpochStats {
@@ -193,7 +177,7 @@ class Trainer {
   void ScheduleApplyAndFinish();
   /// Handles a failed averaging attempt (churn abort or watchdog
   /// timeout): retries with backoff, degrading to the largest reachable
-  /// partition once `averaging_max_retries` consecutive attempts failed.
+  /// partition once the preset's retry budget is spent.
   void FailRound();
   /// Members of the largest mutually reachable peer subset (paths with
   /// zero bandwidth — live partitions — disconnect sites).

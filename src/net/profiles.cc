@@ -105,4 +105,14 @@ NodeNetConfig OnPremNetConfig() {
   return cfg;
 }
 
+const std::map<std::string, SiteId>& SiteAliases() {
+  static const auto& aliases = *new std::map<std::string, SiteId>{
+      {"gc-us", kGcUs},     {"gc-eu", kGcEu},
+      {"gc-asia", kGcAsia}, {"gc-aus", kGcAus},
+      {"aws", kAwsUsWest},  {"azure", kAzureUsSouth},
+      {"lambda", kLambdaUsWest}, {"onprem", kOnPremEu},
+  };
+  return aliases;
+}
+
 }  // namespace hivesim::net

@@ -1,6 +1,9 @@
 #ifndef HIVESIM_NET_PROFILES_H_
 #define HIVESIM_NET_PROFILES_H_
 
+#include <map>
+#include <string>
+
 #include "net/topology.h"
 
 namespace hivesim::net {
@@ -19,6 +22,11 @@ namespace hivesim::net {
 /// window in `CloudVmNetConfig` / `OnPremNetConfig`; `hivesim reproduce
 /// --figure=table5,sec7_multistream` reproduces the measurements.
 Topology StandardWorld();
+
+/// Short names of the standard world's sites ("gc-us", "aws", "onprem",
+/// ...), the one table that `hivesim list` prints and that fleet specs
+/// and scenario packs name sites by.
+const std::map<std::string, SiteId>& SiteAliases();
 
 /// Network config of a cloud VM: large tuned TCP buffers (8 MB), so the
 /// physical path capacity is the binding constraint on GC premium-tier

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -12,6 +11,7 @@
 #include "common/json_parse.h"
 #include "common/strings.h"
 #include "common/units.h"
+#include "net/profiles.h"
 
 namespace hivesim::scenario {
 
@@ -20,18 +20,6 @@ namespace {
 constexpr const char* kSchemaId = "hivesim-scenario/1";
 /// Diurnal curves wrap over at most a week of hours.
 constexpr size_t kMaxCurveHours = 168;
-
-/// Site aliases a pack may name directly (the `hivesim list` set minus
-/// nothing: on-prem paths are as degradable as cloud ones).
-const std::map<std::string, net::SiteId>& SiteAliases() {
-  static const auto& aliases = *new std::map<std::string, net::SiteId>{
-      {"gc-us", net::kGcUs},     {"gc-eu", net::kGcEu},
-      {"gc-asia", net::kGcAsia}, {"gc-aus", net::kGcAus},
-      {"aws", net::kAwsUsWest},  {"azure", net::kAzureUsSouth},
-      {"lambda", net::kLambdaUsWest}, {"onprem", net::kOnPremEu},
-  };
-  return aliases;
-}
 
 Status Err(size_t offset, std::string_view path, std::string_view message) {
   return Status::InvalidArgument(StrCat("scenario pack: ", path, ": ",
@@ -123,7 +111,7 @@ Result<SiteRef> GetSiteRef(const JsonValue& object, std::string_view path,
     }
     return SiteRef{text};
   }
-  if (SiteAliases().count(text) == 0) {
+  if (net::SiteAliases().count(text) == 0) {
     return Err(object.Find(key)->offset, path,
                StrCat("unknown site '", text,
                       "' (alias or $site<N>; see `hivesim list`)"));
@@ -584,13 +572,13 @@ Result<ScenarioPack> ParseScenarioCsv(std::string_view text) {
                     double* out) -> Status {
     char* end = nullptr;
     *out = std::strtod(field.c_str(), &end);
-    if (field.empty() || *end != '\0') {
+    if (field.empty() || *end != '\0' || !std::isfinite(*out)) {
       return line_err(StrCat("bad ", what, " '", field, "'"));
     }
     return Status::OK();
   };
   auto site = [&](const std::string& field) -> Result<SiteRef> {
-    if (SiteAliases().count(field) == 0 && !StartsWith(field, "$site")) {
+    if (net::SiteAliases().count(field) == 0 && !StartsWith(field, "$site")) {
       return line_err(StrCat("unknown site '", field, "'"));
     }
     return SiteRef{field};
@@ -884,8 +872,8 @@ Result<net::SiteId> ResolveSiteRef(const SiteRef& ref,
     return fleet.distinct_sites[std::min(index,
                                          fleet.distinct_sites.size() - 1)];
   }
-  const auto it = SiteAliases().find(ref.text);
-  if (it == SiteAliases().end()) {
+  const auto it = net::SiteAliases().find(ref.text);
+  if (it == net::SiteAliases().end()) {
     return Status::InvalidArgument(
         StrCat("unknown site alias '", ref.text, "'"));
   }

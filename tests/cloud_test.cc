@@ -205,12 +205,11 @@ TEST(SpotMarketTest, InterruptionDelaysPositiveAndFinite) {
 }
 
 TEST(SpotMarketTest, DaytimeInterruptsMoreOften) {
-  // Extreme settings so a daytime VM almost surely dies within its first
-  // day segment, while a night-time VM survives at least until morning.
-  SpotMarketConfig config;
-  config.base_monthly_interruption_rate = 0.9999;
-  config.daylight_multiplier = 1000.0;
-  SpotMarket market(Rng(7), config);
+  // A storm on both zones makes every VM die within its first day or
+  // night segment, so the mean delays compare the two hazards directly.
+  SpotMarket market(Rng(7));
+  market.AddHazardWindow({Continent::kAus, 0.0, 24 * kHour, 1e4});
+  market.AddHazardWindow({Continent::kEu, 0.0, 24 * kHour, 1e4});
   // Sydney at sim time 0 is 10:00 (day); Belgium is 01:00 (night).
   double day_sum = 0, night_sum = 0;
   constexpr int kN = 200;
@@ -218,37 +217,34 @@ TEST(SpotMarketTest, DaytimeInterruptsMoreOften) {
     day_sum += market.SampleInterruptionDelay(Continent::kAus, 0);
     night_sum += market.SampleInterruptionDelay(Continent::kEu, 0);
   }
-  // Daytime mean is minutes; the night VM has ~7 quiet hours first.
-  EXPECT_LT(day_sum / kN, kHour);
-  EXPECT_GT(night_sum / kN, 3 * kHour);
+  // Night mean ~41 min (well inside Belgium's 7 night hours), day mean
+  // ~7 min: the ratio is the daylight multiplier.
+  EXPECT_LT(night_sum / kN, 2 * kHour);
+  EXPECT_NEAR(night_sum / day_sum, SpotMarket::kDaylightMultiplier, 1.5);
 }
 
 TEST(SpotMarketTest, StartupDelayWithinConfiguredRange) {
   SpotMarket market(Rng(3));
   for (int i = 0; i < 100; ++i) {
     const double d = market.SampleStartupDelay();
-    EXPECT_GE(d, market.config().vm_startup_min_sec);
-    EXPECT_LT(d, market.config().vm_startup_max_sec);
+    EXPECT_GE(d, SpotMarket::kVmStartupMinSec);
+    EXPECT_LT(d, SpotMarket::kVmStartupMaxSec);
   }
 }
 
 TEST(SpotMarketTest, ZeroHazardNeverInterruptsAndDrawsNothing) {
-  SpotMarketConfig config;
-  config.base_monthly_interruption_rate = 0.0;
-  SpotMarket zero(Rng(11), config);
+  SpotMarket zero(Rng(11), 0.0);
   EXPECT_TRUE(std::isinf(zero.SampleInterruptionDelay(Continent::kUs, 0)));
   // "Never" must come without consuming random draws (or scanning ten
   // years of hourly segments): the next startup delay matches a fresh
   // same-seed market draw-for-draw.
-  SpotMarket fresh(Rng(11), config);
+  SpotMarket fresh(Rng(11), 0.0);
   EXPECT_DOUBLE_EQ(zero.SampleStartupDelay(), fresh.SampleStartupDelay());
 }
 
 TEST(SpotMarketTest, HazardWindowsConcentrateInterruptions) {
-  SpotMarketConfig config;
-  config.base_monthly_interruption_rate = 0.05;
-  SpotMarket calm(Rng(5), config);
-  SpotMarket stormy(Rng(5), config);
+  SpotMarket calm(Rng(5), 0.05);
+  SpotMarket stormy(Rng(5), 0.05);
   // A scripted capacity crunch: day-long window with a 5000x hazard.
   stormy.AddHazardWindow({Continent::kUs, 0.0, 24 * kHour, 5000.0});
   double calm_mean = 0, storm_mean = 0;
@@ -311,16 +307,13 @@ TEST(SpotMarketTest, PriceVariesAcrossHoursAndZones) {
 
 class VmTest : public ::testing::Test {
  protected:
-  VmTest() : market_(Rng(5)) {}
-
   sim::Simulator sim_;
-  SpotMarket market_{Rng(5)};
+  // A zero-rate market: its VMs are never interrupted.
+  SpotMarket calm_market_{Rng(5), 0.0};
 };
 
 TEST_F(VmTest, StartProvisionsThenRuns) {
-  VmInstance::Config config;
-  config.spot = false;
-  VmInstance vm(&sim_, &market_, Continent::kUs, config);
+  VmInstance vm(&sim_, &calm_market_, Continent::kUs);
   int running_count = 0;
   vm.on_running = [&] { ++running_count; };
   EXPECT_EQ(vm.state(), VmState::kPending);
@@ -329,13 +322,11 @@ TEST_F(VmTest, StartProvisionsThenRuns) {
   sim_.Run();
   EXPECT_EQ(vm.state(), VmState::kRunning);
   EXPECT_EQ(running_count, 1);
-  EXPECT_GE(sim_.Now(), market_.config().vm_startup_min_sec);
+  EXPECT_GE(sim_.Now(), SpotMarket::kVmStartupMinSec);
 }
 
 TEST_F(VmTest, BilledHoursAccumulateWhileRunning) {
-  VmInstance::Config config;
-  config.spot = false;
-  VmInstance vm(&sim_, &market_, Continent::kUs, config);
+  VmInstance vm(&sim_, &calm_market_, Continent::kUs);
   vm.Start();
   sim_.Run();  // Now running.
   const double start = sim_.Now();
@@ -348,38 +339,33 @@ TEST_F(VmTest, BilledHoursAccumulateWhileRunning) {
 }
 
 TEST_F(VmTest, SpotVmEventuallyInterrupted) {
-  SpotMarketConfig config;
-  config.base_monthly_interruption_rate = 0.9999;
-  config.daylight_multiplier = 50;
-  SpotMarket hot_market(Rng(11), config);
-  VmInstance::Config vm_config;
-  vm_config.spot = true;
-  VmInstance vm(&sim_, &hot_market, Continent::kUs, vm_config);
-  bool interrupted = false;
-  vm.on_interrupted = [&] { interrupted = true; };
+  // A storm over the whole window; the replacement VMs get interrupted
+  // too, so the run stops at a deadline (Run() would never return).
+  SpotMarket hot_market(Rng(11));
+  hot_market.AddHazardWindow({Continent::kUs, 0.0, 24 * kHour, 1e4});
+  VmInstance vm(&sim_, &hot_market, Continent::kUs);
+  int interrupted = 0;
+  vm.on_interrupted = [&] {
+    ++interrupted;
+    EXPECT_EQ(vm.state(), VmState::kInterrupted);
+  };
   vm.Start();
-  sim_.Run();
-  EXPECT_TRUE(interrupted);
-  EXPECT_EQ(vm.state(), VmState::kInterrupted);
-  EXPECT_EQ(vm.interruptions(), 1);
+  sim_.RunUntil(24 * kHour);
+  EXPECT_GT(interrupted, 0);
+  EXPECT_EQ(vm.interruptions(), interrupted);
 }
 
 TEST_F(VmTest, AutoRestartReplacesInterruptedVm) {
-  SpotMarketConfig config;
-  config.base_monthly_interruption_rate = 0.9999;
-  config.daylight_multiplier = 50;
-  SpotMarket hot_market(Rng(13), config);
-  VmInstance::Config vm_config;
-  vm_config.spot = true;
-  vm_config.auto_restart = true;
-  VmInstance vm(&sim_, &hot_market, Continent::kUs, vm_config);
+  SpotMarket hot_market(Rng(13));
+  hot_market.AddHazardWindow({Continent::kUs, 0.0, 24 * kHour, 1e4});
+  VmInstance vm(&sim_, &hot_market, Continent::kUs);
   int running_count = 0;
   vm.on_running = [&] {
     ++running_count;
     if (running_count >= 3) vm.Stop();
   };
   vm.Start();
-  sim_.Run();
+  sim_.RunUntil(24 * kHour);
   EXPECT_GE(running_count, 3);
   EXPECT_GE(vm.interruptions(), 2);
   EXPECT_EQ(vm.state(), VmState::kStopped);
@@ -387,12 +373,7 @@ TEST_F(VmTest, AutoRestartReplacesInterruptedVm) {
 
 TEST_F(VmTest, UninterruptibleSpotVmNeverDies) {
   // The paper's measurement mode: a zero-rate market never interrupts.
-  SpotMarketConfig market_config;
-  market_config.base_monthly_interruption_rate = 0;
-  SpotMarket calm_market(Rng(5), market_config);
-  VmInstance::Config config;
-  config.spot = true;
-  VmInstance vm(&sim_, &calm_market, Continent::kUs, config);
+  VmInstance vm(&sim_, &calm_market_, Continent::kUs);
   vm.Start();
   sim_.Run();
   sim_.RunUntil(sim_.Now() + 100 * kHour);

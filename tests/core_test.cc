@@ -28,24 +28,23 @@ TEST(BaselinesTest, SingleGpuMatchesCalibration) {
 }
 
 TEST(BaselinesTest, DgxAnchorsExact) {
-  auto cv = baselines::DdpThroughput(
-      baselines::Dgx2Node(ModelId::kConvNextLarge));
+  auto cv = RunCentralizedBaseline(cloud::VmTypeId::kOnPremDgx2,
+                                   ModelId::kConvNextLarge);
   ASSERT_TRUE(cv.ok());
-  EXPECT_DOUBLE_EQ(*cv, 413.0);
-  auto nlp = baselines::DdpThroughput(baselines::Dgx2Node(ModelId::kRobertaXlm));
+  EXPECT_DOUBLE_EQ(cv->throughput_sps, 413.0);
+  auto nlp = RunCentralizedBaseline(cloud::VmTypeId::kOnPremDgx2,
+                                    ModelId::kRobertaXlm);
   ASSERT_TRUE(nlp.ok());
-  EXPECT_DOUBLE_EQ(*nlp, 1811.0);
+  EXPECT_DOUBLE_EQ(nlp->throughput_sps, 1811.0);
 }
 
-/// The best multi-T4 single node on GC: 4xT4 over a shared PCIe fabric
-/// calibrated to ~5.4 GB/s from the paper's 207 SPS.
+/// The best multi-T4 single node on GC: 4xT4 over a shared PCIe fabric.
 baselines::DdpNodeConfig FourT4Node(ModelId model) {
   baselines::DdpNodeConfig config;
   config.model = model;
   config.gpu = compute::GpuModel::kT4;
   config.gpu_count = 4;
   config.host = compute::HostClass::kGcN1Standard8;
-  config.interconnect_bytes_per_sec = 5.4e9;
   return config;
 }
 
@@ -65,23 +64,35 @@ TEST(BaselinesTest, FourT4NodeAnchorsAndOom) {
 }
 
 TEST(BaselinesTest, RingModelScalesUnanchoredConfigs) {
-  const baselines::DdpNodeConfig node = FourT4Node(ModelId::kResNet50);
-  auto sps = baselines::DdpThroughput(node);
-  ASSERT_TRUE(sps.ok());
-  // Closed form of synchronous DDP: each microbatch step computes, then
-  // ring-all-reduces 2(G-1)/G of the FP32 gradients over the
-  // interconnect, with no overlap.
-  const double per_gpu =
-      models::BaselineSps(node.model, node.gpu).value();
-  const double calc_sec = models::DefaultMicrobatch(node.model) / per_gpu;
-  const double comm_sec = 2.0 * (node.gpu_count - 1) / node.gpu_count *
-                          models::GetModelSpec(node.model).GradientBytesFp32() /
-                          node.interconnect_bytes_per_sec;
-  EXPECT_DOUBLE_EQ(*sps, node.gpu_count * per_gpu *
-                             (calc_sec / (calc_sec + comm_sec)));
-  // Sub-linear but positive scaling.
-  EXPECT_GT(*sps, per_gpu);                   // Better than one T4.
-  EXPECT_LT(*sps, node.gpu_count * per_gpu);  // Below perfect scaling.
+  // The interconnect follows the GPU: NVLink (~120 GB/s) inside a V100
+  // node, PCIe (~5.4 GB/s, calibrated from the 4xT4 node's 207 SPS)
+  // otherwise.
+  baselines::DdpNodeConfig four_v100;
+  four_v100.model = ModelId::kResNet50;
+  four_v100.gpu_count = 4;
+  const struct {
+    baselines::DdpNodeConfig node;
+    double interconnect_bytes_per_sec;
+  } cases[] = {{FourT4Node(ModelId::kResNet50), 5.4e9}, {four_v100, 120e9}};
+  for (const auto& [node, interconnect_bytes_per_sec] : cases) {
+    auto sps = baselines::DdpThroughput(node);
+    ASSERT_TRUE(sps.ok());
+    // Closed form of synchronous DDP: each microbatch step computes, then
+    // ring-all-reduces 2(G-1)/G of the FP32 gradients over the
+    // interconnect, with no overlap.
+    const double per_gpu =
+        models::BaselineSps(node.model, node.gpu).value();
+    const double calc_sec = models::DefaultMicrobatch(node.model) / per_gpu;
+    const double comm_sec =
+        2.0 * (node.gpu_count - 1) / node.gpu_count *
+        models::GetModelSpec(node.model).GradientBytesFp32() /
+        interconnect_bytes_per_sec;
+    EXPECT_DOUBLE_EQ(*sps, node.gpu_count * per_gpu *
+                               (calc_sec / (calc_sec + comm_sec)));
+    // Sub-linear but positive scaling.
+    EXPECT_GT(*sps, per_gpu);                   // Better than one GPU.
+    EXPECT_LT(*sps, node.gpu_count * per_gpu);  // Below perfect scaling.
+  }
 }
 
 // --- Cluster ---
@@ -218,17 +229,11 @@ TEST(ExperimentTest, ScenarioPackArmsChaosAndHardensTheTrainer) {
   const ClusterSpec cluster{{GcT4s(2, net::kGcUs), GcT4s(2, net::kGcEu)}};
   ExperimentConfig config;
   config.duration_sec = 0.5 * kHour;
-  const hivemind::TrainerConfig defaults;
 
   auto calm = BuildExperimentWorld(cluster, config);
   ASSERT_TRUE(calm.ok()) << calm.status().ToString();
   EXPECT_EQ((*calm)->chaos, nullptr);
-  const hivemind::TrainerConfig& calm_config = (*calm)->trainer->config();
-  EXPECT_EQ(calm_config.averaging_round_timeout_sec,
-            defaults.averaging_round_timeout_sec);
-  EXPECT_EQ(calm_config.averaging_retry_base_sec,
-            defaults.averaging_retry_base_sec);
-  EXPECT_EQ(calm_config.averaging_max_retries, defaults.averaging_max_retries);
+  EXPECT_FALSE((*calm)->trainer->config().churn_hardened);
   auto calm_result = CompleteExperiment(**calm, config);
   ASSERT_TRUE(calm_result.ok());
   EXPECT_EQ(calm_result->chaos_fingerprint, 0u);
@@ -238,10 +243,7 @@ TEST(ExperimentTest, ScenarioPackArmsChaosAndHardensTheTrainer) {
   auto armed = BuildExperimentWorld(cluster, config, &*pack);
   ASSERT_TRUE(armed.ok()) << armed.status().ToString();
   ASSERT_NE((*armed)->chaos, nullptr);
-  const hivemind::TrainerConfig& armed_config = (*armed)->trainer->config();
-  EXPECT_EQ(armed_config.averaging_round_timeout_sec, 120);
-  EXPECT_EQ(armed_config.averaging_retry_base_sec, 1.0);
-  EXPECT_EQ(armed_config.averaging_max_retries, 2);
+  EXPECT_TRUE((*armed)->trainer->config().churn_hardened);
   auto armed_result = CompleteExperiment(**armed, config);
   ASSERT_TRUE(armed_result.ok());
   EXPECT_NE(armed_result->chaos_fingerprint, 0u);
@@ -274,8 +276,7 @@ TEST(ExperimentTest, SpotMarketSectionRentsTheSpotMembersAsVms) {
   ASSERT_TRUE(world.ok()) << world.status().ToString();
   ASSERT_NE((*world)->spot_market, nullptr);
   EXPECT_EQ((*world)->vms.size(), 4u);  // The on-demand A10 rents none.
-  EXPECT_EQ((*world)->sim.Now(),
-            (*world)->spot_market->config().vm_startup_max_sec + 1);
+  EXPECT_EQ((*world)->sim.Now(), cloud::SpotMarket::kVmStartupMaxSec + 1);
   auto result = CompleteExperiment(**world, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->spot_interruptions, 0);  // The US storm reclaims VMs.
@@ -346,7 +347,6 @@ TEST(AdvisorTest, RanksSpotFleetsByCostPerSample) {
   request.model = ModelId::kConvNextLarge;
   request.fleet_sizes = {8};
   request.min_throughput_sps = 250;  // Rules out small fleets & 1 GPU.
-  request.eval_duration_sec = kHour;
   auto options = RankTrainingOptions(request);
   ASSERT_TRUE(options.ok());
   ASSERT_GE(options->size(), 6u);

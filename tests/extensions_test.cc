@@ -74,10 +74,6 @@ TEST(ValidationTest, RejectsDegenerateConfigs) {
   config.streams_per_transfer = 0;
   EXPECT_EQ(hivemind::ValidateTrainerConfig(config).code(),
             StatusCode::kInvalidArgument);
-  config = hivemind::TrainerConfig{};
-  config.matchmaking_jitter_frac = -1;
-  EXPECT_EQ(hivemind::ValidateTrainerConfig(config).code(),
-            StatusCode::kInvalidArgument);
   EXPECT_TRUE(hivemind::ValidateTrainerConfig(hivemind::TrainerConfig{}).ok());
 }
 

@@ -165,9 +165,7 @@ TEST(ChaosSpotTest, SpotStormInterruptsVms) {
     sim::Simulator sim;
     net::Topology topo = net::StandardWorld();
     net::Network network(&sim, &topo);
-    cloud::SpotMarketConfig market_config;
-    market_config.base_monthly_interruption_rate = 0.05;
-    cloud::SpotMarket market(Rng(9), market_config);
+    cloud::SpotMarket market(Rng(9), 0.05);
     ChaosInjector injector(&sim, &topo, &network, 9);
     injector.AttachSpotMarket(&market);
     if (storm) {
@@ -175,13 +173,10 @@ TEST(ChaosSpotTest, SpotStormInterruptsVms) {
       schedule.SpotStorm(net::Continent::kUs, 0, 24 * kHour, 10000.0);
       EXPECT_TRUE(injector.Arm(schedule).ok());
     }
-    cloud::VmInstance::Config vm_config;
-    vm_config.spot = true;
-    vm_config.auto_restart = true;
     std::vector<std::unique_ptr<cloud::VmInstance>> vms;
     for (int i = 0; i < 4; ++i) {
-      vms.push_back(std::make_unique<cloud::VmInstance>(
-          &sim, &market, net::Continent::kUs, vm_config));
+      vms.push_back(std::make_unique<cloud::VmInstance>(&sim, &market,
+                                                        net::Continent::kUs));
       vms.back()->Start();
     }
     sim.RunUntil(24 * kHour);
@@ -219,9 +214,7 @@ ReplayResult RunReplayScenario(uint64_t seed) {
   hivemind::TrainerConfig config;
   config.model = models::ModelId::kConvNextLarge;
   config.seed = seed;
-  config.averaging_round_timeout_sec = 120;
-  config.averaging_retry_base_sec = 0.5;
-  config.averaging_max_retries = 2;
+  config.churn_hardened = true;
   hivemind::Trainer trainer(&network, config);
   std::vector<hivemind::PeerSpec> peers;
   for (int i = 0; i < 4; ++i) {

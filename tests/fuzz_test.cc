@@ -14,6 +14,7 @@
 
 #include "fuzz/fuzz.h"
 #include "fuzz/internal.h"
+#include "net/profiles.h"
 
 namespace hivesim {
 namespace {
@@ -85,6 +86,19 @@ TEST(FuzzGenerate, WorldSeedsSurviveTheJsonNumberRoundTrip) {
 }
 
 // --- The find -> shrink -> replay pipeline ----------------------------
+
+// The generator keeps its own ordered site list (the order feeds the
+// pinned digest); every entry must still name a site of the shared alias
+// table, on the continent the standard world puts it.
+TEST(FuzzGenerate, SitesAreSharedAliasesOnTheirContinents) {
+  const net::Topology world = net::StandardWorld();
+  for (const fuzz::internal::SiteChoice& site : fuzz::internal::kSites) {
+    const auto it = net::SiteAliases().find(site.alias);
+    ASSERT_NE(it, net::SiteAliases().end()) << site.alias;
+    EXPECT_EQ(world.site(it->second).continent, site.continent)
+        << site.alias;
+  }
+}
 
 TEST(FuzzPipeline, InjectedOrderingBugIsFoundAndShrunkSmall) {
   // Seed 2 is known to generate cases mixing a full partition with a

@@ -274,9 +274,7 @@ TEST_F(TrainerTest, WatchdogDegradesToReachablePartitionInsteadOfStalling) {
   // keeps stepping instead of stalling forever.
   TrainerConfig config;
   config.model = ModelId::kConvNextLarge;
-  config.averaging_round_timeout_sec = 60;
-  config.averaging_retry_base_sec = 0.5;
-  config.averaging_max_retries = 2;
+  config.churn_hardened = true;
   Trainer trainer(&network_, config);
   std::vector<PeerSpec> peers = {GcT4(net::kGcUs), GcT4(net::kGcUs),
                                  GcT4(net::kGcEu), GcT4(net::kGcEu)};

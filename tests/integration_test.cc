@@ -161,10 +161,8 @@ TEST(IntegrationTest, VmChurnLoopKeepsTrainingAlive) {
   sim::Simulator sim;
   net::Topology topo = net::StandardWorld();
   net::Network network(&sim, &topo);
-  cloud::SpotMarketConfig market_config;
-  market_config.base_monthly_interruption_rate = 0.9999;
-  market_config.daylight_multiplier = 40;
-  cloud::SpotMarket market(Rng(5), market_config);
+  cloud::SpotMarket market(Rng(5));
+  market.AddHazardWindow({net::Continent::kUs, 0, 49 * kHour, 500});
 
   hivemind::TrainerConfig config;
   config.model = ModelId::kResNet50;
@@ -175,11 +173,8 @@ TEST(IntegrationTest, VmChurnLoopKeepsTrainingAlive) {
     hivemind::PeerSpec peer;
     peer.node = topo.AddNode(net::kGcUs, net::CloudVmNetConfig());
     ASSERT_TRUE(trainer.AddPeer(peer).ok());
-    cloud::VmInstance::Config vm_config;
-    vm_config.spot = true;
-    vm_config.auto_restart = true;
-    auto vm = std::make_unique<cloud::VmInstance>(
-        &sim, &market, net::Continent::kUs, vm_config);
+    auto vm = std::make_unique<cloud::VmInstance>(&sim, &market,
+                                                  net::Continent::kUs);
     auto* raw = vm.get();
     raw->on_interrupted = [&trainer, &interruptions, peer] {
       ++interruptions;
@@ -191,7 +186,7 @@ TEST(IntegrationTest, VmChurnLoopKeepsTrainingAlive) {
     vms.push_back(std::move(vm));
   }
   for (auto& vm : vms) vm->Start();
-  sim.RunUntil(market.config().vm_startup_max_sec + 1);
+  sim.RunUntil(cloud::SpotMarket::kVmStartupMaxSec + 1);
   ASSERT_TRUE(trainer.Start().ok());
   sim.RunUntil(sim.Now() + 48 * kHour);
   trainer.Stop();
@@ -211,7 +206,6 @@ TEST(IntegrationTest, AdvisorPrefersLambdaForCvAndDgxForNlp) {
   cv.model = ModelId::kConvNextLarge;
   cv.fleet_sizes = {8};
   cv.min_throughput_sps = 400;
-  cv.eval_duration_sec = kHour;
   auto cv_options = core::RankTrainingOptions(cv);
   ASSERT_TRUE(cv_options.ok());
   EXPECT_NE(cv_options->front().description.find("lambda"),
@@ -221,7 +215,6 @@ TEST(IntegrationTest, AdvisorPrefersLambdaForCvAndDgxForNlp) {
   nlp.model = ModelId::kRobertaXlm;
   nlp.fleet_sizes = {8};
   nlp.min_throughput_sps = 1500;
-  nlp.eval_duration_sec = kHour;
   auto nlp_options = core::RankTrainingOptions(nlp);
   ASSERT_TRUE(nlp_options.ok());
   EXPECT_NE(nlp_options->front().description.find("DGX-2"),

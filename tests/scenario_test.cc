@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/units.h"
 #include "net/profiles.h"
 #include "scenario/scenario.h"
@@ -318,6 +319,44 @@ TEST(ScenarioCsv, ParsesTheRowGrammar) {
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(scenario::ScenarioToJson(*pack),
             scenario::ScenarioToJson(*reparsed));
+}
+
+// Non-finite numbers have no JSON form (the writer emits `null` for
+// them), so neither reader may accept one: a pack that parses must
+// survive parse -> serialize -> parse.
+TEST(ScenarioNonFinite, BothFormsRejectNonFiniteNumbers) {
+  const std::string prefix =
+      R"({"schema":"hivesim-scenario/1","name":"x","wan":[{"a":"gc-us",)"
+      R"("b":"gc-eu","start":0,"duration":)";
+  const std::string suffix =
+      R"(,"unit":"sec","bandwidth_factor":0.5,"extra_rtt_ms":0}]})";
+  auto overflow = scenario::ParseScenario(prefix + "1e999" + suffix);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().ToString().find(
+                StrCat("offset ", prefix.size(), ": number out of range")),
+            std::string::npos)
+      << overflow.status().ToString();
+  auto negative = scenario::ParseScenario(prefix + "-1e999" + suffix);
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+
+  auto finite = scenario::ParseScenario(prefix + "1e300" + suffix);
+  ASSERT_TRUE(finite.ok()) << finite.status().ToString();
+  const std::string bytes = scenario::ScenarioToJson(*finite);
+  auto reparsed = scenario::ParseScenario(bytes);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(bytes, scenario::ScenarioToJson(*reparsed));
+
+  for (const char* row : {"wan,gc-us,gc-eu,0,inf,nan,0",
+                          "wan,gc-us,gc-eu,0,600,nan,0",
+                          "wan,gc-us,gc-eu,0,600,0.5,-inf",
+                          "wan,gc-us,gc-eu,1e999,600,0.5,0"}) {
+    auto csv = scenario::ParseScenarioCsv(StrCat("name,x\n", row, "\n"));
+    ASSERT_FALSE(csv.ok()) << row;
+    EXPECT_EQ(csv.status().code(), StatusCode::kInvalidArgument) << row;
+    EXPECT_NE(csv.status().ToString().find("line 2"), std::string::npos)
+        << csv.status().ToString();
+  }
 }
 
 // --- The bad-pack corpus ----------------------------------------------

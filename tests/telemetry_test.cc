@@ -290,9 +290,7 @@ RenderedRun ChaosRun(uint64_t seed) {
   hivemind::TrainerConfig config;
   config.seed = seed;
   config.dht = &dht;
-  config.averaging_round_timeout_sec = 90;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
+  config.churn_hardened = true;
   hivemind::Trainer trainer(&network, config);
   for (const auto& p : peers) EXPECT_TRUE(trainer.AddPeer(p).ok());
 

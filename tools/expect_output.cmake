@@ -5,15 +5,20 @@
 #
 #   cmake -DEXPECT_EXIT=zero|nonzero -DEXPECT_REGEX=<regex>
 #         -P expect_output.cmake -- <command> [args...]
+#   cmake -DEXPECT_EXIT=zero|nonzero -DEXPECT_FILE=<path>
+#         -P expect_output.cmake -- <command> [args...]
 #
 # EXPECT_REGEX is a CMake regex matched against stdout and stderr
-# together. A run killed by a signal counts as neither zero nor nonzero.
+# together. EXPECT_FILE names a golden file that stdout alone must equal
+# byte for byte (stderr is shown but not compared). A run killed by a
+# signal counts as neither zero nor nonzero.
 
 if(NOT EXPECT_EXIT MATCHES "^(zero|nonzero)$")
   message(FATAL_ERROR "EXPECT_EXIT must be zero or nonzero, got '${EXPECT_EXIT}'")
 endif()
-if(NOT DEFINED EXPECT_REGEX)
-  message(FATAL_ERROR "EXPECT_REGEX is not set")
+if((DEFINED EXPECT_REGEX AND DEFINED EXPECT_FILE) OR
+   (NOT DEFINED EXPECT_REGEX AND NOT DEFINED EXPECT_FILE))
+  message(FATAL_ERROR "set exactly one of EXPECT_REGEX and EXPECT_FILE")
 endif()
 
 set(command)
@@ -30,11 +35,19 @@ if(NOT command)
   message(FATAL_ERROR "no command given after --")
 endif()
 
-execute_process(COMMAND ${command}
-  RESULT_VARIABLE status
-  OUTPUT_VARIABLE output
-  ERROR_VARIABLE output)
-message("${output}")
+if(DEFINED EXPECT_FILE)
+  execute_process(COMMAND ${command}
+    RESULT_VARIABLE status
+    OUTPUT_VARIABLE output
+    ERROR_VARIABLE errors)
+  message("${output}${errors}")
+else()
+  execute_process(COMMAND ${command}
+    RESULT_VARIABLE status
+    OUTPUT_VARIABLE output
+    ERROR_VARIABLE output)
+  message("${output}")
+endif()
 
 if(NOT status MATCHES "^[0-9]+$")
   message(FATAL_ERROR "command did not exit normally: ${status}")
@@ -45,6 +58,14 @@ endif()
 if(EXPECT_EXIT STREQUAL "nonzero" AND status EQUAL 0)
   message(FATAL_ERROR "command exited with 0, expected a failure")
 endif()
-if(NOT output MATCHES "${EXPECT_REGEX}")
+if(DEFINED EXPECT_FILE)
+  file(READ "${EXPECT_FILE}" expected)
+  if(NOT output STREQUAL expected)
+    string(LENGTH "${output}" got_bytes)
+    string(LENGTH "${expected}" want_bytes)
+    message(FATAL_ERROR "stdout (${got_bytes} bytes) differs from "
+      "${EXPECT_FILE} (${want_bytes} bytes)")
+  endif()
+elseif(NOT output MATCHES "${EXPECT_REGEX}")
   message(FATAL_ERROR "output does not match '${EXPECT_REGEX}'")
 endif()

@@ -121,7 +121,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -158,12 +157,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// Fleet parsing lives in core/catalog.h now — the CLI, the sweep engine,
-// and the fuzzer's reproducer packs all share one "site:count" grammar.
-const std::map<std::string, net::SiteId>& SiteAliases() {
-  return core::FleetSiteAliases();
-}
-
 Result<std::vector<core::NamedExperiment>> SeriesFor(
     const std::string& name) {
   if (name == "A") return core::ASeries();
@@ -188,7 +181,9 @@ int CmdList(const FlagSet& flags) {
   models_table.Print(std::cout);
 
   std::cout << "\nSites (for --spec / --from / --to):\n  ";
-  for (const auto& [alias, site] : SiteAliases()) std::cout << alias << " ";
+  for (const auto& [alias, site] : net::SiteAliases()) {
+    std::cout << alias << " ";
+  }
   std::cout << "\n\nExperiment series: A (intra-zone), B (transatlantic), "
                "C (intercontinental), D (multi-cloud), lambda (A10s)\n";
   return 0;
@@ -406,7 +401,7 @@ int CmdProfile(const FlagSet& flags) {
   if (Status s = flags.CheckKnown({"from", "to", "streams"}); !s.ok()) {
     return Fail(s);
   }
-  const auto& aliases = SiteAliases();
+  const auto& aliases = net::SiteAliases();
   auto from = aliases.find(flags.GetString("from", "gc-us"));
   auto to = aliases.find(flags.GetString("to", "gc-eu"));
   if (from == aliases.end() || to == aliases.end()) {

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <initializer_list>
 
-#include "baselines/baselines.h"
 #include "cloud/cost.h"
 #include "cloud/pricing.h"
 #include "common/strings.h"
@@ -982,10 +981,14 @@ void Fig13(Page& page) {
 }
 
 void Fig14(Page& page) {
-  const double cv_baseline = page.Value(
-      baselines::DdpThroughput(baselines::Dgx2Node(kConv)));
-  const double nlp_baseline = page.Value(
-      baselines::DdpThroughput(baselines::Dgx2Node(kRxlm)));
+  const double cv_baseline =
+      page.Value(core::RunCentralizedBaseline(cloud::VmTypeId::kOnPremDgx2,
+                                              kConv))
+          .throughput_sps;
+  const double nlp_baseline =
+      page.Value(core::RunCentralizedBaseline(cloud::VmTypeId::kOnPremDgx2,
+                                              kRxlm))
+          .throughput_sps;
   auto series = [&](ModelId model, const char* domain, double baseline) {
     PrintHybridSeries(page, core::FSeries, model,
                       StrCat("Fig. 14 (", domain,
