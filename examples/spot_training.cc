@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     auto parsed = ParseDoubleArg("monthly_interruption_rate", argv[1]);
     // The same domain a pack file's spot_market section must respect.
-    if (parsed.ok() && !(*parsed >= 0 && *parsed < 1)) {
+    if (parsed.ok() && !scenario::IsMonthlyRate(*parsed)) {
       parsed = Status::InvalidArgument(
           StrCat("monthly_interruption_rate must be within [0, 1), got ",
                  argv[1]));

@@ -33,7 +33,7 @@
 #   8. a perf smoke: BM_Fleet/1000 (bench_fleet) runs once, bounded, so
 #      a fleet-scale hang or determinism break surfaces before the full
 #      gate spends time on the other areas,
-#   9. the perf gate: the five gated bench binaries run with
+#   9. the perf gate: the six gated bench binaries run with
 #      --bench-json (each self-checks determinism first and exits
 #      non-zero on divergence; bench_fleet runs twice, its 100k-peer
 #      world once under its own area whose baseline floors the 100k/1k
@@ -130,14 +130,16 @@ cmake --build --preset default -j "$(nproc)" --target bench_fleet
 
 echo "=== perf gate: benches --bench-json vs bench/baselines ==="
 cmake --build --preset default -j "$(nproc)" \
-  --target bench_kernel_net bench_kernel_sim bench_sec7_chaos \
-  bench_fig3_tbs_throughput bench_fleet hivesim
+  --target bench_kernel_net bench_kernel_sim bench_kernel_telemetry \
+  bench_sec7_chaos bench_fig3_tbs_throughput bench_fleet hivesim
 perfdir="$tmpdir/perf"
 mkdir -p "$perfdir"
 ./build/bench/bench_kernel_net --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_kernel_net.json" > /dev/null
 ./build/bench/bench_kernel_sim --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_kernel_sim.json" > /dev/null
+./build/bench/bench_kernel_telemetry --benchmark_min_time=0.1 \
+  --bench-json="$perfdir/BENCH_kernel_telemetry.json" > /dev/null
 ./build/bench/bench_sec7_chaos --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_chaos.json" > /dev/null
 ./build/bench/bench_fig3_tbs_throughput --benchmark_min_time=0.1 \

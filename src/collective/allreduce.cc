@@ -268,11 +268,15 @@ void AllReduce::RunStage() {
     if (telemetry::Enabled()) {
       telemetry::Count("collective.rounds");
       telemetry::Count("collective.transfers", result.transfers);
-      telemetry::Span(
-          start_time_, network_->simulator().Now(), "collective",
-          StrCat("allreduce ", StrategyName(result.strategy)),
-          StrFormat("{\"transfers\":%d,\"peers\":%zu}", result.transfers,
-                    peers_.size()));
+      std::string name = "allreduce ";
+      name += StrategyName(result.strategy);
+      std::string args = "{\"transfers\":";
+      AppendInt(&args, result.transfers);
+      args += ",\"peers\":";
+      AppendInt(&args, static_cast<int64_t>(peers_.size()));
+      args += '}';
+      telemetry::Span(start_time_, network_->simulator().Now(), "collective",
+                      name, std::move(args));
     }
     DoneCallback cb = std::move(done_);
     cb(result);
@@ -347,10 +351,13 @@ void AllReduce::FinishStage() {
   network_->simulator().Schedule(std::max(0.0, residual), [this, gen] {
     if (gen != generation_) return;
     if (telemetry::Enabled()) {
+      std::string name = "stage ";
+      AppendInt(&name, static_cast<int64_t>(stage_));
+      std::string args = "{\"transfers\":";
+      AppendInt(&args, static_cast<int64_t>(plan_.stages[stage_].size()));
+      args += '}';
       telemetry::Span(stage_start_, network_->simulator().Now(), "collective",
-                      StrFormat("stage %zu", stage_),
-                      StrFormat("{\"transfers\":%zu}",
-                                plan_.stages[stage_].size()));
+                      name, std::move(args));
     }
     ++stage_;
     RunStage();

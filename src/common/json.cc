@@ -1,42 +1,11 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/strings.h"
 
 namespace hivesim {
-
-std::string JsonWriter::Escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void JsonWriter::MaybeComma() {
   if (after_key_) {
@@ -77,19 +46,19 @@ JsonWriter& JsonWriter::EndArray() {
   return *this;
 }
 
-JsonWriter& JsonWriter::Key(const std::string& name) {
+JsonWriter& JsonWriter::Key(std::string_view name) {
   MaybeComma();
   out_ += '"';
-  out_ += Escape(name);
+  AppendJsonEscaped(&out_, name);
   out_ += "\":";
   after_key_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::String(const std::string& value) {
+JsonWriter& JsonWriter::String(std::string_view value) {
   MaybeComma();
   out_ += '"';
-  out_ += Escape(value);
+  AppendJsonEscaped(&out_, value);
   out_ += '"';
   return *this;
 }
@@ -106,25 +75,28 @@ JsonWriter& JsonWriter::Number(double value) {
   // would silently round.
   constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53.
   if (value == std::floor(value) && std::fabs(value) <= kMaxExactInt) {
-    out_ += StrFormat("%.0f", value);
+    AppendFixed(&out_, value, 0);
     return *this;
   }
-  // Otherwise the shortest decimal that parses back to exactly this
-  // double (17 significant digits always suffice for IEEE binary64).
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::string text = StrFormat("%.*g", precision, value);
-    if (std::strtod(text.c_str(), nullptr) == value) {
-      out_ += text;
-      return *this;
-    }
+  // Otherwise the shortest of %.15g/%.16g/%.17g that parses back to
+  // exactly this double (17 significant digits always suffice for IEEE
+  // binary64). The candidate is written in place and cut back when it
+  // does not round-trip.
+  const size_t start = out_.size();
+  for (int precision = 15; precision < 17; ++precision) {
+    AppendGeneral(&out_, value, precision);
+    double parsed = 0;
+    std::from_chars(out_.data() + start, out_.data() + out_.size(), parsed);
+    if (parsed == value) return *this;
+    out_.resize(start);
   }
-  out_ += StrFormat("%.17g", value);  // Unreachable; %.17g round-trips.
+  AppendGeneral(&out_, value, 17);
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(int64_t value) {
   MaybeComma();
-  out_ += StrFormat("%lld", static_cast<long long>(value));
+  AppendInt(&out_, value);
   return *this;
 }
 

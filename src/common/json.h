@@ -1,7 +1,9 @@
 #ifndef HIVESIM_COMMON_JSON_H_
 #define HIVESIM_COMMON_JSON_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hivesim {
@@ -23,8 +25,8 @@ class JsonWriter {
   JsonWriter& BeginArray();
   JsonWriter& EndArray();
   /// Emits an object key; must be followed by exactly one value.
-  JsonWriter& Key(const std::string& name);
-  JsonWriter& String(const std::string& value);
+  JsonWriter& Key(std::string_view name);
+  JsonWriter& String(std::string_view value);
   /// Emits a number that round-trips: integral values up to 2^53 in
   /// magnitude as plain integers (no exponent), everything else as the
   /// shortest decimal that parses back to exactly the same double.
@@ -35,9 +37,6 @@ class JsonWriter {
 
   /// The document so far.
   const std::string& ToString() const { return out_; }
-
-  /// Escapes a string per RFC 8259 (quotes not included).
-  static std::string Escape(const std::string& raw);
 
  private:
   void MaybeComma();

@@ -125,7 +125,8 @@ Result<VmGroup> GroupFor(const std::string& site_alias, int count) {
       return LambdaA10s(count);
     case net::kOnPremEu:
       return Status::InvalidArgument(
-          "on-prem machines are singletons; use the E/F series");
+          "on-prem machines are singletons; the hybrid E/F series run "
+          "them (hivesim reproduce --figure=fig13,fig14)");
     default:
       return GcT4s(count, it->second);
   }

@@ -258,11 +258,12 @@ void Node::IterativeLookup(Key target, bool want_value,
     if (telemetry::Enabled()) {
       const int hops = static_cast<int>(state->queried.size());
       telemetry::Observe("dht.lookup_hops", hops);
-      telemetry::Span(
-          state->started_at, dht_->simulator().Now(), "dht",
-          state->want_value ? "dht.get" : "dht.find",
-          StrFormat("{\"hops\":%d,\"found\":%s}", hops,
-                    value.has_value() ? "true" : "false"));
+      std::string args = "{\"hops\":";
+      AppendInt(&args, hops);
+      args += value.has_value() ? ",\"found\":true}" : ",\"found\":false}";
+      telemetry::Span(state->started_at, dht_->simulator().Now(), "dht",
+                      state->want_value ? "dht.get" : "dht.find",
+                      std::move(args));
       if (state->want_value && !value.has_value()) {
         telemetry::Count("dht.lookup_misses");
       }

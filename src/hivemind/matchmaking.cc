@@ -51,11 +51,11 @@ void Matchmaker::FormGroup(const std::vector<net::NodeId>& peers, int epoch,
     if (telemetry::Enabled()) {
       telemetry::Count("mm.rounds");
       if (timed_out) telemetry::Count("mm.timeouts");
+      std::string args = "{\"discovered\":";
+      AppendInt(&args, result.discovered);
+      args += timed_out ? ",\"timed_out\":true}" : ",\"timed_out\":false}";
       telemetry::Span(state->started_at, dht_->simulator().Now(), "trainer",
-                      "matchmake",
-                      StrFormat("{\"discovered\":%d,\"timed_out\":%s}",
-                                result.discovered,
-                                timed_out ? "true" : "false"));
+                      "matchmake", std::move(args));
     }
     state->done(result);
   };

@@ -32,6 +32,16 @@ constexpr RoundRecovery kChurnHardenedRecovery{1.0, 120.0, 2};
 const RoundRecovery& RecoveryOf(const TrainerConfig& config) {
   return config.churn_hardened ? kChurnHardenedRecovery : kCalmRecovery;
 }
+
+// {"<key>":<value>}, the args of the epoch spans and round retries.
+std::string IntArgs(std::string_view key, int value) {
+  std::string args = "{\"";
+  args += key;
+  args += "\":";
+  AppendInt(&args, value);
+  args += '}';
+  return args;
+}
 }  // namespace
 
 Status ValidateTrainerConfig(const TrainerConfig& config) {
@@ -326,7 +336,7 @@ void Trainer::FailRound() {
   if (telemetry::Enabled()) {
     telemetry::Count("trainer.round_retries");
     telemetry::Instant(network_->simulator().Now(), "trainer", "round-retry",
-                       StrFormat("{\"attempt\":%d}", round_retries_));
+                       IntArgs("attempt", round_retries_));
   }
   if (round_retries_ > RecoveryOf(config_).max_retries &&
       !degraded_round_) {
@@ -432,7 +442,7 @@ void Trainer::FinishEpoch() {
 
   if (telemetry::Enabled()) {
     const int epoch = static_cast<int>(completed_.size()) - 1;
-    const std::string epoch_args = StrFormat("{\"epoch\":%d}", epoch);
+    const std::string epoch_args = IntArgs("epoch", epoch);
     telemetry::Span(epoch_start_, calc_end, "trainer", "calc", epoch_args);
     telemetry::Span(calc_end, now, "trainer", "comm", epoch_args);
     if (averaging_started_ > calc_end) {
@@ -442,8 +452,10 @@ void Trainer::FinishEpoch() {
     // Per-peer timelines: each peer gets its own Perfetto lane showing
     // what it spent the epoch on (syncing peers receive state instead of
     // contributing gradients).
+    std::string lane = "peer/";
     for (const PeerState& p : peers_) {
-      const std::string lane = StrFormat("peer/%u", p.spec.node);
+      lane.resize(5);  // Keep "peer/", append this peer's node id.
+      AppendInt(&lane, p.spec.node);
       if (p.sync_epochs_left > 0) {
         telemetry::Span(epoch_start_, now, lane, "sync", epoch_args);
       } else {

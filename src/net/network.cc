@@ -16,8 +16,37 @@ uint64_t NodePairKey(NodeId src, NodeId dst) {
   return (static_cast<uint64_t>(src) << 32) | dst;
 }
 
-uint64_t SitePairKey(SiteId src, SiteId dst) {
-  return (static_cast<uint64_t>(src) << 32) | dst;
+// "flow 3->7" / "flow-cancel 3->7": a flow span's or instant's name.
+std::string FlowEventName(std::string_view prefix, NodeId src, NodeId dst) {
+  std::string name(prefix);
+  AppendInt(&name, src);
+  name += "->";
+  AppendInt(&name, dst);
+  return name;
+}
+
+// A flow event's args: {"<bytes_key>":<bytes as %.0f>,"src_zone":"...",
+// "dst_zone":"..."}, without the bytes field when `bytes_key` is empty.
+// Zone identity lets the critical-path analyzer (telemetry/analysis.h)
+// attribute flow time to WAN links without re-deriving the topology.
+std::string ZoneArgs(std::string_view bytes_key, double bytes,
+                     std::string_view src_zone, std::string_view dst_zone) {
+  std::string args;
+  args.reserve(48 + src_zone.size() + dst_zone.size());
+  args += '{';
+  if (!bytes_key.empty()) {
+    args += '"';
+    args += bytes_key;
+    args += "\":";
+    AppendFixed(&args, bytes, 0);
+    args += ',';
+  }
+  args += "\"src_zone\":\"";
+  args += src_zone;
+  args += "\",\"dst_zone\":\"";
+  args += dst_zone;
+  args += "\"}";
+  return args;
 }
 }  // namespace
 
@@ -50,6 +79,16 @@ void Network::GrowMeters() {
   }
   site_pair_bytes_ = std::move(grown);
   path_res_ = std::move(grown_paths);
+  if (!zone_counters_.empty()) {  // Only telemetry creates them.
+    std::vector<std::unique_ptr<telemetry::CounterHandle>> grown_counters(
+        sites * sites);
+    for (size_t src = 0; src < site_stride_; ++src) {
+      std::move(zone_counters_.begin() + src * site_stride_,
+                zone_counters_.begin() + (src + 1) * site_stride_,
+                grown_counters.begin() + src * sites);
+    }
+    zone_counters_ = std::move(grown_counters);
+  }
   site_stride_ = sites;
   for (Flow& flow : flow_slab_) {
     if (flow.seq != 0) {
@@ -238,11 +277,10 @@ bool Network::CancelFlow(FlowId id) {
       flows_cancelled_counter_.Add();
       telemetry::Instant(
           sim_->Now(), "net",
-          StrFormat("flow-cancel %u->%u", lit->second.src, lit->second.dst),
-          StrFormat(
-              "{\"src_zone\":\"%s\",\"dst_zone\":\"%s\"}",
-              topology_->site(topology_->SiteOf(lit->second.src)).name.c_str(),
-              topology_->site(topology_->SiteOf(lit->second.dst)).name.c_str()));
+          FlowEventName("flow-cancel ", lit->second.src, lit->second.dst),
+          ZoneArgs("", 0,
+                   topology_->site(topology_->SiteOf(lit->second.src)).name,
+                   topology_->site(topology_->SiteOf(lit->second.dst)).name));
     }
     latency_flows_.erase(lit);
     return true;
@@ -256,15 +294,12 @@ bool Network::CancelFlow(FlowId id) {
   }
   if (telemetry::Enabled()) {
     flows_cancelled_counter_.Add();
-    telemetry::Instant(
-        sim_->Now(), "net",
-        StrFormat("flow-cancel %u->%u", flow.src, flow.dst),
-        StrFormat(
-            "{\"delivered_bytes\":%.0f,\"src_zone\":\"%s\","
-            "\"dst_zone\":\"%s\"}",
-            flow.total_bytes - flow.remaining_bytes,
-            topology_->site(flow.src_site).name.c_str(),
-            topology_->site(flow.dst_site).name.c_str()));
+    telemetry::Instant(sim_->Now(), "net",
+                       FlowEventName("flow-cancel ", flow.src, flow.dst),
+                       ZoneArgs("delivered_bytes",
+                                flow.total_bytes - flow.remaining_bytes,
+                                topology_->site(flow.src_site).name,
+                                topology_->site(flow.dst_site).name));
   }
   ResSlot seed[3];
   std::copy(flow.res_slots, flow.res_slots + flow.num_res, seed);
@@ -704,15 +739,11 @@ void Network::FinishFlow(FlowSlot slot) {
   if (flow.seq == 0) return;
   if (telemetry::Enabled()) {
     flows_completed_counter_.Add();
-    // Zone identity rides in the span args so the critical-path analyzer
-    // (telemetry/analysis.h) can attribute flow time to WAN links
-    // without re-deriving the topology.
-    telemetry::Span(
-        flow.started_sec, sim_->Now(), "net",
-        StrFormat("flow %u->%u", flow.src, flow.dst),
-        StrFormat("{\"bytes\":%.0f,\"src_zone\":\"%s\",\"dst_zone\":\"%s\"}",
-                  flow.total_bytes, topology_->site(flow.src_site).name.c_str(),
-                  topology_->site(flow.dst_site).name.c_str()));
+    telemetry::Span(flow.started_sec, sim_->Now(), "net",
+                    FlowEventName("flow ", flow.src, flow.dst),
+                    ZoneArgs("bytes", flow.total_bytes,
+                             topology_->site(flow.src_site).name,
+                             topology_->site(flow.dst_site).name));
   }
   FlowCallback cb = std::move(flow.on_complete);
   ResSlot seed[3];
@@ -731,31 +762,29 @@ void Network::FinishLatencyFlow(FlowId id) {
   latency_flows_.erase(it);
   if (telemetry::Enabled()) {
     flows_completed_counter_.Add();
-    telemetry::Span(
-        lf.started_sec, sim_->Now(), "net",
-        StrFormat("flow %u->%u", lf.src, lf.dst),
-        StrFormat("{\"bytes\":%.0f,\"src_zone\":\"%s\",\"dst_zone\":\"%s\"}",
-                  lf.bytes, topology_->site(topology_->SiteOf(lf.src)).name.c_str(),
-                  topology_->site(topology_->SiteOf(lf.dst)).name.c_str()));
+    telemetry::Span(lf.started_sec, sim_->Now(), "net",
+                    FlowEventName("flow ", lf.src, lf.dst),
+                    ZoneArgs("bytes", lf.bytes,
+                             topology_->site(topology_->SiteOf(lf.src)).name,
+                             topology_->site(topology_->SiteOf(lf.dst)).name));
   }
   if (lf.bytes > 0) MeterBytes(lf.src, lf.dst, lf.bytes);
   if (lf.on_complete) lf.on_complete();
 }
 
-telemetry::CounterHandle& Network::ZoneBytesCounter(SiteId src_site,
+telemetry::CounterHandle& Network::ZoneBytesCounter(uint32_t site_pair,
+                                                    SiteId src_site,
                                                     SiteId dst_site) const {
-  const uint64_t key = SitePairKey(src_site, dst_site);
-  auto it = zone_counters_.find(key);
-  if (it == zone_counters_.end()) {
-    it = zone_counters_
-             .try_emplace(key,
-                          telemetry::LabeledName(
-                              "net.bytes_delivered",
-                              {{"src_zone", topology_->site(src_site).name},
-                               {"dst_zone", topology_->site(dst_site).name}}))
-             .first;
+  if (zone_counters_.empty()) {
+    zone_counters_.resize(site_stride_ * site_stride_);
   }
-  return it->second;
+  std::unique_ptr<telemetry::CounterHandle>& slot = zone_counters_[site_pair];
+  if (slot == nullptr) {
+    slot = std::make_unique<telemetry::CounterHandle>(telemetry::LabeledName(
+        "net.bytes_delivered", {{"src_zone", topology_->site(src_site).name},
+                                {"dst_zone", topology_->site(dst_site).name}}));
+  }
+  return *slot;
 }
 
 void Network::MeterBytes(NodeId src, NodeId dst, double bytes) {
@@ -775,7 +804,7 @@ void Network::MeterSlots(uint32_t node_pair, uint32_t site_pair, NodeId src,
   node_ingress_bytes_[dst] += bytes;
   if (telemetry::Enabled()) {
     bytes_delivered_counter_.Add(bytes);
-    ZoneBytesCounter(src_site, dst_site).Add(bytes);
+    ZoneBytesCounter(site_pair, src_site, dst_site).Add(bytes);
   }
 }
 

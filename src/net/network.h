@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -349,8 +350,10 @@ class Network {
   void MeterSlots(uint32_t node_pair, uint32_t site_pair, NodeId src,
                   NodeId dst, SiteId src_site, SiteId dst_site,
                   double bytes) const;
-  /// Telemetry handle for the per-zone-pair byte counter of a site pair.
-  telemetry::CounterHandle& ZoneBytesCounter(SiteId src_site,
+  /// Telemetry handle for the per-zone-pair byte counter of a site pair,
+  /// created on first use in the pair's `SitePairIndex` slot.
+  telemetry::CounterHandle& ZoneBytesCounter(uint32_t site_pair,
+                                             SiteId src_site,
                                              SiteId dst_site) const;
 
   sim::Simulator* sim_;
@@ -420,7 +423,9 @@ class Network {
   telemetry::CounterHandle flows_cancelled_counter_{"net.flows_cancelled"};
   telemetry::CounterHandle flows_completed_counter_{"net.flows_completed"};
   telemetry::CounterHandle messages_counter_{"net.messages"};
-  mutable std::unordered_map<uint64_t, telemetry::CounterHandle>
+  /// Per-site-pair byte counters, laid out like `site_pair_bytes_`;
+  /// empty until telemetry meters a first delivery.
+  mutable std::vector<std::unique_ptr<telemetry::CounterHandle>>
       zone_counters_;
 };
 

@@ -406,10 +406,6 @@ Result<CrashStormSpec> ParseCrashStorm(const JsonValue& item,
   return spec;
 }
 
-/// A 30-day interruption probability: finite and within [0, 1) (1 would
-/// make the hazard infinite).
-bool IsMonthlyRate(double rate) { return rate >= 0 && rate < 1; }
-
 Result<SpotMarketSpec> ParseSpotMarket(const JsonValue& item,
                                        const std::string& path) {
   HIVESIM_RETURN_IF_ERROR(
@@ -477,6 +473,8 @@ void WriteWindow(JsonWriter& json, const TimeWindow& window) {
 }
 
 }  // namespace
+
+bool IsMonthlyRate(double rate) { return rate >= 0 && rate < 1; }
 
 FleetView MakeFleetView(std::vector<FleetMember> members) {
   FleetView view;
@@ -884,7 +882,8 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
                                       const FleetView& fleet,
                                       double duration_sec) {
   faults::ChaosSchedule schedule;
-  // Packs built in code skip the parser's range check.
+  // Packs built in code skip the parser's range check; every world built
+  // from a pack comes through here.
   if (pack.spot_market &&
       !IsMonthlyRate(pack.spot_market->monthly_interruption_rate)) {
     return Status::InvalidArgument(

@@ -88,6 +88,12 @@ struct SpotMarketSpec {
   double monthly_interruption_rate = 0.10;
 };
 
+/// True when `rate` is a valid `monthly_interruption_rate`: finite and
+/// within [0, 1) (1 would make the hazard infinite). The pack parser,
+/// `Compile` (so every world built from an in-code pack) and CLI inputs
+/// all check rates with this.
+bool IsMonthlyRate(double rate);
+
 /// A scripted spot-hazard window (requires the `spot_market` section).
 struct SpotStormSpec {
   net::Continent zone = net::Continent::kUs;

@@ -11,10 +11,11 @@
 namespace hivesim::telemetry {
 
 double CanonMicros(double value_us) {
-  // Must match ToChromeJson's "%.6f" + json_parse's strtod exactly: this
-  // round trip is what makes in-process analysis bit-identical to
+  // Must match ToChromeJson's AppendMicros + json_parse's strtod exactly:
+  // this round trip is what makes in-process analysis bit-identical to
   // post-hoc analysis of the written trace.
-  const std::string text = StrFormat("%.6f", value_us);
+  std::string text;
+  AppendMicros(&text, value_us);
   return std::strtod(text.c_str(), nullptr);
 }
 

@@ -2,6 +2,7 @@
 #define HIVESIM_TELEMETRY_TELEMETRY_H_
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -67,10 +68,26 @@ class TraceRecorder {
  private:
   int LaneId(std::string_view lane);
 
+  // Transparent hashing lets `LaneId` look a lane up by string_view
+  // without building a std::string per recorded event.
+  struct LaneHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view lane) const {
+      return std::hash<std::string_view>{}(lane);
+    }
+  };
+
   std::vector<std::string> lanes_;  ///< tid = index + 1, first-use order.
-  std::unordered_map<std::string, int> lane_ids_;
+  std::unordered_map<std::string, int, LaneHash, std::equal_to<>> lane_ids_;
   std::vector<Event> events_;
 };
+
+/// Appends a trace timestamp or duration given in microseconds as
+/// `%.6f` text (picosecond resolution). `ToChromeJson` writes every `ts`
+/// and `dur` through this, and `CanonMicros` (telemetry/round_model.h)
+/// parses its output back, so in-process analysis does arithmetic on
+/// exactly the doubles a reader of the written trace sees.
+void AppendMicros(std::string* out, double micros);
 
 /// Counters, gauges, and fixed-bucket histograms, keyed by flat metric
 /// names; labels are folded into the name ("net.bytes_delivered{src_zone=

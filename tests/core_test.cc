@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/baselines.h"
 #include "common/units.h"
 #include "core/advisor.h"
@@ -282,9 +284,16 @@ TEST(ExperimentTest, SpotMarketSectionRentsTheSpotMembersAsVms) {
   EXPECT_GT(result->spot_interruptions, 0);  // The US storm reclaims VMs.
   EXPECT_GT(result->train.epochs, 0);        // And training goes on.
 
-  pack.spot_market->monthly_interruption_rate = 1.0;
-  EXPECT_EQ(BuildExperimentWorld(cluster, config, &pack).status().code(),
-            StatusCode::kInvalidArgument);
+  // A pack built in code gets the parser's [0, 1) range check too.
+  for (const double rate :
+       {1.0, 5.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    pack.spot_market->monthly_interruption_rate = rate;
+    const Status status = BuildExperimentWorld(cluster, config, &pack).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << rate;
+    EXPECT_NE(status.message().find("monthly_interruption_rate"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(ExperimentTest, CentralizedBaselinesPriceLikeThePaper) {

@@ -4,6 +4,7 @@
 
 #include "common/flags.h"
 #include "common/json.h"
+#include "common/strings.h"
 
 namespace hivesim {
 namespace {
@@ -120,8 +121,12 @@ TEST(JsonTest, ArrayOfObjects) {
 }
 
 TEST(JsonTest, EscapesSpecialCharacters) {
-  EXPECT_EQ(JsonWriter::Escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(JsonWriter::Escape(std::string(1, '\x01')), "\\u0001");
+  std::string escaped;
+  AppendJsonEscaped(&escaped, "a\"b\\c\nd\te");
+  EXPECT_EQ(escaped, "a\\\"b\\\\c\\nd\\te");
+  escaped.clear();
+  AppendJsonEscaped(&escaped, std::string(1, '\x01'));
+  EXPECT_EQ(escaped, "\\u0001");
   JsonWriter json;
   json.String("quote\"inside");
   EXPECT_EQ(json.ToString(), "\"quote\\\"inside\"");

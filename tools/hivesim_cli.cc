@@ -50,7 +50,8 @@
 //     --current-dir DIR        Freshly generated BENCH_<area>.json.
 //     --baseline-dir DIR       Baselines (default bench/baselines).
 //     --areas a,b              Areas to gate (default chaos,fig3,fleet,
-//                              fleet_100k,kernel_net,kernel_sim).
+//                              fleet_100k,kernel_net,kernel_sim,
+//                              kernel_telemetry).
 //     --threshold F            Allowed relative slowdown (default 0.25).
 //     --update                 Rewrite baselines from --current-dir.
 //     --allow-new-area         An area with no baseline file yet is
@@ -180,10 +181,19 @@ int CmdList(const FlagSet& flags) {
   }
   models_table.Print(std::cout);
 
-  std::cout << "\nSites (for --spec / --from / --to):\n  ";
+  // On-prem sites host singleton machines, which `--spec` cannot rent.
+  const net::Topology world = net::StandardWorld();
+  std::string cloud_sites;
+  std::string onprem_sites;
   for (const auto& [alias, site] : net::SiteAliases()) {
-    std::cout << alias << " ";
+    const bool onprem = world.site(site).provider == net::Provider::kOnPremise;
+    (onprem ? onprem_sites : cloud_sites) += alias + " ";
   }
+  std::cout << "\nSites (for --spec / --from / --to):\n  " << cloud_sites
+            << "\nOn-prem sites (for --from / --to only; fleets with on-prem "
+               "machines are the hybrid E/F series of `reproduce "
+               "--figure=fig13,fig14`):\n  "
+            << onprem_sites;
   std::cout << "\n\nExperiment series: A (intra-zone), B (transatlantic), "
                "C (intercontinental), D (multi-cloud), lambda (A10s)\n";
   return 0;

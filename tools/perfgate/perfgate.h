@@ -43,8 +43,10 @@ struct GateOptions {
   std::string baseline_dir;  ///< Committed baselines (bench/baselines).
   std::string current_dir;   ///< Freshly generated artifacts.
   /// Areas to gate; each maps to one BENCH_<area>.json in both dirs.
-  std::vector<std::string> areas = {"chaos",      "fig3",       "fleet",
-                                    "fleet_100k", "kernel_net", "kernel_sim"};
+  std::vector<std::string> areas = {"chaos",      "fig3",
+                                    "fleet",      "fleet_100k",
+                                    "kernel_net", "kernel_sim",
+                                    "kernel_telemetry"};
   /// Allowed relative slowdown (0.25 = current may be up to 25% slower
   /// than baseline) unless the baseline overrides it per bench.
   double default_threshold = 0.25;
