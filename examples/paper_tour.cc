@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
       {"(D) Multi-cloud", core::DSeries()},
   };
 
+  bool any_failed = false;
   for (const auto& workload : workloads) {
     std::cout << "\n===== "
               << models::GetModelSpec(workload.model).full_name
@@ -50,6 +51,7 @@ int main(int argc, char** argv) {
         if (!result.ok()) {
           std::cerr << experiment.name << ": "
                     << result.status().ToString() << "\n";
+          any_failed = true;
           continue;
         }
         report.Add(experiment.name, std::move(*result));
@@ -68,6 +70,9 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "\nCompare against the paper with EXPERIMENTS.md, or dig "
-               "into a single figure with the bench_* binaries.\n";
-  return 0;
+               "into single figures with `hivesim reproduce "
+               "--figure=fig7,fig8,fig9,fig10`.\n";
+  // The tables hold the experiments that ran; each failure printed its
+  // status above and fails the tour.
+  return any_failed ? 1 : 0;
 }

@@ -24,11 +24,13 @@
 #include "hivemind/monitor.h"
 #include "hivemind/trainer.h"
 #include "net/profiles.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
 int main(int argc, char** argv) {
   using namespace hivesim;
+  constexpr double kRunSec = 90 * 60.0;
 
   FlagSet flags;
   if (auto s = flags.Parse(argc, argv); !s.ok()) {
@@ -107,12 +109,33 @@ int main(int argc, char** argv) {
   faults::ChaosInjector injector(&sim, &topo, &network, seed);
   injector.AttachTrainer(&trainer);
   injector.AttachDht(&dht);
-  faults::ChaosSchedule schedule;
+  scenario::ScenarioPack pack;
+  pack.name = "trace-tour";
   // Minute 20-35: the transatlantic path is gone entirely.
-  schedule.Partition(net::kGcUs, net::kGcEu, 20 * 60, 15 * 60);
+  scenario::WanSpec partition;
+  partition.a = {"gc-us"};
+  partition.b = {"gc-eu"};
+  partition.window = {20 * 60, 15 * 60};
+  partition.bandwidth_factor = 0;
+  pack.wan.push_back(partition);
   // Minute 45: an EU peer crashes; a replacement is up 10 minutes later.
-  schedule.CrashNode(peers[3].node, 45 * 60, /*restart_after_sec=*/600);
-  if (auto s = injector.Arm(schedule); !s.ok()) {
+  scenario::CrashSpec crash;
+  crash.peer = 3;
+  crash.at = 45 * 60;
+  crash.restart_after_sec = 600;
+  pack.crashes.push_back(crash);
+  std::vector<scenario::FleetMember> members;
+  for (const auto& peer : peers) {
+    const net::SiteId site = topo.SiteOf(peer.node);
+    members.push_back({peer.node, site, topo.site(site).continent});
+  }
+  auto schedule = scenario::Compile(
+      pack, scenario::MakeFleetView(std::move(members)), kRunSec);
+  if (!schedule.ok()) {
+    std::cerr << schedule.status().ToString() << "\n";
+    return 1;
+  }
+  if (auto s = injector.Arm(*schedule); !s.ok()) {
     std::cerr << s.ToString() << "\n";
     return 1;
   }
@@ -123,7 +146,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   monitor.Start();
-  sim.RunUntil(90 * 60.0);
+  sim.RunUntil(kRunSec);
   trainer.Stop();
   monitor.Stop();
 

@@ -96,7 +96,7 @@ Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
         schedule,
         scenario::Compile(*pack, FleetViewOf(world->cluster, world->topology),
                           config.duration_sec));
-    if (!schedule.spot_storms().empty() && !pack->spot_market) {
+    if (!schedule.spot_storms.empty() && !pack->spot_market) {
       return Status::FailedPrecondition(
           StrCat("scenario pack '", pack->name,
                  "' has spot hazard events but no spot_market section"));

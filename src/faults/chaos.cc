@@ -9,48 +9,8 @@
 
 namespace hivesim::faults {
 
-ChaosSchedule& ChaosSchedule::SpotStorm(net::Continent continent,
-                                        double start_sec, double duration_sec,
-                                        double hazard_multiplier) {
-  spot_storms_.push_back(
-      {continent, start_sec, duration_sec, hazard_multiplier});
-  return *this;
-}
-
-ChaosSchedule& ChaosSchedule::DegradeWan(net::SiteId a, net::SiteId b,
-                                         double start_sec,
-                                         double duration_sec,
-                                         double bandwidth_factor,
-                                         double extra_rtt_sec) {
-  wan_events_.push_back(
-      {a, b, start_sec, duration_sec, bandwidth_factor, extra_rtt_sec});
-  return *this;
-}
-
-ChaosSchedule& ChaosSchedule::Partition(net::SiteId a, net::SiteId b,
-                                        double start_sec,
-                                        double duration_sec) {
-  return DegradeWan(a, b, start_sec, duration_sec, 0.0, 0.0);
-}
-
-ChaosSchedule& ChaosSchedule::CrashNode(net::NodeId node, double at_sec,
-                                        double restart_after_sec) {
-  crashes_.push_back({node, at_sec, restart_after_sec});
-  return *this;
-}
-
-ChaosSchedule& ChaosSchedule::CrashStorm(std::vector<net::NodeId> nodes,
-                                         double start_sec,
-                                         double duration_sec, int crashes,
-                                         double restart_after_sec) {
-  crash_storms_.push_back(
-      {std::move(nodes), start_sec, duration_sec, crashes,
-       restart_after_sec});
-  return *this;
-}
-
 Status ChaosSchedule::Validate() const {
-  for (const SpotStormEvent& s : spot_storms_) {
+  for (const SpotStormEvent& s : spot_storms) {
     if (s.start_sec < 0 || s.duration_sec <= 0) {
       return Status::InvalidArgument("spot storm needs a positive window");
     }
@@ -58,7 +18,7 @@ Status ChaosSchedule::Validate() const {
       return Status::InvalidArgument("hazard multiplier must be >= 0");
     }
   }
-  for (const WanEvent& w : wan_events_) {
+  for (const WanEvent& w : wan_events) {
     if (w.start_sec < 0 || w.duration_sec <= 0) {
       return Status::InvalidArgument("WAN event needs a positive window");
     }
@@ -69,12 +29,12 @@ Status ChaosSchedule::Validate() const {
       return Status::InvalidArgument("extra RTT must be >= 0");
     }
   }
-  for (const NodeCrashEvent& c : crashes_) {
+  for (const NodeCrashEvent& c : crashes) {
     if (c.at_sec < 0) {
       return Status::InvalidArgument("crash time must be >= 0");
     }
   }
-  for (const CrashStormEvent& s : crash_storms_) {
+  for (const CrashStormEvent& s : crash_storms) {
     if (s.nodes.empty()) {
       return Status::InvalidArgument("crash storm needs target nodes");
     }
@@ -99,7 +59,7 @@ uint64_t ChaosInjector::PairKey(net::SiteId a, net::SiteId b) {
 
 Status ChaosInjector::Arm(const ChaosSchedule& schedule) {
   HIVESIM_RETURN_IF_ERROR(schedule.Validate());
-  if (!schedule.spot_storms().empty() && market_ == nullptr) {
+  if (!schedule.spot_storms.empty() && market_ == nullptr) {
     return Status::FailedPrecondition(
         "schedule has spot storms but no SpotMarket is attached");
   }
@@ -107,7 +67,7 @@ Status ChaosInjector::Arm(const ChaosSchedule& schedule) {
   // Spot storms become hazard windows immediately: the market's
   // piecewise sampler scans forward through them, so VMs provisioned
   // after Arm() already carry the storm in their interruption draws.
-  for (const SpotStormEvent& s : schedule.spot_storms()) {
+  for (const SpotStormEvent& s : schedule.spot_storms) {
     market_->AddHazardWindow({s.continent, s.start_sec,
                               s.start_sec + s.duration_sec,
                               s.hazard_multiplier});
@@ -118,14 +78,14 @@ Status ChaosInjector::Arm(const ChaosSchedule& schedule) {
                        s.start_sec + s.duration_sec));
   }
 
-  for (const WanEvent& w : schedule.wan_events()) {
+  for (const WanEvent& w : schedule.wan_events) {
     const int id = next_wan_id_++;
     sim_->ScheduleAt(w.start_sec, [this, id, w] { ApplyWan(id, w); });
     sim_->ScheduleAt(w.start_sec + w.duration_sec,
                      [this, id, w] { RestoreWan(id, w); });
   }
 
-  for (const NodeCrashEvent& c : schedule.crashes()) {
+  for (const NodeCrashEvent& c : schedule.crashes) {
     sim_->ScheduleAt(c.at_sec, [this, c] {
       Crash(c.node, c.restart_after_sec);
     });
@@ -133,7 +93,7 @@ Status ChaosInjector::Arm(const ChaosSchedule& schedule) {
 
   // Crash storms expand deterministically from the injector's seeded
   // stream at Arm() time.
-  for (const CrashStormEvent& s : schedule.crash_storms()) {
+  for (const CrashStormEvent& s : schedule.crash_storms) {
     for (int i = 0; i < s.crashes; ++i) {
       const double at = s.start_sec + rng_.Uniform(0, s.duration_sec);
       const net::NodeId node = s.nodes[static_cast<size_t>(rng_.UniformInt(

@@ -65,48 +65,20 @@ struct CrashStormEvent {
   double restart_after_sec = -1;
 };
 
-/// A deterministic chaos script: an ordered set of fault windows and
-/// churn events that `ChaosInjector::Arm` turns into simulator events.
-/// Build with the fluent setters; the schedule itself holds no simulator
-/// state and can be re-armed against fresh simulations (replay).
-class ChaosSchedule {
- public:
-  ChaosSchedule& SpotStorm(net::Continent continent, double start_sec,
-                           double duration_sec, double hazard_multiplier);
-  ChaosSchedule& DegradeWan(net::SiteId a, net::SiteId b, double start_sec,
-                            double duration_sec, double bandwidth_factor,
-                            double extra_rtt_sec = 0);
-  /// Full partition: bandwidth drops to zero for the window.
-  ChaosSchedule& Partition(net::SiteId a, net::SiteId b, double start_sec,
-                           double duration_sec);
-  ChaosSchedule& CrashNode(net::NodeId node, double at_sec,
-                           double restart_after_sec = -1);
-  ChaosSchedule& CrashStorm(std::vector<net::NodeId> nodes, double start_sec,
-                            double duration_sec, int crashes,
-                            double restart_after_sec = -1);
+/// A deterministic chaos script: the fault windows and churn events
+/// that `ChaosInjector::Arm` turns into simulator events.
+/// `scenario::Compile` fills it from a scenario pack; the schedule holds
+/// no simulator state and can be re-armed against fresh simulations
+/// (replay).
+struct ChaosSchedule {
+  std::vector<SpotStormEvent> spot_storms;
+  std::vector<WanEvent> wan_events;
+  std::vector<NodeCrashEvent> crashes;
+  std::vector<CrashStormEvent> crash_storms;
 
   /// Structural sanity: non-negative times/durations, factors in [0, 1],
   /// storms with at least one node and one crash.
   Status Validate() const;
-
-  const std::vector<SpotStormEvent>& spot_storms() const {
-    return spot_storms_;
-  }
-  const std::vector<WanEvent>& wan_events() const { return wan_events_; }
-  const std::vector<NodeCrashEvent>& crashes() const { return crashes_; }
-  const std::vector<CrashStormEvent>& crash_storms() const {
-    return crash_storms_;
-  }
-  bool empty() const {
-    return spot_storms_.empty() && wan_events_.empty() && crashes_.empty() &&
-           crash_storms_.empty();
-  }
-
- private:
-  std::vector<SpotStormEvent> spot_storms_;
-  std::vector<WanEvent> wan_events_;
-  std::vector<NodeCrashEvent> crashes_;
-  std::vector<CrashStormEvent> crash_storms_;
 };
 
 /// Counters of what the injector actually did (applied, not merely

@@ -557,162 +557,13 @@ Result<ScenarioPack> ParseScenario(std::string_view text) {
   return pack;
 }
 
-Result<ScenarioPack> ParseScenarioCsv(std::string_view text) {
-  ScenarioPack pack;
-  int line_no = 0;
-  std::string line;
-  std::istringstream in{std::string(text)};
-  auto line_err = [&line_no](std::string_view message) {
-    return Status::InvalidArgument(
-        StrCat("scenario csv: line ", line_no, ": ", message));
-  };
-  auto number = [&](const std::string& field, const char* what,
-                    double* out) -> Status {
-    char* end = nullptr;
-    *out = std::strtod(field.c_str(), &end);
-    if (field.empty() || *end != '\0' || !std::isfinite(*out)) {
-      return line_err(StrCat("bad ", what, " '", field, "'"));
-    }
-    return Status::OK();
-  };
-  auto site = [&](const std::string& field) -> Result<SiteRef> {
-    if (net::SiteAliases().count(field) == 0 && !StartsWith(field, "$site")) {
-      return line_err(StrCat("unknown site '", field, "'"));
-    }
-    return SiteRef{field};
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    const std::vector<std::string> fields = StrSplit(line, ',');
-    const std::string& kind = fields[0];
-    if (kind == "name") {
-      if (fields.size() != 2 || fields[1].empty()) {
-        return line_err("want name,<pack-name>");
-      }
-      pack.name = fields[1];
-    } else if (kind == "description") {
-      if (fields.size() != 2) return line_err("want description,<text>");
-      pack.description = fields[1];
-    } else if (kind == "spot_market") {
-      if (fields.size() != 2) {
-        return line_err("want spot_market,monthly_interruption_rate");
-      }
-      if (pack.spot_market) return line_err("duplicate spot_market row");
-      SpotMarketSpec spec;
-      HIVESIM_RETURN_IF_ERROR(number(fields[1], "monthly_interruption_rate",
-                                     &spec.monthly_interruption_rate));
-      if (!IsMonthlyRate(spec.monthly_interruption_rate)) {
-        return line_err("'monthly_interruption_rate' must be within [0, 1)");
-      }
-      pack.spot_market = spec;
-    } else if (kind == "wan" || kind == "partition") {
-      const size_t want = kind == "wan" ? 7 : 5;
-      if (fields.size() != want) {
-        return line_err(StrCat(
-            "want ", kind, ",a,b,start_sec,duration_sec",
-            kind == "wan" ? ",bandwidth_factor,extra_rtt_ms" : ""));
-      }
-      WanSpec spec;
-      HIVESIM_ASSIGN_OR_RETURN(spec.a, site(fields[1]));
-      HIVESIM_ASSIGN_OR_RETURN(spec.b, site(fields[2]));
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[3], "start_sec", &spec.window.start));
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[4], "duration_sec", &spec.window.duration));
-      if (kind == "wan") {
-        HIVESIM_RETURN_IF_ERROR(
-            number(fields[5], "bandwidth_factor", &spec.bandwidth_factor));
-        HIVESIM_RETURN_IF_ERROR(
-            number(fields[6], "extra_rtt_ms", &spec.extra_rtt_ms));
-      } else {
-        spec.bandwidth_factor = 0;
-      }
-      if (spec.window.start < 0 || spec.window.duration <= 0 ||
-          spec.bandwidth_factor < 0 || spec.bandwidth_factor > 1 ||
-          spec.extra_rtt_ms < 0) {
-        return line_err("value out of range");
-      }
-      pack.wan.push_back(std::move(spec));
-    } else if (kind == "contention") {
-      if (fields.size() != 6) {
-        return line_err("want contention,a,b,start_sec,duration_sec,jobs");
-      }
-      ContentionSpec spec;
-      HIVESIM_ASSIGN_OR_RETURN(spec.a, site(fields[1]));
-      HIVESIM_ASSIGN_OR_RETURN(spec.b, site(fields[2]));
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[3], "start_sec", &spec.window.start));
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[4], "duration_sec", &spec.window.duration));
-      double jobs = 0;
-      HIVESIM_RETURN_IF_ERROR(number(fields[5], "jobs", &jobs));
-      spec.jobs = static_cast<int>(jobs);
-      if (spec.window.start < 0 || spec.window.duration <= 0 ||
-          jobs != std::floor(jobs) || spec.jobs < 2) {
-        return line_err("value out of range");
-      }
-      pack.contention.push_back(std::move(spec));
-    } else if (kind == "spot") {
-      if (fields.size() != 5) {
-        return line_err(
-            "want spot,zone,start_sec,duration_sec,hazard_multiplier");
-      }
-      SpotStormSpec spec;
-      auto zone = ParseZoneName(fields[1]);
-      if (!zone.ok()) return line_err(zone.status().message());
-      spec.zone = *zone;
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[2], "start_sec", &spec.window.start));
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[3], "duration_sec", &spec.window.duration));
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[4], "hazard_multiplier", &spec.hazard_multiplier));
-      if (spec.window.start < 0 || spec.window.duration <= 0 ||
-          spec.hazard_multiplier < 0) {
-        return line_err("value out of range");
-      }
-      pack.spot_storms.push_back(spec);
-    } else if (kind == "crash") {
-      if (fields.size() != 4) {
-        return line_err("want crash,peer,at_sec,restart_after_sec");
-      }
-      CrashSpec spec;
-      double peer = 0;
-      HIVESIM_RETURN_IF_ERROR(number(fields[1], "peer", &peer));
-      spec.peer = static_cast<int>(peer);
-      HIVESIM_RETURN_IF_ERROR(number(fields[2], "at_sec", &spec.at));
-      HIVESIM_RETURN_IF_ERROR(
-          number(fields[3], "restart_after_sec", &spec.restart_after_sec));
-      if (peer != std::floor(peer) || spec.peer < 0 || spec.at < 0) {
-        return line_err("value out of range");
-      }
-      pack.crashes.push_back(spec);
-    } else {
-      return line_err(StrCat(
-          "unknown row kind '", kind,
-          "' (name, description, spot_market, wan, partition, contention, "
-          "spot, crash)"));
-    }
-  }
-  if (pack.name.empty()) {
-    return Status::InvalidArgument(
-        "scenario csv: missing a 'name,<pack-name>' row");
-  }
-  return pack;
-}
-
 Result<ScenarioPack> LoadScenarioFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError(StrCat("cannot open ", path));
   std::ostringstream buffer;
   buffer << in.rdbuf();
   if (in.bad()) return Status::IOError(StrCat("cannot read ", path));
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  Result<ScenarioPack> pack =
-      csv ? ParseScenarioCsv(buffer.str()) : ParseScenario(buffer.str());
+  Result<ScenarioPack> pack = ParseScenario(buffer.str());
   if (!pack.ok()) {
     return Status::InvalidArgument(
         StrCat(path, ": ", pack.status().message()));
@@ -919,9 +770,10 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
     net::SiteId b;
     HIVESIM_ASSIGN_OR_RETURN(b,
                              ResolveSiteRef(spec.b, fleet));
-    schedule.DegradeWan(a, b, start_of(spec.window),
-                        duration_of(spec.window), spec.bandwidth_factor,
-                        MsToSec(spec.extra_rtt_ms));
+    schedule.wan_events.push_back({a, b, start_of(spec.window),
+                                   duration_of(spec.window),
+                                   spec.bandwidth_factor,
+                                   MsToSec(spec.extra_rtt_ms)});
   }
   for (const ContentionSpec& spec : pack.contention) {
     net::SiteId a;
@@ -931,8 +783,9 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
     HIVESIM_ASSIGN_OR_RETURN(b,
                              ResolveSiteRef(spec.b, fleet));
     // N equal-share jobs on the path leave this job 1/N of the bandwidth.
-    schedule.DegradeWan(a, b, start_of(spec.window),
-                        duration_of(spec.window), 1.0 / spec.jobs, 0);
+    schedule.wan_events.push_back({a, b, start_of(spec.window),
+                                   duration_of(spec.window), 1.0 / spec.jobs,
+                                   0});
   }
   for (const DiurnalWanSpec& spec : pack.diurnal_wan) {
     net::SiteId a;
@@ -946,12 +799,13 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
       const double factor =
           spec.hourly_bandwidth_factor[static_cast<size_t>(h) % hours];
       if (factor == 1.0) continue;
-      schedule.DegradeWan(a, b, h * kHour, kHour, factor, 0);
+      schedule.wan_events.push_back({a, b, h * kHour, kHour, factor, 0});
     }
   }
   for (const SpotStormSpec& spec : pack.spot_storms) {
-    schedule.SpotStorm(spec.zone, start_of(spec.window),
-                       duration_of(spec.window), spec.hazard_multiplier);
+    schedule.spot_storms.push_back({spec.zone, start_of(spec.window),
+                                    duration_of(spec.window),
+                                    spec.hazard_multiplier});
   }
   for (const DiurnalPreemptionSpec& spec : pack.diurnal_preemption) {
     const size_t hours = spec.hourly_multiplier.size();
@@ -959,13 +813,14 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
       const double multiplier =
           spec.hourly_multiplier[static_cast<size_t>(h) % hours];
       if (multiplier == 1.0) continue;
-      schedule.SpotStorm(spec.zone, h * kHour, kHour, multiplier);
+      schedule.spot_storms.push_back({spec.zone, h * kHour, kHour, multiplier});
     }
   }
   for (const ZoneStormSpec& spec : pack.zone_storms) {
     if (spec.hazard_multiplier != 1.0) {
-      schedule.SpotStorm(spec.zone, start_of(spec.window),
-                         duration_of(spec.window), spec.hazard_multiplier);
+      schedule.spot_storms.push_back({spec.zone, start_of(spec.window),
+                                      duration_of(spec.window),
+                                      spec.hazard_multiplier});
     }
     std::vector<net::NodeId> nodes;
     for (const FleetMember& member : fleet.members) {
@@ -974,9 +829,10 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
     const int count = static_cast<int>(
         std::floor(spec.crash_fraction * nodes.size() + 0.5));
     if (!nodes.empty() && count >= 1) {
-      schedule.CrashStorm(std::move(nodes), start_of(spec.window),
-                          duration_of(spec.window), count,
-                          spec.restart_after_sec);
+      schedule.crash_storms.push_back({std::move(nodes),
+                                       start_of(spec.window),
+                                       duration_of(spec.window), count,
+                                       spec.restart_after_sec});
     }
   }
   for (const CrashSpec& spec : pack.crashes) {
@@ -987,8 +843,9 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
     }
     const double at =
         spec.frac ? spec.at * duration_sec : spec.at;
-    schedule.CrashNode(fleet.members[static_cast<size_t>(spec.peer)].node,
-                       at, spec.restart_after_sec);
+    schedule.crashes.push_back(
+        {fleet.members[static_cast<size_t>(spec.peer)].node, at,
+         spec.restart_after_sec});
   }
   for (const CrashStormSpec& spec : pack.crash_storms) {
     std::vector<net::NodeId> nodes;
@@ -1017,9 +874,9 @@ Result<faults::ChaosSchedule> Compile(const ScenarioPack& pack,
     if (nodes.empty()) continue;  // all-but-first on a 1-peer fleet.
     const int crashes =
         std::min(spec.crashes, static_cast<int>(nodes.size()));
-    schedule.CrashStorm(std::move(nodes), start_of(spec.window),
-                        duration_of(spec.window), crashes,
-                        spec.restart_after_sec);
+    schedule.crash_storms.push_back({std::move(nodes), start_of(spec.window),
+                                     duration_of(spec.window), crashes,
+                                     spec.restart_after_sec});
   }
   HIVESIM_RETURN_IF_ERROR(schedule.Validate());
   return schedule;

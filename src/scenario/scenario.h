@@ -13,15 +13,15 @@
 
 namespace hivesim::scenario {
 
-/// Scenario packs: fault scripts as *data*. A pack is a JSON (or CSV)
-/// file describing WAN windows, diurnal bandwidth/preemption curves,
-/// correlated zone-wide preemption storms, multi-job WAN contention, and
-/// node churn — everything `faults::ChaosSchedule` can express, plus the
-/// diurnal/zone phenomena the paper's stationary Poisson model misses.
-/// Packs are compiled against a concrete fleet (`FleetView`), so one file
-/// means "the same failure, relative to this fleet" for every fleet —
-/// exactly how the in-code chaos presets behaved, now replayable from
-/// disk. docs/SCENARIOS.md is the schema reference.
+/// Scenario packs: fault scripts as *data*, and the one form in which a
+/// fault script enters a world. A pack is a JSON file (or the same
+/// `ScenarioPack` built in code) describing WAN windows, diurnal
+/// bandwidth/preemption curves, correlated zone-wide preemption storms,
+/// multi-job WAN contention, and node churn. `Compile` turns it into the
+/// `faults::ChaosSchedule` the injector arms, and is the only producer
+/// of one. Packs are compiled against a concrete fleet (`FleetView`), so
+/// one file means "the same failure, relative to this fleet" for every
+/// fleet. docs/SCENARIOS.md is the schema reference.
 
 /// How a pack event refers to a site: a fixed alias ("gc-us", "aws", ...)
 /// or a fleet-relative "$siteN" — the N-th *distinct* site of the fleet
@@ -217,12 +217,9 @@ FleetView MakeFleetView(std::vector<FleetMember> members);
 /// value — malformed fields never fall back to defaults.
 Result<ScenarioPack> ParseScenario(std::string_view text);
 
-/// Parses the CSV import form (trace-driven scenarios; line-tagged
-/// errors). See docs/SCENARIOS.md for the row grammar.
-Result<ScenarioPack> ParseScenarioCsv(std::string_view text);
-
-/// Reads `path` and parses it; ".csv" selects the CSV form, everything
-/// else the JSON form.
+/// Reads `path` and parses it with `ParseScenario`, whatever its
+/// extension. A parse error is InvalidArgument prefixed with the path;
+/// an unreadable file is IOError.
 Result<ScenarioPack> LoadScenarioFile(const std::string& path);
 
 /// Canonical serialization: compact JsonWriter JSON with fixed key

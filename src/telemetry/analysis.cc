@@ -8,6 +8,7 @@
 #include "common/json.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
+#include "telemetry/telemetry.h"
 
 namespace hivesim::telemetry {
 
@@ -22,9 +23,8 @@ const std::vector<double>& StragglerBounds() {
   return bounds;
 }
 
-// Per-phase accumulation in canonical microseconds; converted to
-// seconds exactly once at the end so both analysis modes divide the
-// same doubles.
+// Per-phase accumulation in trace microseconds; converted to seconds
+// exactly once at the end.
 struct PhaseMicros {
   double calc = 0;
   double matchmake_wait = 0;
@@ -82,8 +82,10 @@ std::string FormatShare(double numerator, double denominator) {
 
 }  // namespace
 
-Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
-                                      const AnalysisOptions& options) {
+Result<AnalysisReport> AnalyzeChromeJson(std::string_view json_text,
+                                         const AnalysisOptions& options) {
+  TraceDataset dataset;
+  HIVESIM_ASSIGN_OR_RETURN(dataset, DatasetFromChromeJson(json_text));
   AnalysisReport report;
   report.options = options;
   HIVESIM_ASSIGN_OR_RETURN(report.model, BuildRoundModel(dataset));
@@ -162,7 +164,7 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
   report.totals = total_us.ToSeconds();
 
   // Per-peer timelines (peer/<n> lanes) for the straggler section.
-  for (const CanonEvent& e : dataset.events) {
+  for (const TraceEvent& e : dataset.events) {
     int peer = -1;
     if (e.instant ||
         std::sscanf(e.lane.c_str(), "peer/%d", &peer) != 1) {
@@ -222,52 +224,6 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
   return report;
 }
 
-Result<AnalysisReport> AnalyzeRecorder(const TraceRecorder& recorder,
-                                       const AnalysisOptions& options) {
-  TraceDataset dataset;
-  HIVESIM_ASSIGN_OR_RETURN(dataset, DatasetFromRecorder(recorder));
-  return AnalyzeDataset(dataset, options);
-}
-
-Result<AnalysisReport> AnalyzeChromeJson(std::string_view json_text,
-                                         const AnalysisOptions& options) {
-  TraceDataset dataset;
-  HIVESIM_ASSIGN_OR_RETURN(dataset, DatasetFromChromeJson(json_text));
-  return AnalyzeDataset(dataset, options);
-}
-
-namespace {
-
-void Reconcile(AnalysisReport* report, double calc, double comm,
-               double matchmake_wait) {
-  report->reconciliation.clear();
-  const PhaseTotals& t = report->totals;
-  ReconciliationRow row;
-  row.name = "trainer.calc_sec";
-  row.trace_sec = t.calc_sec;
-  row.counter_sec = calc;
-  row.delta_sec = row.trace_sec - row.counter_sec;
-  report->reconciliation.push_back(row);
-  row.name = "trainer.comm_sec";
-  row.trace_sec = t.comm_sec();
-  row.counter_sec = comm;
-  row.delta_sec = row.trace_sec - row.counter_sec;
-  report->reconciliation.push_back(row);
-  row.name = "trainer.matchmake_wait_sec";
-  row.trace_sec = t.matchmake_wait_sec + t.matchmake_sec;
-  row.counter_sec = matchmake_wait;
-  row.delta_sec = row.trace_sec - row.counter_sec;
-  report->reconciliation.push_back(row);
-}
-
-}  // namespace
-
-void AttachMetrics(AnalysisReport* report, const MetricsRegistry& metrics) {
-  Reconcile(report, metrics.CounterValue("trainer.calc_sec"),
-            metrics.CounterValue("trainer.comm_sec"),
-            metrics.CounterValue("trainer.matchmake_wait_sec"));
-}
-
 Status AttachMetricsJson(AnalysisReport* report, const JsonValue& doc) {
   const JsonValue* counters = doc.Find("counters");
   if (counters == nullptr || !counters->is_object()) {
@@ -278,9 +234,18 @@ Status AttachMetricsJson(AnalysisReport* report, const JsonValue& doc) {
     const JsonValue* v = counters->Find(name);
     return v != nullptr ? v->NumberOr(0) : 0.0;
   };
-  Reconcile(report, counter("trainer.calc_sec"),
-            counter("trainer.comm_sec"),
-            counter("trainer.matchmake_wait_sec"));
+  const PhaseTotals& t = report->totals;
+  const auto row = [&counter](const char* name, double trace_sec) {
+    const double counter_sec = counter(name);
+    return ReconciliationRow{name, trace_sec, counter_sec,
+                             trace_sec - counter_sec};
+  };
+  report->reconciliation = {
+      row("trainer.calc_sec", t.calc_sec),
+      row("trainer.comm_sec", t.comm_sec()),
+      row("trainer.matchmake_wait_sec",
+          t.matchmake_wait_sec + t.matchmake_sec),
+  };
   return Status::OK();
 }
 
@@ -289,9 +254,14 @@ Result<AnalysisReport> RoundAnalyzer::Analyze() const {
     return Status::FailedPrecondition(
         "telemetry is disabled: nothing recorded to analyze");
   }
-  Result<AnalysisReport> report =
-      AnalyzeRecorder(Telemetry::trace(), options_);
-  if (report.ok()) AttachMetrics(&report.value(), Telemetry::metrics());
+  // The same bytes --trace-out and --metrics-out write, read back the
+  // way `hivesim analyze` reads those files.
+  AnalysisReport report;
+  HIVESIM_ASSIGN_OR_RETURN(
+      report, AnalyzeChromeJson(Telemetry::trace().ToChromeJson(), options_));
+  JsonValue metrics;
+  HIVESIM_ASSIGN_OR_RETURN(metrics, ParseJson(Telemetry::metrics().ToJson()));
+  HIVESIM_RETURN_IF_ERROR(AttachMetricsJson(&report, metrics));
   return report;
 }
 

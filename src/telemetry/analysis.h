@@ -10,7 +10,6 @@
 #include "common/json_parse.h"
 #include "common/result.h"
 #include "telemetry/round_model.h"
-#include "telemetry/telemetry.h"
 
 namespace hivesim::telemetry {
 
@@ -18,10 +17,10 @@ namespace hivesim::telemetry {
 /// resource — compute, a WAN link, stragglers, matchmaking — bounds
 /// training throughput, per round and in aggregate, plus what-if
 /// headroom bounds for speeding up the top links. Consumes the round
-/// model built by telemetry/round_model.h; runs in-process on a live
-/// `TraceRecorder` (see RoundAnalyzer) or post-hoc on a written Chrome
-/// trace via `hivesim analyze`. Same seed => byte-identical
-/// `ToJson()` output, in either mode.
+/// model built by telemetry/round_model.h from a Chrome trace's text:
+/// post-hoc from a written file (`hivesim analyze`), or in-process from
+/// the bytes the live recorder would write (RoundAnalyzer). Same seed =>
+/// byte-identical `ToJson()` output.
 
 struct AnalysisOptions {
   /// Number of headroom entries (top links by critical-path time).
@@ -121,7 +120,7 @@ struct AnalysisReport {
   StragglerPercentiles critical_flow;    ///< Critical flow-segment secs.
   std::vector<HeadroomEstimate> headroom;
   std::vector<ReconciliationRow> reconciliation;  ///< Empty until
-                                                  ///< AttachMetrics*.
+                                                  ///< AttachMetricsJson.
   AnalysisOptions options;
 
   /// The deterministic `analysis.json` document (schema
@@ -133,37 +132,29 @@ struct AnalysisReport {
   void PrintTable(std::ostream& os) const;
 };
 
-/// Core entry point: attribution over an already-canonicalized dataset.
-Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
-                                      const AnalysisOptions& options = {});
-
-/// In-process mode: analyze a live recorder's contents.
-Result<AnalysisReport> AnalyzeRecorder(const TraceRecorder& recorder,
-                                       const AnalysisOptions& options = {});
-
-/// Post-hoc mode: analyze the text of a written Chrome trace file.
+/// The analyzer's one entry point: attribution over the text of a
+/// Chrome trace (`TraceRecorder::ToChromeJson`).
 Result<AnalysisReport> AnalyzeChromeJson(std::string_view json_text,
                                          const AnalysisOptions& options = {});
 
 /// Cross-checks the report's phase totals against the trainer's own
 /// phase counters (trainer.calc_sec | trainer.comm_sec |
-/// trainer.matchmake_wait_sec), filling report->reconciliation. The
-/// overload taking a JsonValue reads a MetricsRegistry::ToJson snapshot
-/// (the CLI's --metrics path); missing counters read as 0.
-void AttachMetrics(AnalysisReport* report, const MetricsRegistry& metrics);
+/// trainer.matchmake_wait_sec) in a parsed `MetricsRegistry::ToJson`
+/// snapshot, filling report->reconciliation; missing counters read as 0.
 Status AttachMetricsJson(AnalysisReport* report, const JsonValue& doc);
 
 /// In-process convenience: analyzes the calling thread's telemetry
-/// sinks. Rides the existing one-branch enable switch — constructing it
-/// is free, and `Analyze` errors with FailedPrecondition while
-/// telemetry is disabled (nothing was recorded).
+/// sinks as `hivesim analyze` would analyze the files they write. Rides
+/// the existing one-branch enable switch — constructing it is free, and
+/// `Analyze` errors with FailedPrecondition while telemetry is disabled
+/// (nothing was recorded).
 class RoundAnalyzer {
  public:
   explicit RoundAnalyzer(AnalysisOptions options = {})
       : options_(options) {}
 
-  /// Analyzes `Telemetry::trace()` and reconciles against
-  /// `Telemetry::metrics()`.
+  /// Analyzes `Telemetry::trace().ToChromeJson()` and reconciles it
+  /// against the parsed `Telemetry::metrics().ToJson()`.
   Result<AnalysisReport> Analyze() const;
 
  private:

@@ -1,48 +1,12 @@
 #include "telemetry/round_model.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
 #include "common/strings.h"
 
 namespace hivesim::telemetry {
-
-double CanonMicros(double value_us) {
-  // Must match ToChromeJson's AppendMicros + json_parse's strtod exactly:
-  // this round trip is what makes in-process analysis bit-identical to
-  // post-hoc analysis of the written trace.
-  std::string text;
-  AppendMicros(&text, value_us);
-  return std::strtod(text.c_str(), nullptr);
-}
-
-Result<TraceDataset> DatasetFromRecorder(const TraceRecorder& recorder) {
-  TraceDataset dataset;
-  dataset.lanes = recorder.lanes();
-  dataset.events.reserve(recorder.events().size());
-  for (const TraceRecorder::Event& e : recorder.events()) {
-    CanonEvent canon;
-    canon.instant = e.instant;
-    canon.ts_us = CanonMicros(e.ts_sec * 1e6);
-    canon.dur_us = e.instant ? 0.0 : CanonMicros(e.dur_sec * 1e6);
-    canon.lane = dataset.lanes[static_cast<size_t>(e.lane)];
-    canon.name = e.name;
-    if (!e.args_json.empty()) {
-      Result<JsonValue> args = ParseJson(e.args_json);
-      if (!args.ok()) {
-        return Status::InvalidArgument(
-            StrCat("event '", e.name, "' has malformed args: ",
-                   args.status().message()));
-      }
-      canon.args = std::move(args).value();
-    }
-    dataset.events.push_back(std::move(canon));
-  }
-  return dataset;
-}
 
 Result<TraceDataset> DatasetFromChromeJson(std::string_view json_text) {
   JsonValue doc;
@@ -81,29 +45,29 @@ Result<TraceDataset> DatasetFromChromeJson(std::string_view json_text) {
       return Status::InvalidArgument(
           StrFormat("event references undeclared tid %d", tid));
     }
-    CanonEvent canon;
-    canon.instant = kind == "i";
+    TraceEvent event;
+    event.instant = kind == "i";
     const JsonValue* ts = ev.Find("ts");
     if (ts == nullptr || !ts->is_number()) {
       return Status::InvalidArgument("event without numeric ts");
     }
-    canon.ts_us = ts->number_value;
-    if (!canon.instant) {
+    event.ts_us = ts->number_value;
+    if (!event.instant) {
       const JsonValue* dur = ev.Find("dur");
-      canon.dur_us = dur != nullptr ? dur->NumberOr(0) : 0;
+      event.dur_us = dur != nullptr ? dur->NumberOr(0) : 0;
     }
-    canon.lane = dataset.lanes[lane_it->second];
+    event.lane = dataset.lanes[lane_it->second];
     const JsonValue* name = ev.Find("name");
-    canon.name = name != nullptr ? name->StringOr("") : "";
-    if (const JsonValue* args = ev.Find("args")) canon.args = *args;
-    dataset.events.push_back(std::move(canon));
+    event.name = name != nullptr ? name->StringOr("") : "";
+    if (const JsonValue* args = ev.Find("args")) event.args = *args;
+    dataset.events.push_back(std::move(event));
   }
   return dataset;
 }
 
 namespace {
 
-bool IsRunMarker(const CanonEvent& e) {
+bool IsRunMarker(const TraceEvent& e) {
   return e.instant && e.lane == "trace" && e.name == "run-start";
 }
 
@@ -182,7 +146,7 @@ void AppendSegment(std::vector<Segment>* out, double start, double end,
 
 Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
   RoundModel model;
-  const std::vector<CanonEvent>& events = dataset.events;
+  const std::vector<TraceEvent>& events = dataset.events;
 
   // `hivesim run`/`fleet` record several simulations into one recorder,
   // each restarting at sim-time 0 behind a "run-start" marker. Events
@@ -211,7 +175,7 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
     std::vector<std::pair<double, std::string>> chaos;
 
     for (size_t i = begin; i < end; ++i) {
-      const CanonEvent& e = events[i];
+      const TraceEvent& e = events[i];
       extent_min = std::min(extent_min, e.ts_us);
       extent_max = std::max(extent_max, e.end_us());
       if (e.lane == "trainer") {

@@ -7,30 +7,19 @@
 
 #include "common/json_parse.h"
 #include "common/result.h"
-#include "telemetry/telemetry.h"
 
 namespace hivesim::telemetry {
 
 /// The analyzer's input/round-reconstruction layer (consumed by
-/// telemetry/analysis.h). A trace reaches the analyzer two ways — live
-/// from a `TraceRecorder` or post-hoc from the Chrome trace_event JSON
-/// the recorder wrote — and both must yield *bit-identical* doubles so
-/// the final report is byte-identical across modes. The trick is to
-/// canonicalize through the serialized form: `ToChromeJson` prints
-/// microsecond timestamps as %.6f decimal text, so the in-process path
-/// formats and re-parses each timestamp exactly the way the post-hoc
-/// parser (`common/json_parse`, strtod) reads it back. All round-model
-/// arithmetic then happens on those canonical microsecond doubles, in
-/// recorder order, in both modes.
+/// telemetry/analysis.h). The analyzer reads a trace only in its written
+/// form, the Chrome trace_event JSON of `TraceRecorder::ToChromeJson`:
+/// `hivesim analyze` parses a file, and `--analysis-out` parses the
+/// bytes `--trace-out` would write. Both therefore do their round-model
+/// arithmetic on the same microsecond doubles, in file order.
 
-/// The canonical microsecond value of `value_us`: the double obtained by
-/// printing it as %.6f (the trace file's format) and parsing the text
-/// back with strtod. Idempotent; quantizes to 1e-6 us = 1e-12 sim-sec.
-double CanonMicros(double value_us);
-
-/// One trace event normalized to canonical microseconds. `args` holds
-/// the parsed args object (kNull when the event carried none).
-struct CanonEvent {
+/// One trace event as read from the file, times in microseconds. `args`
+/// holds the parsed args object (kNull when the event carried none).
+struct TraceEvent {
   bool instant = false;
   double ts_us = 0;
   double dur_us = 0;  ///< 0 for instants.
@@ -41,19 +30,14 @@ struct CanonEvent {
   double end_us() const { return ts_us + dur_us; }
 };
 
-/// A full trace in canonical form, events in recorder order (identical
-/// to file order — `ToChromeJson` serializes in recorder order).
+/// A full trace, events in file order (which is recorder order:
+/// `ToChromeJson` serializes in recorder order).
 struct TraceDataset {
   std::vector<std::string> lanes;  ///< First-use order.
-  std::vector<CanonEvent> events;
+  std::vector<TraceEvent> events;
 };
 
-/// Builds the canonical dataset straight from an in-process recorder.
-/// Errors (InvalidArgument) if an event's args string is not valid JSON
-/// — the same trace would be unreadable post-hoc.
-Result<TraceDataset> DatasetFromRecorder(const TraceRecorder& recorder);
-
-/// Builds the canonical dataset from the text of a Chrome trace_event
+/// Builds the dataset from the text of a Chrome trace_event
 /// file written by `TraceRecorder::ToChromeJson`. Lane names come from
 /// the thread_name metadata events; non-metadata events must reference
 /// a declared tid.

@@ -58,10 +58,6 @@ void TraceRecorder::Instant(double at_sec, std::string_view lane,
   events_.push_back(std::move(e));
 }
 
-void AppendMicros(std::string* out, double micros) {
-  AppendFixed(out, micros, 6);
-}
-
 std::string TraceRecorder::ToChromeJson() const {
   std::string out;
   // Sized from measured lines: 127 bytes on average in trace_tour
@@ -82,17 +78,18 @@ std::string TraceRecorder::ToChromeJson() const {
     out += "\"}}";
   }
   for (const Event& e : events_) {
-    // Chrome trace timestamps are microseconds; sim time is seconds.
+    // Chrome trace timestamps are microseconds (%.6f, picosecond
+    // resolution); sim time is seconds.
     out += e.instant ? ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":"
                      : ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":";
     AppendInt(&out, e.lane + 1);
     out += ",\"ts\":";
-    AppendMicros(&out, e.ts_sec * 1e6);
+    AppendFixed(&out, e.ts_sec * 1e6, 6);
     if (e.instant) {
       out += ",\"s\":\"t\"";
     } else {
       out += ",\"dur\":";
-      AppendMicros(&out, e.dur_sec * 1e6);
+      AppendFixed(&out, e.dur_sec * 1e6, 6);
     }
     out += ",\"name\":\"";
     AppendJsonEscaped(&out, e.name);
@@ -107,54 +104,8 @@ std::string TraceRecorder::ToChromeJson() const {
   return out;
 }
 
-namespace {
-
-// RFC 4180 field escaping: quote when the field contains a comma, quote,
-// or line break (doubling inner quotes); `force_quote` keeps the args
-// column always-quoted, its historical stable shape.
-void AppendCsvField(std::string* out, std::string_view raw,
-                    bool force_quote = false) {
-  const bool needs_quoting =
-      force_quote ||
-      raw.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quoting) {
-    *out += raw;
-    return;
-  }
-  *out += '"';
-  for (const char c : raw) {
-    if (c == '"') *out += '"';
-    *out += c;
-  }
-  *out += '"';
-}
-
-}  // namespace
-
-std::string TraceRecorder::ToCsv() const {
-  std::string out = "kind,lane,name,ts_sec,dur_sec,args\n";
-  for (const Event& e : events_) {
-    out += e.instant ? "instant," : "span,";
-    AppendCsvField(&out, lanes_[e.lane]);
-    out += ',';
-    AppendCsvField(&out, e.name);
-    out += ',';
-    AppendFixed(&out, e.ts_sec, 6);
-    out += ',';
-    AppendFixed(&out, e.dur_sec, 6);
-    out += ',';
-    AppendCsvField(&out, e.args_json, /*force_quote=*/true);
-    out += '\n';
-  }
-  return out;
-}
-
 bool TraceRecorder::WriteChromeJson(const std::string& path) const {
   return WriteFile(path, ToChromeJson());
-}
-
-bool TraceRecorder::WriteCsv(const std::string& path) const {
-  return WriteFile(path, ToCsv());
 }
 
 void TraceRecorder::Clear() {

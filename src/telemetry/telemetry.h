@@ -25,18 +25,6 @@ namespace hivesim::telemetry {
 /// what lets the simulator kernel itself be instrumented without a cycle.
 class TraceRecorder {
  public:
-  /// One recorded event. Exposed read-only so in-process consumers (the
-  /// critical-path analyzer in telemetry/analysis.h) can walk the trace
-  /// without a serialize/parse round trip.
-  struct Event {
-    double ts_sec = 0;
-    double dur_sec = 0;  ///< 0 for instants.
-    bool instant = false;
-    int lane = 0;  ///< Index into lanes().
-    std::string name;
-    std::string args_json;
-  };
-
   /// A completed span [start_sec, end_sec] on `lane`. `args_json`, when
   /// non-empty, must be a compact JSON object ("{\"bytes\":42}") and is
   /// embedded verbatim as the event's args.
@@ -52,20 +40,23 @@ class TraceRecorder {
   /// thread per lane; timestamps in microseconds of simulation time.
   std::string ToChromeJson() const;
 
-  /// The same events as a flat CSV (kind, lane, name, ts_sec, dur_sec,
-  /// args) for spreadsheet/pandas consumption.
-  std::string ToCsv() const;
-
-  /// Write either rendering to a file; false on I/O failure.
+  /// Writes `ToChromeJson()` to a file; false on I/O failure.
   bool WriteChromeJson(const std::string& path) const;
-  bool WriteCsv(const std::string& path) const;
 
   size_t size() const { return events_.size(); }
   const std::vector<std::string>& lanes() const { return lanes_; }
-  const std::vector<Event>& events() const { return events_; }
   void Clear();
 
  private:
+  struct Event {
+    double ts_sec = 0;
+    double dur_sec = 0;  ///< 0 for instants.
+    bool instant = false;
+    int lane = 0;  ///< Index into lanes_.
+    std::string name;
+    std::string args_json;
+  };
+
   int LaneId(std::string_view lane);
 
   // Transparent hashing lets `LaneId` look a lane up by string_view
@@ -81,13 +72,6 @@ class TraceRecorder {
   std::unordered_map<std::string, int, LaneHash, std::equal_to<>> lane_ids_;
   std::vector<Event> events_;
 };
-
-/// Appends a trace timestamp or duration given in microseconds as
-/// `%.6f` text (picosecond resolution). `ToChromeJson` writes every `ts`
-/// and `dur` through this, and `CanonMicros` (telemetry/round_model.h)
-/// parses its output back, so in-process analysis does arithmetic on
-/// exactly the doubles a reader of the written trace sees.
-void AppendMicros(std::string* out, double micros);
 
 /// Counters, gauges, and fixed-bucket histograms, keyed by flat metric
 /// names; labels are folded into the name ("net.bytes_delivered{src_zone=

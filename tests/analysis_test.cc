@@ -9,6 +9,7 @@
 #include "hivemind/monitor.h"
 #include "hivemind/trainer.h"
 #include "net/profiles.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "telemetry/analysis.h"
 #include "telemetry/round_model.h"
@@ -53,7 +54,7 @@ TraceRecorder TwoFlowRound() {
 }
 
 TEST_F(AnalysisTest, CriticalPathMatchesHandComputedGraph) {
-  auto report = AnalyzeRecorder(TwoFlowRound());
+  auto report = AnalyzeChromeJson(TwoFlowRound().ToChromeJson());
   ASSERT_TRUE(report.ok());
 
   ASSERT_EQ(report->model.rounds.size(), 1u);
@@ -125,7 +126,7 @@ TEST_F(AnalysisTest, MatchmakeSpansRefineTheWaitWindow) {
              "{\"discovered\":3,\"timed_out\":false}");
   trace.Span(14.0, 20.0, "net", "flow 1->0", "{\"bytes\":1}");
 
-  auto report = AnalyzeRecorder(trace);
+  auto report = AnalyzeChromeJson(trace.ToChromeJson());
   ASSERT_TRUE(report.ok());
   EXPECT_DOUBLE_EQ(report->totals.calc_sec, 10.0);
   EXPECT_DOUBLE_EQ(report->totals.matchmake_wait_sec, 3.0);
@@ -146,7 +147,7 @@ TEST_F(AnalysisTest, RunMarkersSegmentTraceAndIncompleteRoundsDrop) {
   trace.Span(5.0, 9.0, "trainer", "comm", "{\"epoch\":0}");
   trace.Span(9.0, 12.0, "trainer", "calc", "{\"epoch\":1}");  // No comm.
 
-  auto report = AnalyzeRecorder(trace);
+  auto report = AnalyzeChromeJson(trace.ToChromeJson());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->model.num_runs, 2);
   ASSERT_EQ(report->model.rounds.size(), 2u);
@@ -157,43 +158,6 @@ TEST_F(AnalysisTest, RunMarkersSegmentTraceAndIncompleteRoundsDrop) {
   EXPECT_DOUBLE_EQ(report->model.unmodeled_us, 3e6);
 }
 
-TEST_F(AnalysisTest, ChromeJsonRoundTripReconstructsTheSameSpans) {
-  TraceRecorder trace;
-  trace.Span(0.25, 10.125, "trainer", "calc", "{\"epoch\":0}");
-  trace.Span(10.125, 20.0, "trainer", "comm", "{\"epoch\":0}");
-  trace.Span(11.0, 17.5, "net", "flow 0->1",
-             "{\"bytes\":123456789,\"src_zone\":\"gc-us\","
-             "\"dst_zone\":\"gc-eu\"}");
-  trace.Instant(12.75, "chaos", "partition-start");
-  trace.Instant(0.0, "trace", "run-start");
-  trace.Span(1.0 / 3.0, 2.0 / 3.0, "trainer", "calc", "{\"epoch\":0}");
-
-  auto direct = DatasetFromRecorder(trace);
-  ASSERT_TRUE(direct.ok());
-  auto parsed = DatasetFromChromeJson(trace.ToChromeJson());
-  ASSERT_TRUE(parsed.ok());
-
-  EXPECT_EQ(direct->lanes, parsed->lanes);
-  ASSERT_EQ(direct->events.size(), parsed->events.size());
-  for (size_t i = 0; i < direct->events.size(); ++i) {
-    const CanonEvent& a = direct->events[i];
-    const CanonEvent& b = parsed->events[i];
-    EXPECT_EQ(a.instant, b.instant) << "event " << i;
-    EXPECT_EQ(a.lane, b.lane) << "event " << i;
-    EXPECT_EQ(a.name, b.name) << "event " << i;
-    // Bit-identical, not just close: the in-process path canonicalizes
-    // through the same %.6f + strtod round trip the file goes through.
-    EXPECT_EQ(a.ts_us, b.ts_us) << "event " << i;
-    EXPECT_EQ(a.dur_us, b.dur_us) << "event " << i;
-    const JsonValue* bytes_a = a.args.Find("bytes");
-    const JsonValue* bytes_b = b.args.Find("bytes");
-    ASSERT_EQ(bytes_a != nullptr, bytes_b != nullptr) << "event " << i;
-    if (bytes_a != nullptr) {
-      EXPECT_EQ(bytes_a->NumberOr(-1), bytes_b->NumberOr(-2));
-    }
-  }
-}
-
 TEST_F(AnalysisTest, RoundAnalyzerErrorsWhenTelemetryDisabled) {
   Telemetry::Disable();
   auto report = RoundAnalyzer().Analyze();
@@ -202,7 +166,7 @@ TEST_F(AnalysisTest, RoundAnalyzerErrorsWhenTelemetryDisabled) {
 }
 
 TEST_F(AnalysisTest, AttachMetricsJsonRejectsNonSnapshots) {
-  auto report = AnalyzeRecorder(TwoFlowRound());
+  auto report = AnalyzeChromeJson(TwoFlowRound().ToChromeJson());
   ASSERT_TRUE(report.ok());
   auto doc = ParseJson("{\"not_counters\":{}}");
   ASSERT_TRUE(doc.ok());
@@ -247,10 +211,22 @@ void RunChaosTraining(uint64_t seed) {
   faults::ChaosInjector injector(&sim, &topo, &network, seed);
   injector.AttachTrainer(&trainer);
   injector.AttachDht(&dht);
-  faults::ChaosSchedule schedule;
-  schedule.Partition(net::kGcUs, net::kGcEu, 10 * 60, 5 * 60);
-  schedule.CrashNode(peers[3].node, 20 * 60, /*restart_after_sec=*/300);
-  EXPECT_TRUE(injector.Arm(schedule).ok());
+  // Minute 10-15: the transatlantic path is gone; minute 20: peer 3
+  // crashes and is back 5 minutes later.
+  scenario::ScenarioPack pack;
+  pack.name = "partition-and-crash";
+  pack.wan.push_back({{"gc-us"}, {"gc-eu"}, {10 * 60, 5 * 60}, 0});
+  pack.crashes.push_back({3, 20 * 60, /*frac=*/false,
+                          /*restart_after_sec=*/300});
+  std::vector<scenario::FleetMember> members;
+  for (const auto& p : peers) {
+    const net::SiteId site = topo.SiteOf(p.node);
+    members.push_back({p.node, site, topo.site(site).continent});
+  }
+  auto schedule = scenario::Compile(
+      pack, scenario::MakeFleetView(std::move(members)), 30 * 60.0);
+  EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
+  EXPECT_TRUE(injector.Arm(schedule.value()).ok());
 
   EXPECT_TRUE(trainer.Start().ok());
   sim.RunUntil(30 * 60.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cloud/spot_market.h"
@@ -16,25 +17,30 @@
 namespace hivesim::faults {
 namespace {
 
+/// Validate() of a schedule that holds only `event`, in `events`.
+template <typename Event>
+bool ValidAlone(std::vector<Event> ChaosSchedule::*events, Event event) {
+  ChaosSchedule schedule;
+  (schedule.*events).push_back(std::move(event));
+  return schedule.Validate().ok();
+}
+
 TEST(ChaosScheduleTest, ValidateRejectsMalformedEvents) {
+  const net::Continent us = net::Continent::kUs;
   EXPECT_TRUE(ChaosSchedule().Validate().ok());
+  EXPECT_FALSE(ValidAlone(&ChaosSchedule::spot_storms, {us, 0, -1, 2}));
+  EXPECT_FALSE(ValidAlone(&ChaosSchedule::spot_storms, {us, 0, 10, -2}));
+  EXPECT_FALSE(ValidAlone(&ChaosSchedule::wan_events, {0, 1, 0, 10, 1.5}));
   EXPECT_FALSE(
-      ChaosSchedule().SpotStorm(net::Continent::kUs, 0, -1, 2).Validate().ok());
-  EXPECT_FALSE(
-      ChaosSchedule().SpotStorm(net::Continent::kUs, 0, 10, -2).Validate().ok());
-  EXPECT_FALSE(
-      ChaosSchedule().DegradeWan(0, 1, 0, 10, 1.5).Validate().ok());
-  EXPECT_FALSE(
-      ChaosSchedule().DegradeWan(0, 1, 0, 10, 0.5, -1).Validate().ok());
-  EXPECT_FALSE(ChaosSchedule().CrashNode(0, -1).Validate().ok());
-  EXPECT_FALSE(ChaosSchedule().CrashStorm({}, 0, 10, 1).Validate().ok());
-  EXPECT_FALSE(ChaosSchedule().CrashStorm({0}, 0, 10, 0).Validate().ok());
-  EXPECT_TRUE(ChaosSchedule()
-                  .SpotStorm(net::Continent::kEu, 0, 3600, 100)
-                  .Partition(0, 1, 60, 60)
-                  .CrashStorm({0, 1}, 0, 600, 3, 120)
-                  .Validate()
-                  .ok());
+      ValidAlone(&ChaosSchedule::wan_events, {0, 1, 0, 10, 0.5, -1}));
+  EXPECT_FALSE(ValidAlone(&ChaosSchedule::crashes, {0, -1}));
+  EXPECT_FALSE(ValidAlone(&ChaosSchedule::crash_storms, {{}, 0, 10, 1}));
+  EXPECT_FALSE(ValidAlone(&ChaosSchedule::crash_storms, {{0}, 0, 10, 0}));
+  ChaosSchedule valid;
+  valid.spot_storms.push_back({net::Continent::kEu, 0, 3600, 100});
+  valid.wan_events.push_back({0, 1, 60, 60, 0});
+  valid.crash_storms.push_back({{0, 1}, 0, 600, 3, 120});
+  EXPECT_TRUE(valid.Validate().ok());
 }
 
 TEST(ChaosInjectorTest, ArmRequiresMarketForSpotStorms) {
@@ -43,7 +49,7 @@ TEST(ChaosInjectorTest, ArmRequiresMarketForSpotStorms) {
   net::Network network(&sim, &topo);
   ChaosInjector injector(&sim, &topo, &network);
   ChaosSchedule schedule;
-  schedule.SpotStorm(net::Continent::kUs, 0, 3600, 100);
+  schedule.spot_storms.push_back({net::Continent::kUs, 0, 3600, 100});
   EXPECT_EQ(injector.Arm(schedule).code(), StatusCode::kFailedPrecondition);
   cloud::SpotMarket market(Rng(1));
   injector.AttachSpotMarket(&market);
@@ -65,7 +71,7 @@ TEST(ChaosWanTest, PartitionStallsFlowUntilRecovery) {
 
   ChaosInjector injector(&sim, &topo, &network);
   ChaosSchedule schedule;
-  schedule.Partition(a, b, 1.0, 4.0);
+  schedule.wan_events.push_back({a, b, 1.0, 4.0, 0});  // Partition.
   ASSERT_TRUE(injector.Arm(schedule).ok());
 
   // 25 MB at 12.5 MB/s: 2 s unimpeded. The partition hits at t=1 with
@@ -95,8 +101,8 @@ TEST(ChaosWanTest, OverlappingWindowsCompoundAndRestore) {
 
   ChaosInjector injector(&sim, &topo, &network);
   ChaosSchedule schedule;
-  schedule.DegradeWan(a, b, 1.0, 9.0, 0.5, MsToSec(20))
-      .DegradeWan(a, b, 2.0, 2.0, 0.5, MsToSec(20));
+  schedule.wan_events.push_back({a, b, 1.0, 9.0, 0.5, MsToSec(20)});
+  schedule.wan_events.push_back({a, b, 2.0, 2.0, 0.5, MsToSec(20)});
   ASSERT_TRUE(injector.Arm(schedule).ok());
 
   sim.RunUntil(2.5);  // Both windows active: factors compound.
@@ -141,7 +147,8 @@ TEST(ChaosCrashTest, CrashRemovesPeerAndRestartRejoins) {
   injector.AttachTrainer(&trainer);
   injector.AttachDht(&dhtnet);
   ChaosSchedule schedule;
-  schedule.CrashNode(peers[0].node, 600.0, /*restart_after_sec=*/900.0);
+  schedule.crashes.push_back(
+      {peers[0].node, 600.0, /*restart_after_sec=*/900.0});
   ASSERT_TRUE(injector.Arm(schedule).ok());
   ASSERT_TRUE(trainer.Start().ok());
 
@@ -170,7 +177,8 @@ TEST(ChaosSpotTest, SpotStormInterruptsVms) {
     injector.AttachSpotMarket(&market);
     if (storm) {
       ChaosSchedule schedule;
-      schedule.SpotStorm(net::Continent::kUs, 0, 24 * kHour, 10000.0);
+      schedule.spot_storms.push_back(
+          {net::Continent::kUs, 0, 24 * kHour, 10000.0});
       EXPECT_TRUE(injector.Arm(schedule).ok());
     }
     std::vector<std::unique_ptr<cloud::VmInstance>> vms;
@@ -228,10 +236,11 @@ ReplayResult RunReplayScenario(uint64_t seed) {
   ChaosInjector injector(&sim, &topo, &network, seed);
   injector.AttachTrainer(&trainer);
   ChaosSchedule schedule;
-  schedule.Partition(net::kGcUs, net::kGcEu, 1800, 900)
-      .DegradeWan(net::kGcUs, net::kGcEu, 4000, 600, 0.1, MsToSec(50))
-      .CrashStorm({peers[1].node, peers[3].node}, 5000, 1000, 2,
-                  /*restart_after_sec=*/300);
+  schedule.wan_events.push_back({net::kGcUs, net::kGcEu, 1800, 900, 0});
+  schedule.wan_events.push_back(
+      {net::kGcUs, net::kGcEu, 4000, 600, 0.1, MsToSec(50)});
+  schedule.crash_storms.push_back({{peers[1].node, peers[3].node}, 5000,
+                                   1000, 2, /*restart_after_sec=*/300});
   EXPECT_TRUE(injector.Arm(schedule).ok());
   EXPECT_TRUE(trainer.Start().ok());
   sim.RunUntil(3 * kHour);

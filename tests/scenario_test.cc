@@ -131,21 +131,19 @@ TEST(ScenarioPresets, WanDegradeMatchesLegacySchedule) {
   auto compiled = scenario::Compile(*pack, TwoSiteFleet(), duration);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
-  faults::ChaosSchedule legacy;
-  legacy.DegradeWan(net::kGcUs, net::kGcEu, 0.25 * duration, 0.25 * duration,
-                    0.10, MsToSec(100));
-  ASSERT_EQ(compiled->wan_events().size(), 1u);
-  const auto& got = compiled->wan_events()[0];
-  const auto& want = legacy.wan_events()[0];
+  const faults::WanEvent want{net::kGcUs,      net::kGcEu, 0.25 * duration,
+                              0.25 * duration, 0.10,       MsToSec(100)};
+  ASSERT_EQ(compiled->wan_events.size(), 1u);
+  const auto& got = compiled->wan_events[0];
   EXPECT_EQ(got.a, want.a);
   EXPECT_EQ(got.b, want.b);
   EXPECT_EQ(got.start_sec, want.start_sec);
   EXPECT_EQ(got.duration_sec, want.duration_sec);
   EXPECT_EQ(got.bandwidth_factor, want.bandwidth_factor);
   EXPECT_EQ(got.extra_rtt_sec, want.extra_rtt_sec);
-  EXPECT_TRUE(compiled->crashes().empty());
-  EXPECT_TRUE(compiled->crash_storms().empty());
-  EXPECT_TRUE(compiled->spot_storms().empty());
+  EXPECT_TRUE(compiled->crashes.empty());
+  EXPECT_TRUE(compiled->crash_storms.empty());
+  EXPECT_TRUE(compiled->spot_storms.empty());
 }
 
 TEST(ScenarioPresets, PartitionMatchesLegacyOnMultiSiteFleet) {
@@ -154,8 +152,8 @@ TEST(ScenarioPresets, PartitionMatchesLegacyOnMultiSiteFleet) {
   const double duration = 2 * kHour;
   auto compiled = scenario::Compile(*pack, TwoSiteFleet(), duration);
   ASSERT_TRUE(compiled.ok());
-  ASSERT_EQ(compiled->wan_events().size(), 1u);
-  const auto& got = compiled->wan_events()[0];
+  ASSERT_EQ(compiled->wan_events.size(), 1u);
+  const auto& got = compiled->wan_events[0];
   EXPECT_EQ(got.a, net::kGcUs);
   EXPECT_EQ(got.b, net::kGcEu);
   EXPECT_EQ(got.start_sec, 0.5 * duration);
@@ -170,8 +168,8 @@ TEST(ScenarioPresets, PartitionFallsBackToDegradeOnSingleSiteFleet) {
   const double duration = 2 * kHour;
   auto compiled = scenario::Compile(*pack, SingleSiteFleet(), duration);
   ASSERT_TRUE(compiled.ok());
-  ASSERT_EQ(compiled->wan_events().size(), 1u);
-  const auto& got = compiled->wan_events()[0];
+  ASSERT_EQ(compiled->wan_events.size(), 1u);
+  const auto& got = compiled->wan_events[0];
   EXPECT_EQ(got.a, net::kGcUs);
   EXPECT_EQ(got.b, net::kGcUs);
   EXPECT_EQ(got.start_sec, 0.5 * duration);
@@ -186,8 +184,8 @@ TEST(ScenarioPresets, ChurnMatchesLegacySchedule) {
   const double duration = 2 * kHour;
   auto compiled = scenario::Compile(*pack, TwoSiteFleet(), duration);
   ASSERT_TRUE(compiled.ok());
-  ASSERT_EQ(compiled->crash_storms().size(), 1u);
-  const auto& storm = compiled->crash_storms()[0];
+  ASSERT_EQ(compiled->crash_storms.size(), 1u);
+  const auto& storm = compiled->crash_storms[0];
   // Legacy churn: every member but the first, min(2, n) crashes,
   // restart after 10 minutes, window [0.4, 0.6) of the run.
   EXPECT_EQ(storm.nodes, (std::vector<net::NodeId>{2, 3, 4}));
@@ -210,10 +208,10 @@ TEST(ScenarioCompile, ContentionSharesBandwidthEqually) {
   pack.contention.push_back(spec);
   auto compiled = scenario::Compile(pack, TwoSiteFleet(), 1000);
   ASSERT_TRUE(compiled.ok());
-  ASSERT_EQ(compiled->wan_events().size(), 1u);
-  EXPECT_EQ(compiled->wan_events()[0].bandwidth_factor, 0.25);
-  EXPECT_EQ(compiled->wan_events()[0].start_sec, 250);
-  EXPECT_EQ(compiled->wan_events()[0].duration_sec, 500);
+  ASSERT_EQ(compiled->wan_events.size(), 1u);
+  EXPECT_EQ(compiled->wan_events[0].bandwidth_factor, 0.25);
+  EXPECT_EQ(compiled->wan_events[0].start_sec, 250);
+  EXPECT_EQ(compiled->wan_events[0].duration_sec, 500);
 }
 
 TEST(ScenarioCompile, DiurnalWanSkipsFactorOneHoursAndWraps) {
@@ -227,11 +225,11 @@ TEST(ScenarioCompile, DiurnalWanSkipsFactorOneHoursAndWraps) {
   // 3.5 hours: hours 0,1,2,3 -> factors 1, 0.5, 1, 0.5 -> two windows.
   auto compiled = scenario::Compile(pack, TwoSiteFleet(), 3.5 * kHour);
   ASSERT_TRUE(compiled.ok());
-  ASSERT_EQ(compiled->wan_events().size(), 2u);
-  EXPECT_EQ(compiled->wan_events()[0].start_sec, 1 * kHour);
-  EXPECT_EQ(compiled->wan_events()[0].duration_sec, kHour);
-  EXPECT_EQ(compiled->wan_events()[0].bandwidth_factor, 0.5);
-  EXPECT_EQ(compiled->wan_events()[1].start_sec, 3 * kHour);
+  ASSERT_EQ(compiled->wan_events.size(), 2u);
+  EXPECT_EQ(compiled->wan_events[0].start_sec, 1 * kHour);
+  EXPECT_EQ(compiled->wan_events[0].duration_sec, kHour);
+  EXPECT_EQ(compiled->wan_events[0].bandwidth_factor, 0.5);
+  EXPECT_EQ(compiled->wan_events[1].start_sec, 3 * kHour);
 }
 
 TEST(ScenarioCompile, ZoneStormCrashesTheZonesPeersOnly) {
@@ -246,9 +244,9 @@ TEST(ScenarioCompile, ZoneStormCrashesTheZonesPeersOnly) {
   pack.zone_storms.push_back(spec);
   auto compiled = scenario::Compile(pack, TwoSiteFleet(), 1000);
   ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(compiled->spot_storms().empty());  // multiplier 1 elides.
-  ASSERT_EQ(compiled->crash_storms().size(), 1u);
-  const auto& storm = compiled->crash_storms()[0];
+  EXPECT_TRUE(compiled->spot_storms.empty());  // multiplier 1 elides.
+  ASSERT_EQ(compiled->crash_storms.size(), 1u);
+  const auto& storm = compiled->crash_storms[0];
   EXPECT_EQ(storm.nodes, (std::vector<net::NodeId>{1, 2}));  // US members.
   EXPECT_EQ(storm.crashes, 1);  // round(0.5 * 2).
   EXPECT_EQ(storm.restart_after_sec, 300);
@@ -265,8 +263,8 @@ TEST(ScenarioCompile, SiteRefClampsPastTheLastDistinctSite) {
   pack.wan.push_back(spec);
   auto compiled = scenario::Compile(pack, TwoSiteFleet(), 1000);
   ASSERT_TRUE(compiled.ok());
-  ASSERT_EQ(compiled->wan_events().size(), 1u);
-  EXPECT_EQ(compiled->wan_events()[0].b, net::kGcEu);  // Clamped to last.
+  ASSERT_EQ(compiled->wan_events.size(), 1u);
+  EXPECT_EQ(compiled->wan_events[0].b, net::kGcEu);  // Clamped to last.
 }
 
 TEST(ScenarioCompile, CrashPeerOutOfRangeIsAnError) {
@@ -284,47 +282,16 @@ TEST(ScenarioCompile, EmptyFleetCompilesToNothing) {
   ASSERT_TRUE(pack.ok());
   auto compiled = scenario::Compile(*pack, scenario::FleetView{}, 1000);
   ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(compiled->empty());
-}
-
-// --- CSV import form --------------------------------------------------
-
-TEST(ScenarioCsv, ParsesTheRowGrammar) {
-  const char* csv =
-      "# trace-driven import\n"
-      "name,observed-outage\n"
-      "description,from the ops log\n"
-      "wan,gc-us,gc-eu,600,1200,0.25,80\n"
-      "partition,$site0,$site1,3600,300\n"
-      "contention,gc-us,gc-eu,0,600,3\n"
-      "spot_market,0.2\n"
-      "crash,1,4000,600\n";
-  auto pack = scenario::ParseScenarioCsv(csv);
-  ASSERT_TRUE(pack.ok()) << pack.status().ToString();
-  EXPECT_EQ(pack->name, "observed-outage");
-  ASSERT_EQ(pack->wan.size(), 2u);
-  EXPECT_EQ(pack->wan[0].bandwidth_factor, 0.25);
-  EXPECT_EQ(pack->wan[1].bandwidth_factor, 0.0);  // partition row.
-  ASSERT_EQ(pack->contention.size(), 1u);
-  EXPECT_EQ(pack->contention[0].jobs, 3);
-  ASSERT_EQ(pack->crashes.size(), 1u);
-  EXPECT_EQ(pack->crashes[0].peer, 1);
-  ASSERT_TRUE(pack->spot_market.has_value());
-  EXPECT_EQ(pack->spot_market->monthly_interruption_rate, 0.2);
-  EXPECT_FALSE(scenario::ParseScenarioCsv("name,x\nspot_market,0.2\n"
-                                          "spot_market,0.3\n")
-                   .ok());  // One market per pack.
-  // The CSV form serializes through the same canonical JSON.
-  auto reparsed = scenario::ParseScenario(scenario::ScenarioToJson(*pack));
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(scenario::ScenarioToJson(*pack),
-            scenario::ScenarioToJson(*reparsed));
+  EXPECT_TRUE(compiled->spot_storms.empty());
+  EXPECT_TRUE(compiled->wan_events.empty());
+  EXPECT_TRUE(compiled->crashes.empty());
+  EXPECT_TRUE(compiled->crash_storms.empty());
 }
 
 // Non-finite numbers have no JSON form (the writer emits `null` for
-// them), so neither reader may accept one: a pack that parses must
+// them), so the reader may not accept one: a pack that parses must
 // survive parse -> serialize -> parse.
-TEST(ScenarioNonFinite, BothFormsRejectNonFiniteNumbers) {
+TEST(ScenarioNonFinite, JsonRejectsNonFiniteNumbers) {
   const std::string prefix =
       R"({"schema":"hivesim-scenario/1","name":"x","wan":[{"a":"gc-us",)"
       R"("b":"gc-eu","start":0,"duration":)";
@@ -346,24 +313,15 @@ TEST(ScenarioNonFinite, BothFormsRejectNonFiniteNumbers) {
   auto reparsed = scenario::ParseScenario(bytes);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(bytes, scenario::ScenarioToJson(*reparsed));
-
-  for (const char* row : {"wan,gc-us,gc-eu,0,inf,nan,0",
-                          "wan,gc-us,gc-eu,0,600,nan,0",
-                          "wan,gc-us,gc-eu,0,600,0.5,-inf",
-                          "wan,gc-us,gc-eu,1e999,600,0.5,0"}) {
-    auto csv = scenario::ParseScenarioCsv(StrCat("name,x\n", row, "\n"));
-    ASSERT_FALSE(csv.ok()) << row;
-    EXPECT_EQ(csv.status().code(), StatusCode::kInvalidArgument) << row;
-    EXPECT_NE(csv.status().ToString().find("line 2"), std::string::npos)
-        << csv.status().ToString();
-  }
 }
 
 // --- The bad-pack corpus ----------------------------------------------
 
 // Every fixture must fail to load with an InvalidArgument that names the
-// offending location (byte offset for JSON, line for CSV) — malformed
-// fields never crash and never silently become defaults.
+// file and the offending byte offset — malformed fields never crash and
+// never silently become defaults. Packs are JSON only: bad-csv-form.csv
+// holds a well-formed pack in the retired CSV row grammar, and must fail
+// like any other non-JSON file.
 TEST(ScenarioBadPacks, EveryFixtureFailsWithATaggedError) {
   namespace fs = std::filesystem;
   int seen = 0;
@@ -378,9 +336,10 @@ TEST(ScenarioBadPacks, EveryFixtureFailsWithATaggedError) {
     ASSERT_FALSE(pack.ok()) << path << " unexpectedly parsed";
     EXPECT_EQ(pack.status().code(), StatusCode::kInvalidArgument) << path;
     const std::string message = pack.status().ToString();
-    const bool tagged = message.find("offset ") != std::string::npos ||
-                        message.find("line ") != std::string::npos;
-    EXPECT_TRUE(tagged) << path << ": untagged error: " << message;
+    EXPECT_NE(message.find(path.string()), std::string::npos)
+        << path << ": error does not name the file: " << message;
+    EXPECT_NE(message.find("offset "), std::string::npos)
+        << path << ": untagged error: " << message;
   }
   EXPECT_GE(seen, 10) << "bad-pack corpus went missing";
 }

@@ -8,6 +8,7 @@
 #include "hivemind/monitor.h"
 #include "hivemind/trainer.h"
 #include "net/profiles.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
@@ -55,36 +56,6 @@ TEST_F(TelemetryTest, ChromeJsonHasMetadataLanesAndMicroseconds) {
   EXPECT_NE(json.find("\"s\":\"t\""), std::string::npos);
   EXPECT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace.lanes(), (std::vector<std::string>{"net", "chaos"}));
-}
-
-TEST_F(TelemetryTest, CsvQuotesArgsAndKeepsHeaderStable) {
-  TraceRecorder trace;
-  trace.Span(0.5, 1.0, "trainer", "calc", "{\"epoch\":0}");
-  const std::string csv = trace.ToCsv();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')),
-            "kind,lane,name,ts_sec,dur_sec,args");
-  // JSON args are CSV-quoted with doubled inner quotes.
-  EXPECT_NE(csv.find("\"{\"\"epoch\"\":0}\""), std::string::npos);
-  EXPECT_NE(csv.find("span,trainer,calc,0.500000,0.500000"),
-            std::string::npos);
-}
-
-TEST_F(TelemetryTest, CsvEscapesDelimitersQuotesAndNewlinesRfc4180) {
-  TraceRecorder trace;
-  trace.Span(0.0, 1.0, "lane,with,commas", "name \"quoted\"", "{}");
-  trace.Instant(2.0, "multi\nline", "cr\rname");
-
-  const std::string csv = trace.ToCsv();
-  // Fields containing the delimiter are wrapped in quotes.
-  EXPECT_NE(csv.find("\"lane,with,commas\""), std::string::npos);
-  // Inner quotes are doubled, and the field itself is quoted.
-  EXPECT_NE(csv.find("\"name \"\"quoted\"\"\""), std::string::npos);
-  // Embedded newlines/carriage returns stay inside one quoted field
-  // instead of breaking the row.
-  EXPECT_NE(csv.find("\"multi\nline\""), std::string::npos);
-  EXPECT_NE(csv.find("\"cr\rname\""), std::string::npos);
-  // A clean field is left bare (no gratuitous quoting).
-  EXPECT_NE(csv.find("span,\"lane,with,commas\""), std::string::npos);
 }
 
 TEST_F(TelemetryTest, HistogramPercentilesInterpolateWithinBuckets) {
@@ -259,7 +230,6 @@ TEST_F(TelemetryTest, MonitorSnapshotsCarryGranularityAndAveragingState) {
 /// partition, crash/restart), returning the rendered telemetry.
 struct RenderedRun {
   std::string trace_json;
-  std::string trace_csv;
   std::string metrics_json;
 };
 
@@ -297,10 +267,22 @@ RenderedRun ChaosRun(uint64_t seed) {
   faults::ChaosInjector injector(&sim, &topo, &network, seed);
   injector.AttachTrainer(&trainer);
   injector.AttachDht(&dht);
-  faults::ChaosSchedule schedule;
-  schedule.Partition(net::kGcUs, net::kGcEu, 10 * 60, 5 * 60);
-  schedule.CrashNode(peers[3].node, 20 * 60, /*restart_after_sec=*/300);
-  EXPECT_TRUE(injector.Arm(schedule).ok());
+  // Minute 10-15: the transatlantic path is gone; minute 20: peer 3
+  // crashes and is back 5 minutes later.
+  scenario::ScenarioPack pack;
+  pack.name = "partition-and-crash";
+  pack.wan.push_back({{"gc-us"}, {"gc-eu"}, {10 * 60, 5 * 60}, 0});
+  pack.crashes.push_back({3, 20 * 60, /*frac=*/false,
+                          /*restart_after_sec=*/300});
+  std::vector<scenario::FleetMember> members;
+  for (const auto& p : peers) {
+    const net::SiteId site = topo.SiteOf(p.node);
+    members.push_back({p.node, site, topo.site(site).continent});
+  }
+  auto schedule = scenario::Compile(
+      pack, scenario::MakeFleetView(std::move(members)), 30 * 60.0);
+  EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
+  EXPECT_TRUE(injector.Arm(schedule.value()).ok());
 
   EXPECT_TRUE(trainer.Start().ok());
   sim.RunUntil(30 * 60.0);
@@ -308,7 +290,6 @@ RenderedRun ChaosRun(uint64_t seed) {
 
   RenderedRun run;
   run.trace_json = Telemetry::trace().ToChromeJson();
-  run.trace_csv = Telemetry::trace().ToCsv();
   run.metrics_json = Telemetry::metrics().ToJson();
   return run;
 }
@@ -471,7 +452,6 @@ TEST_F(TelemetryTest, IdenticallySeededChaosRunsRenderByteIdentically) {
   const RenderedRun first = ChaosRun(11);
   const RenderedRun second = ChaosRun(11);
   EXPECT_EQ(first.trace_json, second.trace_json);
-  EXPECT_EQ(first.trace_csv, second.trace_csv);
   EXPECT_EQ(first.metrics_json, second.metrics_json);
   // Chaos actually happened, so the equality above covers fault paths.
   EXPECT_NE(first.trace_json.find("chaos"), std::string::npos);

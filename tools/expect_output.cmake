@@ -6,12 +6,13 @@
 #   cmake -DEXPECT_EXIT=zero|nonzero -DEXPECT_REGEX=<regex>
 #         -P expect_output.cmake -- <command> [args...]
 #   cmake -DEXPECT_EXIT=zero|nonzero -DEXPECT_FILE=<path>
-#         -P expect_output.cmake -- <command> [args...]
+#         [-DOUTPUT_FILE=<path>] -P expect_output.cmake -- <command> [args...]
 #
 # EXPECT_REGEX is a CMake regex matched against stdout and stderr
 # together. EXPECT_FILE names a golden file that stdout alone must equal
-# byte for byte (stderr is shown but not compared). A run killed by a
-# signal counts as neither zero nor nonzero.
+# byte for byte (stderr is shown but not compared); with OUTPUT_FILE,
+# the file the command wrote there is compared instead of stdout. A run
+# killed by a signal counts as neither zero nor nonzero.
 
 if(NOT EXPECT_EXIT MATCHES "^(zero|nonzero)$")
   message(FATAL_ERROR "EXPECT_EXIT must be zero or nonzero, got '${EXPECT_EXIT}'")
@@ -59,11 +60,16 @@ if(EXPECT_EXIT STREQUAL "nonzero" AND status EQUAL 0)
   message(FATAL_ERROR "command exited with 0, expected a failure")
 endif()
 if(DEFINED EXPECT_FILE)
+  set(what "stdout")
+  if(DEFINED OUTPUT_FILE)
+    set(what "${OUTPUT_FILE}")
+    file(READ "${OUTPUT_FILE}" output)
+  endif()
   file(READ "${EXPECT_FILE}" expected)
   if(NOT output STREQUAL expected)
     string(LENGTH "${output}" got_bytes)
     string(LENGTH "${expected}" want_bytes)
-    message(FATAL_ERROR "stdout (${got_bytes} bytes) differs from "
+    message(FATAL_ERROR "${what} (${got_bytes} bytes) differs from "
       "${EXPECT_FILE} (${want_bytes} bytes)")
   endif()
 elseif(NOT output MATCHES "${EXPECT_REGEX}")

@@ -13,16 +13,15 @@
 //                              gc-asia, gc-aus, aws, azure, lambda).
 //     --model / --tbs / --hours as above.
 //   run/fleet also accept:
-//     --scenario PATH          Arm a scenario pack (JSON/CSV fault
-//                              script; docs/SCENARIOS.md) against the
-//                              fleet and print the chaos fingerprint.
+//     --scenario PATH          Arm a scenario pack (JSON fault script;
+//                              docs/SCENARIOS.md) against the fleet
+//                              and print the chaos fingerprint.
 //     --trace-out PATH         Chrome trace_event JSON of the run
 //                              (open in https://ui.perfetto.dev).
 //     --metrics-out PATH       Counter/gauge/histogram snapshot as JSON.
-//     --analysis-out PATH      In-process critical-path analysis of the
-//                              run (schema hivesim-analysis/1) — byte-
-//                              identical to `hivesim analyze` on the
-//                              same run's --trace-out/--metrics-out.
+//     --analysis-out PATH      Critical-path analysis of the run (schema
+//                              hivesim-analysis/1): `hivesim analyze` of
+//                              the bytes --trace-out/--metrics-out write.
 //   analyze                    Post-hoc critical-path / bottleneck
 //                              attribution of a recorded trace
 //                              (docs/OBSERVABILITY.md).
@@ -222,8 +221,6 @@ int WriteTelemetryOutputs(const FlagSet& flags) {
   }
   const std::string analysis = flags.GetString("analysis-out", "");
   if (!analysis.empty()) {
-    // In-process mode: same round model, same canonicalized arithmetic
-    // as `hivesim analyze` reading the written trace — byte-identical.
     auto report = telemetry::RoundAnalyzer().Analyze();
     if (!report.ok()) return Fail(report.status());
     std::ofstream f(analysis, std::ios::binary);
@@ -278,6 +275,7 @@ int CmdRun(const FlagSet& flags) {
   core::ReportBuilder report(
       StrCat("series ", flags.GetString("series", "A"), " / ",
              models::ModelName(*model)));
+  bool any_failed = false;
   for (const auto& experiment : *series) {
     core::ExperimentConfig config;
     config.model = *model;
@@ -288,6 +286,7 @@ int CmdRun(const FlagSet& flags) {
     if (!result.ok()) {
       std::cerr << experiment.name << ": " << result.status().ToString()
                 << "\n";
+      any_failed = true;
       continue;
     }
     if (pack) PrintFingerprint(experiment.name, *pack, *result);
@@ -305,7 +304,10 @@ int CmdRun(const FlagSet& flags) {
     f << report.ToJson() << "\n";
     if (!f) return Fail(Status::IOError(StrCat("cannot write ", json_path)));
   }
-  return WriteTelemetryOutputs(flags);
+  if (int rc = WriteTelemetryOutputs(flags); rc != 0) return rc;
+  // The table holds the experiments that ran; each failure printed its
+  // status above and fails the command.
+  return any_failed ? 1 : 0;
 }
 
 int CmdFleet(const FlagSet& flags) {

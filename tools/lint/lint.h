@@ -53,12 +53,13 @@ struct LintConfig {
   /// graph: a function reaches emission iff it is a sink or calls one
   /// that does (see AnalyzeStructure/LinkCallGraph).
   std::set<std::string> emitter_symbols = {
-      "JsonWriter",   "TableWriter",     "TraceRecorder", "MetricsRegistry",
-      "CounterHandle", "ToJson",         "ToCsv",         "ToChromeJson",
-      "WriteJson",    "WriteCsv",        "WriteChromeJson", "Counter",
-      "Gauge",        "Histogram",       "AppendCsv",     "AnalysisReport",
-      "RoundAnalyzer", "AnalyzeDataset", "AnalyzeRecorder",
-      "AnalyzeChromeJson", "BuildRoundModel", "PrintTable",
+      "JsonWriter",    "TableWriter",       "TraceRecorder",
+      "MetricsRegistry", "CounterHandle",   "ToJson",
+      "ToCsv",         "ToChromeJson",      "WriteJson",
+      "WriteCsv",      "WriteChromeJson",   "Counter",
+      "Gauge",         "Histogram",         "AnalysisReport",
+      "RoundAnalyzer", "AnalyzeChromeJson", "BuildRoundModel",
+      "PrintTable",
   };
 
   /// The declared module DAG: module -> direct dependencies. Both the
