@@ -5,10 +5,11 @@
 //
 //   $ ./build/examples/paper_tour [output_dir=/tmp]
 
-#include <cstdlib>
+#include <cctype>
 #include <iostream>
 #include <string>
 
+#include "common/status.h"
 #include "common/strings.h"
 #include "core/catalog.h"
 #include "core/experiment.h"
@@ -64,9 +65,12 @@ int main(int argc, char** argv) {
       }
       const std::string path =
           StrCat(out_dir, "/hivesim_", workload.tag, "_", slug, ".csv");
-      if (report.WriteCsv(path)) {
-        std::cout << "  -> " << path << "\n";
+      if (!report.WriteCsv(path)) {
+        std::cerr << Status::IOError(StrCat("cannot write ", path)).ToString()
+                  << "\n";
+        return 1;
       }
+      std::cout << "  -> " << path << "\n";
     }
   }
   std::cout << "\nCompare against the paper with EXPERIMENTS.md, or dig "

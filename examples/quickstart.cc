@@ -6,14 +6,23 @@
 
 #include <iostream>
 
+#include "common/status.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
 #include "common/units.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hivesim;
+
+  if (argc > 1) {
+    std::cerr << Status::InvalidArgument(StrCat(
+                     "quickstart takes no arguments, got '", argv[1], "'"))
+                     .ToString()
+              << "\n";
+    return 1;
+  }
 
   // 1. Describe the fleet: 4 spot T4s in GC us-central1 + 4 in GC
   //    europe-west1 (the paper's B-8 transatlantic setup).

@@ -6,7 +6,8 @@
 #      (determinism, concurrency & layering rules D1-D5/C1/S1/L1/P1
 #      over the cross-TU call graph of every TU in
 #      compile_commands.json, plus U1: no src/ function that only tests
-#      reach from tools/, bench/, examples/ and perfbench/cpp/;
+#      reach from tools/, bench/, examples/ and perfbench/cpp/, and K1:
+#      no config field that code those roots reach never varies;
 #      docs/STATIC_ANALYSIS.md), publishing a
 #      machine-readable --json artifact and self-benchmarking its own
 #      wall clock against a hard budget, then clang-tidy with the
@@ -55,7 +56,7 @@ cmake --preset default -DHIVESIM_WERROR=ON
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
 
-echo "=== lint: hivesim lint (D1-D5, C1, S1, L1, U1, P1) ==="
+echo "=== lint: hivesim lint (D1-D5, C1, S1, L1, U1, K1, P1) ==="
 # The analyzer lexes and call-graph-links every TU, so it is itself a
 # perf-sensitive tool: fail the stage if the full-repo run blows its
 # wall-clock budget (it takes well under a second today — the budget

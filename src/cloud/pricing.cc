@@ -114,6 +114,4 @@ double EgressPricePerGb(const net::Site& src, const net::Site& dst) {
 
 double DataIngressPricePerGb() { return 0.01; }
 
-double StoragePricePerGbMonth() { return 0.005; }
-
 }  // namespace hivesim::cloud

@@ -61,9 +61,6 @@ double EgressPricePerGb(const net::Site& src, const net::Site& dst);
 /// Backblaze B2 egress rate for dataset streaming: $0.01/GB worldwide.
 double DataIngressPricePerGb();
 
-/// Backblaze B2 storage rate: $0.005/GB/month.
-double StoragePricePerGbMonth();
-
 }  // namespace hivesim::cloud
 
 #endif  // HIVESIM_CLOUD_PRICING_H_

@@ -28,14 +28,6 @@ double UtcOffsetHours(net::Continent c) {
 constexpr double kDayStartHour = 8.0;
 constexpr double kDayEndHour = 20.0;
 constexpr double kSecondsPerMonth = 30.0 * 24.0 * kHour;
-// Random hourly spot price multiplier component: +/- jitter.
-constexpr double kPriceJitter = 0.08;
-// Systematic time-of-day price component: prices run this much above 1
-// during the zone's local daytime and the same amount below at night —
-// "spot instance prices change hourly depending on the time of day and
-// zone availability" (Section 4). This is what a price-chasing migrator
-// can durably arbitrage (follow the night).
-constexpr double kDiurnalSwing = 0.10;
 }  // namespace
 
 double SpotMarket::LocalHour(net::Continent continent, double now) {
@@ -87,22 +79,6 @@ double SpotMarket::SampleInterruptionDelay(net::Continent continent,
 
 double SpotMarket::SampleStartupDelay() {
   return rng_.Uniform(kVmStartupMinSec, kVmStartupMaxSec);
-}
-
-double SpotMarket::SpotPriceMultiplier(net::Continent continent,
-                                       double now) const {
-  const uint64_t hour_index = static_cast<uint64_t>(now / kHour);
-  uint64_t h = hour_index * 0x9e3779b97f4a7c15ULL +
-               (static_cast<uint64_t>(continent) + 1) * 0xc2b2ae3d27d4eb4fULL;
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 32;
-  const double unit = static_cast<double>(h % 10000) / 10000.0;  // [0,1)
-  const double jitter = kPriceJitter * (2.0 * unit - 1.0);
-  const double local = LocalHour(continent, now);
-  const bool daytime = local >= kDayStartHour && local < kDayEndHour;
-  const double diurnal = daytime ? kDiurnalSwing : -kDiurnalSwing;
-  return 1.0 + diurnal + jitter;
 }
 
 }  // namespace hivesim::cloud

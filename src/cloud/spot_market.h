@@ -67,12 +67,6 @@ class SpotMarket {
   /// [kVmStartupMinSec, kVmStartupMaxSec).
   double SampleStartupDelay();
 
-  /// Deterministic hourly spot price multiplier for a zone: a diurnal
-  /// component (above 1 by day, below by night) plus hourly jitter, both
-  /// from a hash of continent and hour index, not a random draw, so price
-  /// series are reproducible and shared by all VMs in the zone.
-  double SpotPriceMultiplier(net::Continent continent, double now) const;
-
   /// Local hour of day [0, 24) in `continent` at simulation time `now`.
   static double LocalHour(net::Continent continent, double now);
 

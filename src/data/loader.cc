@@ -6,51 +6,6 @@
 
 namespace hivesim::data {
 
-Result<std::unique_ptr<ShardDataset>> ShardDataset::Open(
-    std::vector<std::string> shards, bool shuffle, uint64_t seed) {
-  if (shards.empty()) {
-    return Status::InvalidArgument("dataset needs at least one shard");
-  }
-  std::unique_ptr<ShardDataset> ds(
-      new ShardDataset(std::move(shards), shuffle, seed));
-  HIVESIM_RETURN_IF_ERROR(ds->AdvanceShard());
-  return ds;
-}
-
-ShardDataset::ShardDataset(std::vector<std::string> shards, bool shuffle,
-                           uint64_t seed)
-    : shards_(std::move(shards)), shuffle_(shuffle), rng_(seed) {}
-
-Status ShardDataset::AdvanceShard() {
-  if (shard_index_ >= shards_.size()) {
-    // New epoch: optionally reshuffle shard order.
-    shard_index_ = 0;
-    ++epoch_;
-    if (shuffle_) {
-      for (size_t i = shards_.size(); i > 1; --i) {
-        std::swap(shards_[i - 1],
-                  shards_[static_cast<size_t>(rng_.UniformInt(0, i - 1))]);
-      }
-    }
-  }
-  reader_ = std::make_unique<ShardReader>(shards_[shard_index_]);
-  ++shard_index_;
-  return reader_->status();
-}
-
-Result<Sample> ShardDataset::Next() {
-  for (int attempts = 0; attempts < 2; ++attempts) {
-    auto next = reader_->Next();
-    if (!next.ok()) return next.status();
-    if (next->has_value()) {
-      ++samples_read_;
-      return std::move(**next);
-    }
-    HIVESIM_RETURN_IF_ERROR(AdvanceShard());
-  }
-  return Status::Corruption("empty shard encountered twice in a row");
-}
-
 const DatasetProfile& DatasetFor(models::ModelId model) {
   // ImageNet-1K: 1.28M JPEGs averaging ~110 KB; March '22 Wikipedia packed
   // into ~30M tokenized records (~23.7 KB streamed each, fitted to the

@@ -1,49 +1,11 @@
 #ifndef HIVESIM_DATA_LOADER_H_
 #define HIVESIM_DATA_LOADER_H_
 
-#include <memory>
-#include <string>
-#include <vector>
+#include <string_view>
 
-#include "common/result.h"
-#include "common/rng.h"
-#include "data/shard.h"
 #include "models/model_zoo.h"
 
 namespace hivesim::data {
-
-/// Cyclic multi-epoch iterator over a set of tar shards — the local half
-/// of the WebDataset pipeline (shard shuffling per epoch, streaming
-/// decode, sample grouping). Used by the runnable examples; the
-/// simulator's cost accounting uses `StreamingIngressMeter` below.
-class ShardDataset {
- public:
-  /// `shards` must be non-empty; shard order is reshuffled each epoch
-  /// when `shuffle` is set (deterministic per seed).
-  static Result<std::unique_ptr<ShardDataset>> Open(
-      std::vector<std::string> shards, bool shuffle = false,
-      uint64_t seed = 1);
-
-  /// Next sample; wraps around to a new epoch at the end of the last
-  /// shard (never returns nullopt; errors only on I/O or corruption).
-  Result<Sample> Next();
-
-  int epoch() const { return epoch_; }
-  uint64_t samples_read() const { return samples_read_; }
-
- private:
-  ShardDataset(std::vector<std::string> shards, bool shuffle, uint64_t seed);
-
-  Status AdvanceShard();
-
-  std::vector<std::string> shards_;
-  bool shuffle_;
-  Rng rng_;
-  size_t shard_index_ = 0;
-  std::unique_ptr<ShardReader> reader_;
-  int epoch_ = 0;
-  uint64_t samples_read_ = 0;
-};
 
 /// On-the-wire profile of the paper's datasets, for the simulator's
 /// ingress cost accounting (B2 at $0.01/GB, Fig. 11).

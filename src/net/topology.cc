@@ -9,11 +9,11 @@
 namespace hivesim::net {
 
 namespace {
-constexpr double kDefaultNicBps = 10e9 / 8.0;  // 10 Gb/s.
+constexpr double kNicBps = 10e9 / 8.0;  // 10 Gb/s, each direction.
 
 /// Interning keys on exact (bitwise) equality, so ConfigOf returns the
 /// very values AddNode was given.
-static_assert(sizeof(NodeNetConfig) == 3 * sizeof(double),
+static_assert(sizeof(NodeNetConfig) == sizeof(double),
               "SameBits must not compare padding");
 bool SameBits(const NodeNetConfig& a, const NodeNetConfig& b) {
   return std::memcmp(&a, &b, sizeof(NodeNetConfig)) == 0;
@@ -96,14 +96,8 @@ Result<double> Topology::SingleStreamCap(NodeId src, NodeId dst) const {
   return cap;
 }
 
-double Topology::EgressCap(NodeId node) const {
-  const double v = ConfigOf(node).nic_egress_bps;
-  return v > 0 ? v : kDefaultNicBps;
-}
+double Topology::EgressCap(NodeId /*node*/) const { return kNicBps; }
 
-double Topology::IngressCap(NodeId node) const {
-  const double v = ConfigOf(node).nic_ingress_bps;
-  return v > 0 ? v : kDefaultNicBps;
-}
+double Topology::IngressCap(NodeId /*node*/) const { return kNicBps; }
 
 }  // namespace hivesim::net

@@ -38,10 +38,6 @@ struct NodeNetConfig {
   /// VMs ship with large tuned buffers (8 MB); the paper's on-prem hosts
   /// behave like ~1 MB windows (0.5 Gb/s at 16.5 ms, 55 Mb/s at 150 ms).
   double tcp_window_bytes = 8e6;
-  /// NIC egress capacity in bytes/sec shared by all outgoing flows.
-  double nic_egress_bps = 0;  // 0 => default (10 Gb/s).
-  /// NIC ingress capacity in bytes/sec shared by all incoming flows.
-  double nic_ingress_bps = 0;
 };
 
 /// Static description of the world: sites, inter-site paths, and hosts.
@@ -85,9 +81,10 @@ class Topology {
   /// isolation: min(path bandwidth, src window / RTT). Bytes/sec.
   Result<double> SingleStreamCap(NodeId src, NodeId dst) const;
 
-  /// Effective NIC egress capacity of a node (default 10 Gb/s).
+  /// NIC egress capacity of a node, shared by all its outgoing flows:
+  /// every host has a 10 Gb/s NIC.
   double EgressCap(NodeId node) const;
-  /// Effective NIC ingress capacity of a node (default 10 Gb/s).
+  /// NIC ingress capacity of a node, shared by all its incoming flows.
   double IngressCap(NodeId node) const;
 
  private:

@@ -129,6 +129,7 @@ struct ZoneStormSpec {
 struct CrashSpec {
   int peer = 0;
   double at = 0;
+  // hivesim-lint: allow(K1) reason=a flag against its false default: the pack parser sets it for "unit": "frac", and the fuzz generator for its fractional crash times
   bool frac = false;
   double restart_after_sec = -1;
 };

@@ -203,6 +203,7 @@ void Simulator::DrainHooks() {
   hooks_.clear();
 }
 
+// hivesim-lint: allow(U1) reason=the one-event reference for Run's cohort dispatch: sim_test checks Run against repeated Step, and net_solver_test's rate oracle steps through it
 bool Simulator::Step() {
   DrainHooks();
   QueueEntry entry;

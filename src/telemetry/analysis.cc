@@ -249,22 +249,6 @@ Status AttachMetricsJson(AnalysisReport* report, const JsonValue& doc) {
   return Status::OK();
 }
 
-Result<AnalysisReport> RoundAnalyzer::Analyze() const {
-  if (Telemetry::Disabled()) {
-    return Status::FailedPrecondition(
-        "telemetry is disabled: nothing recorded to analyze");
-  }
-  // The same bytes --trace-out and --metrics-out write, read back the
-  // way `hivesim analyze` reads those files.
-  AnalysisReport report;
-  HIVESIM_ASSIGN_OR_RETURN(
-      report, AnalyzeChromeJson(Telemetry::trace().ToChromeJson(), options_));
-  JsonValue metrics;
-  HIVESIM_ASSIGN_OR_RETURN(metrics, ParseJson(Telemetry::metrics().ToJson()));
-  HIVESIM_RETURN_IF_ERROR(AttachMetricsJson(&report, metrics));
-  return report;
-}
-
 std::string AnalysisReport::ToJson() const {
   JsonWriter json;
   json.BeginObject();

@@ -19,7 +19,7 @@ namespace hivesim::telemetry {
 /// headroom bounds for speeding up the top links. Consumes the round
 /// model built by telemetry/round_model.h from a Chrome trace's text:
 /// post-hoc from a written file (`hivesim analyze`), or in-process from
-/// the bytes the live recorder would write (RoundAnalyzer). Same seed =>
+/// the bytes the live recorder renders (`--analysis-out`). Same seed =>
 /// byte-identical `ToJson()` output.
 
 struct AnalysisOptions {
@@ -142,24 +142,6 @@ Result<AnalysisReport> AnalyzeChromeJson(std::string_view json_text,
 /// trainer.matchmake_wait_sec) in a parsed `MetricsRegistry::ToJson`
 /// snapshot, filling report->reconciliation; missing counters read as 0.
 Status AttachMetricsJson(AnalysisReport* report, const JsonValue& doc);
-
-/// In-process convenience: analyzes the calling thread's telemetry
-/// sinks as `hivesim analyze` would analyze the files they write. Rides
-/// the existing one-branch enable switch — constructing it is free, and
-/// `Analyze` errors with FailedPrecondition while telemetry is disabled
-/// (nothing was recorded).
-class RoundAnalyzer {
- public:
-  explicit RoundAnalyzer(AnalysisOptions options = {})
-      : options_(options) {}
-
-  /// Analyzes `Telemetry::trace().ToChromeJson()` and reconciles it
-  /// against the parsed `Telemetry::metrics().ToJson()`.
-  Result<AnalysisReport> Analyze() const;
-
- private:
-  AnalysisOptions options_;
-};
 
 }  // namespace hivesim::telemetry
 

@@ -158,13 +158,6 @@ TEST_F(AnalysisTest, RunMarkersSegmentTraceAndIncompleteRoundsDrop) {
   EXPECT_DOUBLE_EQ(report->model.unmodeled_us, 3e6);
 }
 
-TEST_F(AnalysisTest, RoundAnalyzerErrorsWhenTelemetryDisabled) {
-  Telemetry::Disable();
-  auto report = RoundAnalyzer().Analyze();
-  EXPECT_FALSE(report.ok());
-  Telemetry::Enable();  // Restore the fixture's expected state.
-}
-
 TEST_F(AnalysisTest, AttachMetricsJsonRejectsNonSnapshots) {
   auto report = AnalyzeChromeJson(TwoFlowRound().ToChromeJson());
   ASSERT_TRUE(report.ok());
@@ -233,41 +226,26 @@ void RunChaosTraining(uint64_t seed) {
   trainer.Stop();
 }
 
-TEST_F(AnalysisTest, InProcessAndPostHocAnalysesAreByteIdentical) {
-  RunChaosTraining(11);
-
-  // In-process mode: live recorder + registry.
-  auto in_process = RoundAnalyzer().Analyze();
-  ASSERT_TRUE(in_process.ok());
-  const std::string in_process_json = in_process->ToJson();
-
-  // Post-hoc mode: exactly what `hivesim analyze --trace --metrics`
-  // does with the files a run would have written.
-  const std::string trace_file = Telemetry::trace().ToChromeJson();
-  const std::string metrics_file = Telemetry::metrics().ToJson();
-  auto post_hoc = AnalyzeChromeJson(trace_file);
-  ASSERT_TRUE(post_hoc.ok());
-  auto metrics_doc = ParseJson(metrics_file);
-  ASSERT_TRUE(metrics_doc.ok());
-  ASSERT_TRUE(AttachMetricsJson(&post_hoc.value(), *metrics_doc).ok());
-
-  EXPECT_EQ(in_process_json, post_hoc->ToJson());
-
-  // The run actually exercised the interesting paths.
-  EXPECT_GT(in_process->model.rounds.size(), 0u);
-  EXPECT_GT(in_process->links.size(), 0u);
-  EXPECT_GT(in_process->totals.flow_sec, 0.0);
-
-  // Analyzing the same recorder again is byte-stable.
-  auto again = RoundAnalyzer().Analyze();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(in_process_json, again->ToJson());
+/// What `--analysis-out` analyzes: the calling thread's trace and
+/// metrics, rendered as the files `--trace-out`/`--metrics-out` hold.
+Result<AnalysisReport> AnalyzeRecorded() {
+  AnalysisReport report;
+  HIVESIM_ASSIGN_OR_RETURN(
+      report, AnalyzeChromeJson(Telemetry::trace().ToChromeJson()));
+  JsonValue metrics;
+  HIVESIM_ASSIGN_OR_RETURN(metrics, ParseJson(Telemetry::metrics().ToJson()));
+  HIVESIM_RETURN_IF_ERROR(AttachMetricsJson(&report, metrics));
+  return report;
 }
 
 TEST_F(AnalysisTest, PhaseTotalsReconcileWithTrainerCounters) {
   RunChaosTraining(11);
-  auto report = RoundAnalyzer().Analyze();
+  auto report = AnalyzeRecorded();
   ASSERT_TRUE(report.ok());
+  // The run exercised the interesting paths.
+  EXPECT_GT(report->model.rounds.size(), 0u);
+  EXPECT_GT(report->links.size(), 0u);
+  EXPECT_GT(report->totals.flow_sec, 0.0);
   ASSERT_EQ(report->reconciliation.size(), 3u);
   for (const ReconciliationRow& row : report->reconciliation) {
     // Calc and comm always accrue; matchmake-wait legitimately stays 0
@@ -285,17 +263,17 @@ TEST_F(AnalysisTest, PhaseTotalsReconcileWithTrainerCounters) {
 
 TEST_F(AnalysisTest, IdenticallySeededRunsAnalyzeByteIdentically) {
   RunChaosTraining(17);
-  auto first = RoundAnalyzer().Analyze();
+  auto first = AnalyzeRecorded();
   ASSERT_TRUE(first.ok());
   const std::string first_json = first->ToJson();
 
   RunChaosTraining(17);
-  auto second = RoundAnalyzer().Analyze();
+  auto second = AnalyzeRecorded();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first_json, second->ToJson());
 
   RunChaosTraining(18);
-  auto other = RoundAnalyzer().Analyze();
+  auto other = AnalyzeRecorded();
   ASSERT_TRUE(other.ok());
   EXPECT_NE(first_json, other->ToJson());
 }

@@ -121,7 +121,6 @@ TEST(PricingTest, LambdaAndOnPremEgressFree) {
 
 TEST(PricingTest, BackblazeRates) {
   EXPECT_DOUBLE_EQ(DataIngressPricePerGb(), 0.01);
-  EXPECT_DOUBLE_EQ(StoragePricePerGbMonth(), 0.005);
 }
 
 // --- Cost engine ---
@@ -257,50 +256,6 @@ TEST(SpotMarketTest, HazardWindowsConcentrateInterruptions) {
   EXPECT_EQ(stormy.hazard_windows().size(), 1u);
   stormy.ClearHazardWindows();
   EXPECT_TRUE(stormy.hazard_windows().empty());
-}
-
-TEST(SpotMarketTest, PriceMultiplierBoundedAndDeterministic) {
-  SpotMarket a(Rng(1)), b(Rng(999));
-  for (int h = 0; h < 48; ++h) {
-    const double m = a.SpotPriceMultiplier(Continent::kUs, h * kHour);
-    EXPECT_GE(m, 1.0 - 0.10 - 0.08);
-    EXPECT_LE(m, 1.0 + 0.10 + 0.08);
-    // Independent of the RNG stream: price series are zone state.
-    EXPECT_DOUBLE_EQ(m, b.SpotPriceMultiplier(Continent::kUs, h * kHour));
-  }
-}
-
-TEST(SpotMarketTest, PricesFollowTheSun) {
-  // The diurnal component makes daytime hours systematically pricier.
-  SpotMarket market(Rng(1));
-  double day_sum = 0, night_sum = 0;
-  int day_n = 0, night_n = 0;
-  for (int h = 0; h < 24 * 14; ++h) {
-    const double local = SpotMarket::LocalHour(Continent::kAsia, h * kHour);
-    const double m = market.SpotPriceMultiplier(Continent::kAsia, h * kHour);
-    if (local >= 8 && local < 20) {
-      day_sum += m;
-      ++day_n;
-    } else {
-      night_sum += m;
-      ++night_n;
-    }
-  }
-  EXPECT_GT(day_sum / day_n, night_sum / night_n + 0.15);
-}
-
-TEST(SpotMarketTest, PriceVariesAcrossHoursAndZones) {
-  SpotMarket market(Rng(1));
-  bool varies = false;
-  const double first = market.SpotPriceMultiplier(Continent::kUs, 0);
-  for (int h = 1; h < 24; ++h) {
-    if (market.SpotPriceMultiplier(Continent::kUs, h * kHour) != first) {
-      varies = true;
-    }
-  }
-  EXPECT_TRUE(varies);
-  EXPECT_NE(market.SpotPriceMultiplier(Continent::kUs, 0),
-            market.SpotPriceMultiplier(Continent::kAsia, 0));
 }
 
 // --- VM lifecycle ---

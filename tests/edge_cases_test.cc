@@ -3,12 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "collective/allreduce.h"
 #include "common/units.h"
 #include "core/granularity.h"
-#include "data/tar.h"
 #include "hivemind/trainer.h"
 #include "net/profiles.h"
 #include "sim/simulator.h"
@@ -43,50 +40,6 @@ TEST(GranularityTest, NamesAndAdviceNonEmpty) {
     EXPECT_FALSE(core::SuitabilityName(s).empty());
     EXPECT_FALSE(core::SuitabilityAdvice(s).empty());
   }
-}
-
-// --- Tar boundaries ---
-
-TEST(TarEdgeTest, NameLengthBoundary) {
-  std::stringstream ss;
-  data::TarWriter w(ss);
-  EXPECT_TRUE(w.AddFile(std::string(99, 'n'), {}).ok());
-  EXPECT_FALSE(w.AddFile(std::string(100, 'n'), {}).ok());
-  ASSERT_TRUE(w.Finish().ok());
-  data::TarReader r(ss);
-  auto e = r.Next();
-  ASSERT_TRUE(e.ok());
-  ASSERT_TRUE(e->has_value());
-  EXPECT_EQ((*e)->name.size(), 99u);
-}
-
-TEST(TarEdgeTest, BinaryPayloadSurvives) {
-  std::vector<uint8_t> payload(1000);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 31 + 7);
-  }
-  std::stringstream ss;
-  data::TarWriter w(ss);
-  ASSERT_TRUE(w.AddFile("blob.bin", payload).ok());
-  ASSERT_TRUE(w.Finish().ok());
-  data::TarReader r(ss);
-  auto e = r.Next();
-  ASSERT_TRUE(e.ok() && e->has_value());
-  EXPECT_EQ((*e)->data, payload);
-}
-
-TEST(TarEdgeTest, EmptyArchiveReadsAsEmpty) {
-  std::stringstream ss;
-  data::TarWriter w(ss);
-  ASSERT_TRUE(w.Finish().ok());
-  data::TarReader r(ss);
-  auto e = r.Next();
-  ASSERT_TRUE(e.ok());
-  EXPECT_FALSE(e->has_value());
-  // Reading past the end stays at end.
-  auto again = r.Next();
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again->has_value());
 }
 
 // --- Collective timing corner cases ---

@@ -4,6 +4,7 @@
 #define U1_LIB_H_
 
 #include <functional>
+#include <string>
 
 namespace u1 {
 
@@ -37,6 +38,20 @@ int Dispatch(int index);
 
 int Documented();
 int Undocumented();
+
+/// Shipped: the tool renders one as CSV.
+class Table {
+ public:
+  std::string ToCsv() const;
+};
+
+/// Shipped: the tool records into one, but never renders it; its ToCsv
+/// shares a name with Table's.
+class Recorder {
+ public:
+  void Record(int value);
+  std::string ToCsv() const;
+};
 
 }  // namespace u1
 

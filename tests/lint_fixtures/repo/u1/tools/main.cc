@@ -1,6 +1,7 @@
 // The shipped entry point of the U1 fixtures.
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "u1/src/lib.h"
 
@@ -13,6 +14,10 @@ int main() {
   const std::function<void(int)> done = u1::OnDone;
   u1::RunWithFunction(done);
   total += u1::Dispatch(0);
+  u1::Table table;
+  const std::string csv = table.ToCsv();
+  u1::Recorder recorder;
+  recorder.Record(total);
   service.Stop();
-  return total == 0 ? 1 : 0;
+  return total == 0 || csv.empty() ? 1 : 0;
 }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "gtest/gtest.h"
 #include "lint/layering.h"
 #include "lint/lexer.h"
@@ -394,10 +395,90 @@ TEST(LintRules, U1AllowPragmaNeedsAReason) {
   EXPECT_EQ(report.diagnostics[1].rule, "U1");
 }
 
+/// The survivor simple-name linking let through: a dead member of a live
+/// class whose name shipped code calls on another class's typed local.
+TEST(LintRules, U1LinksTypedReceiversToTheirClass) {
+  const LintReport report = RunU1({"u1/src/csv.cc"});
+  ASSERT_EQ(report.diagnostics.size(), 1u) << FormatReport(report);
+  EXPECT_EQ(report.diagnostics[0].line, 12);
+  EXPECT_NE(report.diagnostics[0].message.find("'Recorder::ToCsv'"),
+            std::string::npos);
+}
+
 /// Without entry roots U1 is off: the fixture rules above stay exact.
 TEST(LintRules, U1OffWithoutEntryRoots) {
   const LintReport report = RunOn({"u1/src/pump.cc"});
   EXPECT_TRUE(report.diagnostics.empty()) << FormatReport(report);
+}
+
+// ---- K1: knobs shipped code never varies ----------------------------
+
+/// Runs K1 over the k1/ fixture tree: k1/tools/ is the entry point,
+/// k1/src/knobs.h the library, k1/tests/ a test that is not shipped.
+LintReport RunK1() {
+  LintConfig config;
+  config.library_dir = "k1/src";
+  LintOptions options;
+  options.repo_root = kFixtureRepo;
+  options.extra_files = {"k1/src/knobs.h", "k1/tests/knobs_test.cc"};
+  options.check_layering = false;
+  options.entry_roots = {"k1/tools"};
+  options.config = config;
+  auto report = RunLint(options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? *report : LintReport{};
+}
+
+/// The K1 diagnostics naming `knob` ("Struct::field").
+std::vector<Diagnostic> K1For(const LintReport& report,
+                              const std::string& knob) {
+  std::vector<Diagnostic> out;
+  for (const Diagnostic& diag : report.diagnostics) {
+    if (diag.rule == "K1" &&
+        diag.message.find(StrCat("'", knob, "'")) != std::string::npos) {
+      out.push_back(diag);
+    }
+  }
+  return out;
+}
+
+TEST(LintRules, K1FlagsFieldNoShippedCodeWrites) {
+  const LintReport report = RunK1();
+  EXPECT_EQ(report.diagnostics.size(), 2u) << FormatReport(report);
+  const auto found = K1For(report, "UnwrittenConfig::unwritten");
+  ASSERT_EQ(found.size(), 1u) << FormatReport(report);
+  EXPECT_EQ(found[0].file, "k1/src/knobs.h");
+  EXPECT_EQ(found[0].line, 12);
+  EXPECT_EQ(found[0].message,
+            "'UnwrittenConfig::unwritten' is never written by shipped code "
+            "(k1/tools/); make it a named constant, or name its callers in "
+            "'hivesim-lint: allow(K1) reason=<why>'");
+  // Its sibling is set from the tool's arguments.
+  EXPECT_TRUE(K1For(report, "UnwrittenConfig::rounds").empty());
+}
+
+TEST(LintRules, K1FlagsFieldEveryShippedWriterSetsToOneLiteral) {
+  const auto found = K1For(RunK1(), "SameLiteralOptions::same");
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].line, 17);
+  EXPECT_EQ(found[0].message,
+            "'SameLiteralOptions::same' is set to 8 by every shipped write "
+            "(2 in k1/tools/); make it a named constant, or name its callers "
+            "in 'hivesim-lint: allow(K1) reason=<why>'");
+}
+
+TEST(LintRules, K1PassesFieldSetToTwoLiterals) {
+  EXPECT_TRUE(K1For(RunK1(), "TwoLiteralRequest::varied").empty());
+}
+
+TEST(LintRules, K1CountsPositionalInitializerAsWritingEveryField) {
+  const LintReport report = RunK1();
+  EXPECT_TRUE(K1For(report, "PositionalSpec::rows").empty());
+  EXPECT_TRUE(K1For(report, "PositionalSpec::cols").empty());
+}
+
+TEST(LintRules, K1AllowPragmaSuppresses) {
+  EXPECT_TRUE(K1For(RunK1(), "AllowedConfig::reserved").empty());
 }
 
 // ---- Clean pass -----------------------------------------------------
@@ -500,10 +581,11 @@ TEST(LintLayering, RealRepoLayeringIsClean) {
 }
 
 /// The real repository must be clean under the *full* rule set —
-/// D1-D5, C1, S1, U1, P1 and the lock-order DAG — over every translation
-/// unit. compile_commands.json may not exist for this preset, so the
-/// scan set is enumerated directly: all .cc under src/, tools/ and
-/// bench/, the same universe CI lints. U1 walks from the same four
+/// D1-D5, C1, S1, U1, K1, P1 and the lock-order DAG — over every
+/// translation unit and header. compile_commands.json may not exist for
+/// this preset, so the scan set is enumerated directly: all .cc and .h
+/// under src/, tools/ and bench/, the same universe CI lints (K1's
+/// structs live in headers). U1 and K1 walk from the same four
 /// entry-point roots as `hivesim lint`.
 TEST(LintRules, RealRepoTokenRulesAreClean) {
   namespace fs = std::filesystem;
@@ -515,7 +597,8 @@ TEST(LintRules, RealRepoTokenRulesAreClean) {
     for (const auto& entry :
          fs::recursive_directory_iterator(fs::path(kRepoRoot) / dir)) {
       if (!entry.is_regular_file()) continue;
-      if (entry.path().extension() != ".cc") continue;
+      const auto ext = entry.path().extension();
+      if (ext != ".cc" && ext != ".h") continue;
       options.extra_files.push_back(
           entry.path().lexically_relative(kRepoRoot).generic_string());
     }

@@ -476,8 +476,6 @@ TEST(TopologyTest, InternedConfigsRoundTripMixedNodes) {
   const SiteId b = t.AddSite("b", Provider::kOnPremise, Continent::kEu);
   NodeNetConfig custom;
   custom.tcp_window_bytes = 3e6;
-  custom.nic_egress_bps = GbpsToBytesPerSec(25);
-  custom.nic_ingress_bps = GbpsToBytesPerSec(40);
   // Interleaved, so interning cannot lean on the previous node alone.
   const NodeNetConfig pattern[] = {CloudVmNetConfig(), OnPremNetConfig(),
                                    CloudVmNetConfig(), custom,
@@ -493,13 +491,8 @@ TEST(TopologyTest, InternedConfigsRoundTripMixedNodes) {
     const NodeNetConfig& want = pattern[i % std::size(pattern)];
     const NodeNetConfig& got = t.ConfigOf(nodes[i]);
     EXPECT_EQ(got.tcp_window_bytes, want.tcp_window_bytes) << "node " << i;
-    EXPECT_EQ(got.nic_egress_bps, want.nic_egress_bps) << "node " << i;
-    EXPECT_EQ(got.nic_ingress_bps, want.nic_ingress_bps) << "node " << i;
-    const double default_nic = GbpsToBytesPerSec(10);
-    EXPECT_EQ(t.EgressCap(nodes[i]),
-              want.nic_egress_bps > 0 ? want.nic_egress_bps : default_nic);
-    EXPECT_EQ(t.IngressCap(nodes[i]),
-              want.nic_ingress_bps > 0 ? want.nic_ingress_bps : default_nic);
+    EXPECT_EQ(t.EgressCap(nodes[i]), GbpsToBytesPerSec(10));
+    EXPECT_EQ(t.IngressCap(nodes[i]), GbpsToBytesPerSec(10));
     EXPECT_EQ(t.SiteOf(nodes[i]), (i / std::size(pattern)) % 2 == 0 ? a : b);
   }
 }

@@ -120,9 +120,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -206,26 +209,59 @@ void EnableTelemetryIfRequested(const FlagSet& flags) {
   }
 }
 
+Status WriteText(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  if (!out) return Status::IOError(StrCat("cannot write ", path));
+  return Status::OK();
+}
+
+/// The one analysis path, behind both `hivesim analyze` and
+/// --analysis-out: attribution over a Chrome trace's text, reconciled
+/// against a parsed metrics snapshot when `metrics` is not null.
+Result<telemetry::AnalysisReport> AnalyzeTrace(
+    std::string_view trace_json, const JsonValue* metrics,
+    const telemetry::AnalysisOptions& options) {
+  telemetry::AnalysisReport report;
+  HIVESIM_ASSIGN_OR_RETURN(report,
+                           telemetry::AnalyzeChromeJson(trace_json, options));
+  if (metrics != nullptr) {
+    HIVESIM_RETURN_IF_ERROR(telemetry::AttachMetricsJson(&report, *metrics));
+  }
+  return report;
+}
+
 /// Writes the dumps requested via --trace-out/--metrics-out/
-/// --analysis-out; 0 on success.
+/// --analysis-out; 0 on success. Each text is rendered once, and the
+/// analysis reads the same bytes the two files hold.
 int WriteTelemetryOutputs(const FlagSet& flags) {
-  const std::string trace = flags.GetString("trace-out", "");
-  if (!trace.empty() &&
-      !telemetry::Telemetry::trace().WriteChromeJson(trace)) {
-    return Fail(Status::IOError(StrCat("cannot write ", trace)));
+  const std::string trace_path = flags.GetString("trace-out", "");
+  const std::string metrics_path = flags.GetString("metrics-out", "");
+  const std::string analysis_path = flags.GetString("analysis-out", "");
+  const bool analyze = !analysis_path.empty();
+  std::string trace;
+  if (analyze || !trace_path.empty()) {
+    trace = telemetry::Telemetry::trace().ToChromeJson();
   }
-  const std::string metrics = flags.GetString("metrics-out", "");
-  if (!metrics.empty() &&
-      !telemetry::Telemetry::metrics().WriteJson(metrics)) {
-    return Fail(Status::IOError(StrCat("cannot write ", metrics)));
+  std::string metrics;
+  if (analyze || !metrics_path.empty()) {
+    metrics = telemetry::Telemetry::metrics().ToJson() + "\n";
   }
-  const std::string analysis = flags.GetString("analysis-out", "");
-  if (!analysis.empty()) {
-    auto report = telemetry::RoundAnalyzer().Analyze();
+  if (!trace_path.empty()) {
+    if (Status s = WriteText(trace_path, trace); !s.ok()) return Fail(s);
+  }
+  if (!metrics_path.empty()) {
+    if (Status s = WriteText(metrics_path, metrics); !s.ok()) return Fail(s);
+  }
+  if (analyze) {
+    auto doc = ParseJson(metrics);
+    if (!doc.ok()) return Fail(doc.status());
+    auto report = AnalyzeTrace(trace, &*doc, {});
     if (!report.ok()) return Fail(report.status());
-    std::ofstream f(analysis, std::ios::binary);
-    f << report->ToJson() << "\n";
-    if (!f) return Fail(Status::IOError(StrCat("cannot write ", analysis)));
+    if (Status s = WriteText(analysis_path, report->ToJson() + "\n");
+        !s.ok()) {
+      return Fail(s);
+    }
   }
   return 0;
 }
@@ -300,9 +336,9 @@ int CmdRun(const FlagSet& flags) {
   }
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    f << report.ToJson() << "\n";
-    if (!f) return Fail(Status::IOError(StrCat("cannot write ", json_path)));
+    if (Status s = WriteText(json_path, report.ToJson() + "\n"); !s.ok()) {
+      return Fail(s);
+    }
   }
   if (int rc = WriteTelemetryOutputs(flags); rc != 0) return rc;
   // The table holds the experiments that ran; each failure printed its
@@ -350,9 +386,9 @@ int CmdFleet(const FlagSet& flags) {
             << "\n";
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    f << report.ToJson() << "\n";
-    if (!f) return Fail(Status::IOError(StrCat("cannot write ", json_path)));
+    if (Status s = WriteText(json_path, report.ToJson() + "\n"); !s.ok()) {
+      return Fail(s);
+    }
   }
   return WriteTelemetryOutputs(flags);
 }
@@ -602,27 +638,25 @@ int CmdAnalyze(const FlagSet& flags) {
   if (!in) {
     return Fail(Status::IOError(StrCat("cannot read ", trace_path)));
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto report = telemetry::AnalyzeChromeJson(text.str(), options);
-  if (!report.ok()) return Fail(report.status());
-
+  std::ostringstream trace;
+  trace << in.rdbuf();
+  std::optional<JsonValue> metrics;
   const std::string metrics_path = flags.GetString("metrics", "");
   if (!metrics_path.empty()) {
     auto doc = ParseJsonFile(metrics_path);
     if (!doc.ok()) return Fail(doc.status());
-    if (Status s = telemetry::AttachMetricsJson(&report.value(), *doc);
-        !s.ok()) {
-      return Fail(s);
-    }
+    metrics = std::move(*doc);
   }
+  auto report =
+      AnalyzeTrace(trace.str(), metrics ? &*metrics : nullptr, options);
+  if (!report.ok()) return Fail(report.status());
 
   report->PrintTable(std::cout);
   const std::string out_path = flags.GetString("out", "");
   if (!out_path.empty()) {
-    std::ofstream out(out_path, std::ios::binary);
-    out << report->ToJson() << "\n";
-    if (!out) return Fail(Status::IOError(StrCat("cannot write ", out_path)));
+    if (Status s = WriteText(out_path, report->ToJson() + "\n"); !s.ok()) {
+      return Fail(s);
+    }
   }
   return 0;
 }
@@ -641,10 +675,9 @@ int CmdLint(const FlagSet& flags) {
   if (!report.ok()) return Fail(report.status());
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    out << lint::JsonReport(*report) << "\n";
-    if (!out) {
-      return Fail(Status::IOError(StrCat("cannot write ", json_path)));
+    if (Status s = WriteText(json_path, lint::JsonReport(*report) + "\n");
+        !s.ok()) {
+      return Fail(s);
     }
   }
   std::cout << lint::FormatReport(*report);

@@ -33,10 +33,6 @@ int AngleDelta(const Token& tok) {
   return 0;
 }
 
-bool IsPunct(const Token& tok, const char* text) {
-  return tok.kind == TokKind::kPunct && tok.text == text;
-}
-
 bool IsIdent(const Token& tok, const char* text) {
   return tok.kind == TokKind::kIdentifier && tok.text == text;
 }
@@ -152,6 +148,72 @@ size_t FindBodyBrace(const std::vector<Token>& toks, size_t after_paren) {
   return npos;
 }
 
+/// True for the token after a declared name: `T v = ...`, `T v;`,
+/// `T v(...)`, `T v{...}`, a parameter's `,`/`)`, `T v[...]`, and a
+/// range-for's `:`.
+bool EndsDeclarator(const Token& tok) {
+  if (tok.kind != TokKind::kPunct) return false;
+  return tok.text == "=" || tok.text == ";" || tok.text == "(" ||
+         tok.text == "{" || tok.text == "," || tok.text == ")" ||
+         tok.text == "[" || tok.text == ":";
+}
+
+/// Fills `fn`'s mentions, member_refs and locals from the tokens of its
+/// signature and body, in one forward pass: a declaration is seen before
+/// the receiver it types.
+void CollectMentions(const std::vector<Token>& toks, FunctionSpan* fn) {
+  static const std::set<std::string>& kNotTypes = *new std::set<std::string>{
+      "const",  "constexpr", "static", "using",    "namespace", "typename",
+      "goto",   "operator",  "struct", "class",    "enum",      "template",
+      "public", "private",   "protected", "friend", "volatile",
+  };
+  const auto declare = [fn](const std::string& name, const std::string& type) {
+    const auto [it, inserted] = fn->locals.emplace(name, type);
+    if (!inserted && it->second != type) it->second = "";
+  };
+  const size_t first = fn->head + 1;
+  const size_t end = std::min(fn->body_end, toks.size());
+  for (size_t j = first; j < end; ++j) {
+    const Token& t = toks[j];
+    if (t.kind != TokKind::kIdentifier) continue;
+    if (j + 1 < end && EndsDeclarator(toks[j + 1])) {
+      size_t k = j;  // Skip the declarator's `*` and `&`.
+      while (k > first &&
+             (IsPunct(toks[k - 1], "*") || IsPunct(toks[k - 1], "&"))) {
+        --k;
+      }
+      if (k > first) {
+        const Token& type = toks[k - 1];
+        const bool member_of = k >= 2 + first && IsMemberAccess(toks[k - 2]);
+        if (type.kind == TokKind::kIdentifier && !member_of &&
+            !IsKeyword(type.text) && kNotTypes.count(type.text) == 0) {
+          declare(t.text, type.text == "auto" ? "" : type.text);
+        } else if (IsPunct(type, ">") || IsPunct(type, ">>") ||
+                   IsIdent(type, "const")) {
+          declare(t.text, "");
+        }
+      }
+    }
+    if (j >= first + 2 && toks[j - 2].kind == TokKind::kIdentifier) {
+      const bool chained =
+          j >= first + 3 &&
+          (IsMemberAccess(toks[j - 3]) || IsPunct(toks[j - 3], "::"));
+      if (IsMemberAccess(toks[j - 1]) && !chained) {
+        const auto it = fn->locals.find(toks[j - 2].text);
+        if (it != fn->locals.end() && !it->second.empty()) {
+          fn->member_refs.emplace_back(it->second, t.text);
+          continue;
+        }
+      }
+      if (IsPunct(toks[j - 1], "::")) {
+        fn->member_refs.emplace_back(toks[j - 2].text, t.text);
+        continue;
+      }
+    }
+    fn->mentions.push_back(t.text);
+  }
+}
+
 }  // namespace
 
 const FunctionSpan* EnclosingFunction(const FileStructure& structure,
@@ -190,7 +252,7 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
     if (scopes.empty()) return depth == 0;
     return depth == scopes.back().depth && !scopes.back().is_class;
   };
-  auto finish_mentions = [](std::vector<std::string>* mentions) {
+  auto finish_mentions = [](auto* mentions) {
     std::sort(mentions->begin(), mentions->end());
     mentions->erase(std::unique(mentions->begin(), mentions->end()),
                     mentions->end());
@@ -307,14 +369,22 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
     DeclSpan init;
     init.name = toks[n].text;
     init.line = toks[n].line;
+    init.begin = n;
+    while (init.begin > 0 && !IsPunct(toks[init.begin - 1], ";") &&
+           !IsPunct(toks[init.begin - 1], "{") &&
+           !IsPunct(toks[init.begin - 1], "}")) {
+      --init.begin;
+    }
     int nest = 0;
-    for (size_t j = eq + 1; j < toks.size(); ++j) {
+    size_t j = eq + 1;
+    for (; j < toks.size(); ++j) {
       const Token& u = toks[j];
       if (IsPunct(u, "{") || IsPunct(u, "(")) ++nest;
       if (IsPunct(u, "}") || IsPunct(u, ")")) --nest;
       if (nest < 0 || (nest == 0 && IsPunct(u, ";"))) break;
       if (u.kind == TokKind::kIdentifier) init.mentions.push_back(u.text);
     }
+    init.end = j;
     out.decls.push_back(std::move(init));
   };
 
@@ -327,10 +397,13 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
       return;
     }
     DeclSpan macro;
+    macro.kind = DeclSpan::Kind::kMacro;
     macro.name = toks[define + 1].text;
     macro.line = toks[define].line;
+    macro.begin = define;
     int last_line = macro.line;
-    for (size_t j = define + 2; j < toks.size(); ++j) {
+    size_t j = define + 2;
+    for (; j < toks.size(); ++j) {
       if (toks[j].line > last_line) {
         if (!IsPunct(toks[j - 1], "\\")) break;
         last_line = toks[j].line;
@@ -339,6 +412,7 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
         macro.mentions.push_back(toks[j].text);
       }
     }
+    macro.end = j - 1;
     out.decls.push_back(std::move(macro));
   };
 
@@ -355,10 +429,10 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
         --depth;
         if (open_fn >= 0 && depth < open_fn_depth) {
           out.functions[open_fn].body_end = i;
-          finish_mentions(&out.functions[open_fn].mentions);
           open_fn = -1;
         }
         while (!scopes.empty() && depth < scopes.back().depth) {
+          if (scopes.back().decl >= 0) out.decls[scopes.back().decl].end = i;
           scopes.pop_back();
         }
       }
@@ -433,7 +507,6 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
     if (open_fn >= 0) {
       // ---- Inside a function body: calls + emitter mentions ----------
       FunctionSpan& fn = out.functions[open_fn];
-      fn.mentions.push_back(t.text);
       if (fn.emitter_symbol.empty() && emitter_symbols.count(t.text) > 0) {
         fn.emitter_symbol = t.text;
       }
@@ -510,12 +583,17 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
           if (!name.empty()) {
             out.class_names.insert(name);
             DeclSpan body;
+            body.kind = DeclSpan::Kind::kClass;
             body.name = name;
             body.line = t.line;
+            body.begin = j;
+            bool base = false;
             for (size_t k = i + 1; k < j; ++k) {  // Bases.
               if (toks[k].kind == TokKind::kIdentifier) {
                 body.mentions.push_back(toks[k].text);
+                if (base) out.class_bases[name].push_back(toks[k].text);
               }
+              base |= IsPunct(toks[k], ":");
             }
             decl = static_cast<int>(out.decls.size());
             out.decls.push_back(std::move(body));
@@ -538,6 +616,7 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
         FunctionSpan fn;
         fn.name = t.text;
         fn.line = t.line;
+        fn.head = i;
         std::string qual = t.text;
         size_t b = i;
         if (b > 0 && IsPunct(toks[b - 1], "~")) {
@@ -558,11 +637,6 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
             fn.owner = scopes.back().name;
           }
         }
-        for (size_t j = i + 2; j < body; ++j) {  // Parameters, inits.
-          if (toks[j].kind == TokKind::kIdentifier) {
-            fn.mentions.push_back(toks[j].text);
-          }
-        }
         fn.qualified = qual;
         fn.body_begin = body;
         fn.body_end = toks.size();  // Fixed when the brace closes.
@@ -575,9 +649,13 @@ FileStructure AnalyzeStructure(const LexedFile& lex,
       }
     }
   }
-  // Unterminated body (truncated file): close at EOF — body_end already
-  // points past the last token.
-  if (open_fn >= 0) finish_mentions(&out.functions[open_fn].mentions);
+  // An unterminated body (truncated file) closes at EOF: body_end
+  // already points past the last token.
+  for (FunctionSpan& fn : out.functions) {
+    CollectMentions(toks, &fn);
+    finish_mentions(&fn.mentions);
+    finish_mentions(&fn.member_refs);
+  }
   for (DeclSpan& decl : out.decls) finish_mentions(&decl.mentions);
   return out;
 }

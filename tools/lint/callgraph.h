@@ -2,8 +2,10 @@
 #define HIVESIM_TOOLS_LINT_CALLGRAPH_H_
 
 #include <cstddef>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/lexer.h"
@@ -21,6 +23,7 @@ struct FunctionSpan {
   std::string name;       ///< Simple name ("EmitCounts").
   std::string qualified;  ///< Scoped display name ("report::EmitCounts").
   int line = 0;           ///< Line of the definition head.
+  size_t head = 0;        ///< Token index of the name.
   size_t body_begin = 0;  ///< Token index of the body '{'.
   size_t body_end = 0;    ///< Token index of the matching '}'.
   /// Simple names of everything the body calls (`ident(` occurrences,
@@ -31,8 +34,18 @@ struct FunctionSpan {
   std::string emitter_symbol;
   /// Every identifier the parameter list, initializer list and body
   /// mention, sorted and deduplicated (rule U1's forward edges: a
-  /// function passed as a callback is mentioned, not called).
+  /// function passed as a callback is mentioned, not called), except
+  /// the member names in `member_refs`.
   std::vector<std::string> mentions;
+  /// Members named through a typed receiver, as (type, member): `t.m` or
+  /// `t->m` where `t` is a parameter or local declared `T t`, and an
+  /// explicit `T::m`. Sorted, deduplicated. U1 links each to T's
+  /// hierarchy, or by simple name when T has no member `m`.
+  std::vector<std::pair<std::string, std::string>> member_refs;
+  /// Parameter and local name -> its declared type's last identifier
+  /// ("" when declared more than once with different types, or through
+  /// `auto`, a template or a pointer to function).
+  std::map<std::string, std::string> locals;
   /// The class this is a member of: the innermost class scope of an
   /// in-class definition, or the last qualifier of an out-of-line one
   /// (`Foo::Bar` -> "Foo"; a namespace qualifier is filtered out by
@@ -73,9 +86,15 @@ struct SyncDecl {
 /// a `#define` (so `HIVESIM_LOG(...)` reaches what the macro expands
 /// to).
 struct DeclSpan {
+  enum class Kind { kInitializer, kClass, kMacro };
+  Kind kind = Kind::kInitializer;
   std::string name;
   int line = 0;
   std::vector<std::string> mentions;  ///< Sorted, deduplicated.
+  /// Token range: an initializer's whole declaration statement, a class
+  /// body's `{`..`}`, a macro's `define`..last body token (inclusive).
+  size_t begin = 0;
+  size_t end = 0;
 };
 
 /// Everything the structural pass extracts from one file.
@@ -85,6 +104,9 @@ struct FileStructure {
   /// Names of the classes and structs this file defines (not forward
   /// declarations).
   std::set<std::string> class_names;
+  /// Class -> identifiers of its base clause (access keywords and
+  /// namespace qualifiers included; only class names matter).
+  std::map<std::string, std::vector<std::string>> class_bases;
   std::vector<SyncDecl> sync_decls;
   /// Names of functions observed returning `Status` or `Result<T>` by
   /// value (definitions, declarations, and factory calls alike). Rule

@@ -269,8 +269,9 @@ Result<LintReport> RunLint(const LintOptions& options) {
     // U1 walks the whole program: the scanned files plus the library's
     // headers and the entry points' sources when the scan set lacks
     // them (examples/ and perfbench/ are not linted, but they ship).
-    // Only scanned library files are candidates, so every finding can
-    // be suppressed in place.
+    // K1 reads the writes in what that walk reached. Only scanned
+    // library files are candidates, so every finding can be suppressed
+    // in place.
     std::set<std::string> graph_paths;
     const auto add_tree = [&](const std::string& dir, bool with_sources) {
       const fs::path base = root / dir;
@@ -287,19 +288,30 @@ Result<LintReport> RunLint(const LintOptions& options) {
     for (const std::string& dir : options.entry_roots) {
       add_tree(dir, /*with_sources=*/true);
     }
-    std::map<std::string, FileStructure> graph_only;
+    std::map<std::string, std::pair<LexedFile, FileStructure>> graph_only;
     for (const std::string& rel : graph_paths) {
       auto content = ReadFile(root / rel);
       if (!content.ok()) return content.status();
-      graph_only[rel] =
-          AnalyzeStructure(Lex(*content), options.config.emitter_symbols);
+      auto& [lex, structure] = graph_only[rel];
+      lex = Lex(*content);
+      structure = AnalyzeStructure(lex, options.config.emitter_symbols);
     }
-    std::vector<std::pair<std::string, const FileStructure*>> program;
-    for (const auto& [rel, f] : facts) program.emplace_back(rel, &f.structure);
-    for (const auto& [rel, st] : graph_only) program.emplace_back(rel, &st);
-    for (Diagnostic& diag : CheckUnreached(program, options.entry_roots,
-                                           options.config.library_dir)) {
-      by_file[diag.file].push_back(std::move(diag));
+    std::vector<ProgramFile> program;
+    for (const auto& [rel, f] : facts) {
+      program.push_back({rel, &f.lex, &f.structure});
+    }
+    for (const auto& [rel, file] : graph_only) {
+      program.push_back({rel, &file.first, &file.second});
+    }
+    Reachability reach = CheckUnreached(program, options.entry_roots,
+                                        options.config.library_dir);
+    std::vector<Diagnostic> knobs =
+        CheckDeadKnobs(program, reach.shipped, options.entry_roots,
+                       options.config.library_dir);
+    for (std::vector<Diagnostic>* found : {&reach.unreached, &knobs}) {
+      for (Diagnostic& diag : *found) {
+        by_file[diag.file].push_back(std::move(diag));
+      }
     }
   }
   for (const auto& [rel, f] : facts) {

@@ -43,6 +43,15 @@ struct LexedFile {
   std::vector<std::string> quoted_includes;
 };
 
+inline bool IsPunct(const Token& tok, const char* text) {
+  return tok.kind == TokKind::kPunct && tok.text == text;
+}
+
+/// `.` or `->`.
+inline bool IsMemberAccess(const Token& tok) {
+  return IsPunct(tok, ".") || IsPunct(tok, "->");
+}
+
 /// Tokenizes one source file. Comments and whitespace are consumed
 /// (comments are scanned for lint pragmas first); string/char literals
 /// become single tokens; `::`, `->`, `<<`, `>>` stay fused so rules can

@@ -15,8 +15,9 @@ namespace hivesim::lint {
 
 /// One finding. `file` is repo-relative (or the path given for extra
 /// files), `rule` is the short rule id ("D1".."D5", "C1", "S1", "L1",
-/// "U1", "P1") and `message` is the full human text. Diagnostics compare by
-/// (file, line, rule, message) so reports are deterministically ordered.
+/// "U1", "K1", "P1") and `message` is the full human text. Diagnostics
+/// compare by (file, line, rule, message) so reports are
+/// deterministically ordered.
 struct Diagnostic {
   std::string file;
   int line = 0;
@@ -58,8 +59,7 @@ struct LintConfig {
       "ToCsv",         "ToChromeJson",      "WriteJson",
       "WriteCsv",      "WriteChromeJson",   "Counter",
       "Gauge",         "Histogram",         "AnalysisReport",
-      "RoundAnalyzer", "AnalyzeChromeJson", "BuildRoundModel",
-      "PrintTable",
+      "AnalyzeChromeJson", "BuildRoundModel",   "PrintTable",
   };
 
   /// The declared module DAG: module -> direct dependencies. Both the
@@ -99,7 +99,7 @@ struct LintConfig {
 
   /// Rule U1's candidates: functions defined in `.cc` files under this
   /// repo-relative directory. Its headers join the call graph even
-  /// when they are not scanned.
+  /// when they are not scanned. Rule K1's structs live here too.
   std::string library_dir = "src";
 };
 
@@ -123,7 +123,8 @@ struct LintOptions {
   std::vector<std::string> extra_files;
   /// Run the L1 layering check over <repo_root>/src.
   bool check_layering = true;
-  /// Rule U1's entry-point directories (repo-relative); empty skips U1.
+  /// Rule U1's entry-point directories (repo-relative); empty skips U1
+  /// and K1.
   /// Their `.cc` and `.h` files join the call graph whether or not they
   /// are scanned; see ShippedEntryRoots().
   std::vector<std::string> entry_roots;
@@ -191,14 +192,50 @@ struct GraphLinkResult {
 GraphLinkResult LinkCallGraph(
     std::vector<std::pair<std::string, FileStructure*>> files);
 
+/// One file of the whole program rules U1 and K1 walk.
+struct ProgramFile {
+  std::string path;  ///< Repo-relative.
+  const LexedFile* lex = nullptr;
+  const FileStructure* structure = nullptr;
+};
+
+/// A node rule U1's walk reached from a shipped entry point: a function,
+/// or a declaration (table, class body, macro).
+struct ShippedNode {
+  const ProgramFile* file = nullptr;
+  const FunctionSpan* fn = nullptr;  ///< nullptr for a declaration.
+  const DeclSpan* decl = nullptr;    ///< nullptr for a function.
+};
+
+struct Reachability {
+  std::vector<Diagnostic> unreached;  ///< Rule U1's findings.
+  std::vector<ShippedNode> shipped;   ///< Every node the walk reached.
+};
+
 /// Rule U1: every function defined in a `.cc` file under `library_dir`
 /// that no function in a file under `entry_roots` reaches. `files` is
-/// the whole program (paths repo-relative); see unreached.cc for the
-/// edges and the class gate.
-std::vector<Diagnostic> CheckUnreached(
-    const std::vector<std::pair<std::string, const FileStructure*>>& files,
+/// the whole program; see unreached.cc for the edges and the class gate.
+/// The reached set is returned too: it is what rule K1 calls shipped.
+Reachability CheckUnreached(const std::vector<ProgramFile>& files,
+                            const std::vector<std::string>& entry_roots,
+                            const std::string& library_dir);
+
+/// Rule K1: a field of a `*Config`, `*Options`, `*Request` or `*Spec`
+/// struct defined under `library_dir` that no shipped node writes, or
+/// that every shipped writer sets to the same literal. See knobs.cc for
+/// what counts as a write.
+std::vector<Diagnostic> CheckDeadKnobs(
+    const std::vector<ProgramFile>& files,
+    const std::vector<ShippedNode>& shipped,
     const std::vector<std::string>& entry_roots,
     const std::string& library_dir);
+
+/// "tools/, bench/, ..." for the entry roots, as U1 and K1 print them.
+std::string EntryRootList(const std::vector<std::string>& entry_roots);
+
+/// True when repo-relative `path` lies under directory `dir`.
+bool UnderDir(const std::string& path, const std::string& dir);
+bool EndsWith(const std::string& s, const std::string& suffix);
 
 /// Runs the token rules (D1-D5, C1, S1) over one file. Suppression
 /// and P1 pragma hygiene are applied by the caller via ApplyPragmas.
