@@ -65,9 +65,8 @@ int main(int argc, char** argv) {
       }
       const std::string path =
           StrCat(out_dir, "/hivesim_", workload.tag, "_", slug, ".csv");
-      if (!report.WriteCsv(path)) {
-        std::cerr << Status::IOError(StrCat("cannot write ", path)).ToString()
-                  << "\n";
+      if (Status s = report.WriteCsv(path); !s.ok()) {
+        std::cerr << s.ToString() << "\n";
         return 1;
       }
       std::cout << "  -> " << path << "\n";

@@ -21,10 +21,11 @@
 #      over the annotations in common/thread_annotations.h; on GCC the
 #      macros expand to nothing and `hivesim lint` rule C1 still gates
 #      the annotation coverage),
-#   5. a smoke run of the telemetry pipeline (trace_tour -> trace JSON ->
+#   5. a smoke run of the telemetry pipeline (the `hivesim fleet` tour on
+#      tools/testdata/bad-afternoon.json -> trace JSON ->
 #      scripts/trace_summary.py) so the observability path stays healthy,
 #   6. an analyze smoke: `hivesim analyze` over two identically seeded
-#      trace_tour runs must produce byte-identical analysis.json
+#      tour runs must produce byte-identical analysis.json
 #      (docs/OBSERVABILITY.md's determinism contract),
 #   7. a bounded chaos-fuzz soak (`hivesim fuzz`, fixed seed, wall-clock
 #      capped): every generated world must pass the determinism oracle
@@ -96,9 +97,10 @@ cmake --preset tsan -DHIVESIM_WERROR=ON
 cmake --build --preset tsan -j "$(nproc)" --target sweep_test telemetry_test
 ctest --preset tsan -j "$(nproc)" --tests-regex 'Sweep|ThreadPool|Telemetry'
 
-echo "=== telemetry smoke: trace_tour -> trace_summary.py ==="
-./build/examples/trace_tour --seed=7 \
-  --trace-out="$tmpdir/tour.trace.json" \
+echo "=== telemetry smoke: fleet tour -> trace_summary.py ==="
+tour=(./build/tools/hivesim fleet --spec gc-us:2,gc-eu:2 --hours 1.5
+  --scenario tools/testdata/bad-afternoon.json)
+"${tour[@]}" --trace-out="$tmpdir/tour.trace.json" \
   --metrics-out="$tmpdir/tour.metrics.json" > /dev/null
 python3 scripts/trace_summary.py "$tmpdir/tour.trace.json" --top 5
 
@@ -106,8 +108,7 @@ echo "=== analyze smoke: byte-identical analysis across seeded reruns ==="
 ./build/tools/hivesim analyze --trace="$tmpdir/tour.trace.json" \
   --metrics="$tmpdir/tour.metrics.json" \
   --out="$tmpdir/tour.analysis.1.json" > /dev/null
-./build/examples/trace_tour --seed=7 \
-  --trace-out="$tmpdir/tour2.trace.json" \
+"${tour[@]}" --trace-out="$tmpdir/tour2.trace.json" \
   --metrics-out="$tmpdir/tour2.metrics.json" > /dev/null
 ./build/tools/hivesim analyze --trace="$tmpdir/tour2.trace.json" \
   --metrics="$tmpdir/tour2.metrics.json" \

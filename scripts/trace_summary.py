@@ -2,11 +2,11 @@
 """Summarize a hivesim Chrome trace: top spans by total simulated time.
 
 Usage:
-    python3 scripts/trace_summary.py trace_tour.trace.json [--top N]
+    python3 scripts/trace_summary.py tour.trace.json [--top N]
                                      [--lane LANE]
 
 Reads the Chrome `trace_event` JSON written by `--trace-out=` (CLI,
-benches) or examples/trace_tour, aggregates the "X" (complete) spans by
+benches), aggregates the "X" (complete) spans by
 (lane, name), and prints the top N rows by total duration. Instant
 events are tallied separately. Pure stdlib; output order is
 deterministic (duration desc, then lane/name asc) so it can be diffed

@@ -51,11 +51,11 @@ std::string ReportBuilder::ToCsv() const {
   return csv.ToString();
 }
 
-bool ReportBuilder::WriteCsv(const std::string& path) const {
+Status ReportBuilder::WriteCsv(const std::string& path) const {
   std::ofstream f(path);
-  if (!f) return false;
-  f << ToCsv();
-  return static_cast<bool>(f);
+  if (f) f << ToCsv();
+  if (!f) return Status::IOError(StrCat("cannot write ", path));
+  return Status::OK();
 }
 
 std::string ReportBuilder::ToJson() const {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/table_writer.h"
 #include "core/experiment.h"
 
@@ -33,8 +34,8 @@ class ReportBuilder {
   void PrintTable(std::ostream& os) const;
 
   /// Machine-readable CSV of the same rows (one line per experiment),
-  /// for external plotting. Returns false on I/O failure.
-  bool WriteCsv(const std::string& path) const;
+  /// for external plotting. IOError "cannot write <path>" on I/O failure.
+  Status WriteCsv(const std::string& path) const;
   /// The CSV document as a string (header + rows).
   std::string ToCsv() const;
 

@@ -160,9 +160,6 @@ void ChaosInjector::Crash(net::NodeId node, double restart_after_sec) {
   ++stats_.crashes;
   telemetry::Count("chaos.crashes");
   AddTrace(StrFormat("crash node %u", node));
-  if (dht_ != nullptr) {
-    if (dht::Node* n = dht_->NodeAt(node)) n->GoOffline();
-  }
   if (trainer_ != nullptr) {
     auto spec = trainer_->PeerSpecOf(node);
     if (spec.ok()) {
@@ -179,9 +176,6 @@ void ChaosInjector::Restart(net::NodeId node) {
   ++stats_.restarts;
   telemetry::Count("chaos.restarts");
   AddTrace(StrFormat("restart node %u", node));
-  if (dht_ != nullptr) {
-    if (dht::Node* n = dht_->NodeAt(node)) n->GoOnline();
-  }
   if (trainer_ != nullptr) {
     auto it = crashed_specs_.find(node);
     if (it != crashed_specs_.end()) {

@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "dht/dht.h"
 #include "hivemind/trainer.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -43,9 +42,9 @@ struct WanEvent {
 };
 
 /// A scripted node failure at `at_sec`. If `restart_after_sec >= 0` a
-/// replacement comes back on the same endpoint that much later (DHT node
-/// back online, trainer peer re-joins and re-synchronizes); otherwise the
-/// node stays dead.
+/// replacement comes back on the same endpoint that much later (the
+/// trainer peer re-joins and re-synchronizes); otherwise the node stays
+/// dead.
 struct NodeCrashEvent {
   net::NodeId node = 0;
   double at_sec = 0;
@@ -99,9 +98,8 @@ struct ChaosStats {
 ///   - WAN events edit the live `Topology` via `SetPath` and call
 ///     `Network::Refresh`, saving the original path and restoring it when
 ///     the last overlapping window ends,
-///   - node crashes take the DHT node at the endpoint offline and remove
-///     the trainer peer (capturing its spec); restarts bring the DHT node
-///     back and re-join the peer, which re-synchronizes for two epochs.
+///   - node crashes remove the trainer peer (capturing its spec);
+///     restarts re-join the peer, which re-synchronizes for two epochs.
 ///
 /// All randomness (crash storms) is expanded at Arm() time from the
 /// injector's seeded stream: identical seed + schedule + simulation =>
@@ -116,7 +114,6 @@ class ChaosInjector {
 
   void AttachSpotMarket(cloud::SpotMarket* market) { market_ = market; }
   void AttachTrainer(hivemind::Trainer* trainer) { trainer_ = trainer; }
-  void AttachDht(dht::DhtNetwork* dht) { dht_ = dht; }
 
   /// Validates the schedule and converts it into simulator events.
   /// Requires a SpotMarket attachment if the schedule contains spot
@@ -163,7 +160,6 @@ class ChaosInjector {
   Rng rng_;
   cloud::SpotMarket* market_ = nullptr;
   hivemind::Trainer* trainer_ = nullptr;
-  dht::DhtNetwork* dht_ = nullptr;
 
   int next_wan_id_ = 0;
   std::unordered_map<uint64_t, PairState> wan_state_;

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "fuzz/fuzz.h"
-#include "models/model_zoo.h"
 
 namespace hivesim::fuzz {
 
@@ -53,6 +52,15 @@ Result<CampaignResult> RunCampaign(const FuzzOptions& options) {
   }
   if (options.sim_duration_sec <= 0) {
     return Status::InvalidArgument("fuzz sim duration must be positive");
+  }
+  // Every world of a non-positive TBS is rejected, so the campaign would
+  // test nothing and still pass.
+  if (options.target_batch_size <= 0) {
+    return Status::InvalidArgument("fuzz target batch size must be positive");
+  }
+  if (options.budget_sec < 0) {
+    return Status::InvalidArgument(
+        "fuzz wall budget must be >= 0 (0 = none)");
   }
   CampaignResult result;
   uint64_t digest = kFnvBasis;
@@ -104,23 +112,9 @@ Result<CampaignResult> RunCampaign(const FuzzOptions& options) {
                       << " failed oracle " << verdict.oracle << ": "
                       << verdict.detail;
 
-    scenario::ScenarioPack minimized =
+    const scenario::ScenarioPack minimized =
         options.shrink ? ShrinkCase(fuzz_case, options, verdict)
-                       : [&] {
-                           scenario::ScenarioPack pack = fuzz_case.pack;
-                           pack.repro.present = true;
-                           pack.repro.fleet = fuzz_case.fleet_spec;
-                           pack.repro.seed = fuzz_case.world_seed;
-                           pack.repro.duration_sec =
-                               fuzz_case.sim_duration_sec;
-                           pack.repro.target_batch_size =
-                               fuzz_case.target_batch_size;
-                           pack.repro.model = std::string(
-                               models::ModelName(
-                                   models::ModelId::kConvNextLarge));
-                           pack.repro.oracle = verdict.oracle;
-                           return pack;
-                         }();
+                       : WithRepro(fuzz_case.pack, fuzz_case, verdict);
     const std::string bytes = scenario::ScenarioToJson(minimized);
     Fold(&digest, bytes);
     if (!options.repro_dir.empty()) {

@@ -106,10 +106,18 @@ scenario::ScenarioPack ShrinkPack(const scenario::ScenarioPack& pack,
                                   const OracleFn& still_fails);
 
 /// Shrinks `fuzz_case`'s pack against the real oracle set and stamps
-/// the reproducer metadata (fleet, seed, duration, tbs, oracle id).
+/// the reproducer metadata (`WithRepro`).
 scenario::ScenarioPack ShrinkCase(const FuzzCase& fuzz_case,
                                   const FuzzOptions& options,
                                   const Verdict& verdict);
+
+/// `pack` with the `repro` section that `ReplayScenarioFile` rebuilds
+/// `fuzz_case`'s world from: fleet, seed, duration, tbs, model and the
+/// failed oracle's id. Both the shrunk and the `--no-shrink` reproducer
+/// are stamped here.
+scenario::ScenarioPack WithRepro(scenario::ScenarioPack pack,
+                                 const FuzzCase& fuzz_case,
+                                 const Verdict& verdict);
 
 struct CampaignResult {
   int cases = 0;     ///< Generated.

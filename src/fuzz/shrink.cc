@@ -267,18 +267,24 @@ ScenarioPack ShrinkCase(const FuzzCase& fuzz_case, const FuzzOptions& options,
     const Verdict v = RunOracles(probe, options);
     return v.ran && !v.ok && v.oracle == verdict.oracle;
   };
-  ScenarioPack minimized = ShrinkPack(fuzz_case.pack, still_fails);
+  ScenarioPack minimized = WithRepro(ShrinkPack(fuzz_case.pack, still_fails),
+                                     fuzz_case, verdict);
   minimized.description =
       "minimized reproducer (hivesim fuzz, oracle " + verdict.oracle + ")";
-  minimized.repro.present = true;
-  minimized.repro.fleet = fuzz_case.fleet_spec;
-  minimized.repro.seed = fuzz_case.world_seed;
-  minimized.repro.duration_sec = fuzz_case.sim_duration_sec;
-  minimized.repro.target_batch_size = fuzz_case.target_batch_size;
-  minimized.repro.model =
-      std::string(models::ModelName(models::ModelId::kConvNextLarge));
-  minimized.repro.oracle = verdict.oracle;
   return minimized;
+}
+
+ScenarioPack WithRepro(ScenarioPack pack, const FuzzCase& fuzz_case,
+                       const Verdict& verdict) {
+  pack.repro.present = true;
+  pack.repro.fleet = fuzz_case.fleet_spec;
+  pack.repro.seed = fuzz_case.world_seed;
+  pack.repro.duration_sec = fuzz_case.sim_duration_sec;
+  pack.repro.target_batch_size = fuzz_case.target_batch_size;
+  pack.repro.model =
+      std::string(models::ModelName(models::ModelId::kConvNextLarge));
+  pack.repro.oracle = verdict.oracle;
+  return pack;
 }
 
 }  // namespace hivesim::fuzz

@@ -1,6 +1,5 @@
 #include "hivemind/monitor.h"
 
-#include "common/table_writer.h"
 #include "telemetry/telemetry.h"
 
 namespace hivesim::hivemind {
@@ -12,22 +11,6 @@ void TrainingMonitor::Start() {
 }
 
 void TrainingMonitor::Stop() { running_ = false; }
-
-std::string TrainingMonitor::ToCsv() const {
-  // New columns append after the original five, keeping old consumers'
-  // column indices stable.
-  CsvWriter csv({"time_sec", "epoch", "progress", "active_peers", "sps",
-                 "granularity", "averaging_in_flight"});
-  for (const Snapshot& snap : snapshots_) {
-    csv.AddRow(std::vector<double>{snap.time, static_cast<double>(snap.epoch),
-                                   snap.progress,
-                                   static_cast<double>(snap.active_peers),
-                                   snap.throughput_sps, snap.granularity,
-                                   static_cast<double>(
-                                       snap.averaging_in_flight)});
-  }
-  return csv.ToString();
-}
 
 void TrainingMonitor::Tick() {
   if (!running_) return;

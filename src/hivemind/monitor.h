@@ -1,7 +1,6 @@
 #ifndef HIVESIM_HIVEMIND_MONITOR_H_
 #define HIVESIM_HIVEMIND_MONITOR_H_
 
-#include <string>
 #include <vector>
 
 #include "hivemind/trainer.h"
@@ -37,11 +36,6 @@ class TrainingMonitor {
   void Stop();
 
   const std::vector<Snapshot>& snapshots() const { return snapshots_; }
-
-  /// The scraped time series as CSV (time, epoch, progress, peers, sps,
-  /// granularity, averaging_in_flight) for plotting training timelines.
-  /// New columns are only ever appended, so column indices stay stable.
-  std::string ToCsv() const;
 
  private:
   void Tick();

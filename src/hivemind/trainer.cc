@@ -241,30 +241,11 @@ void Trainer::BeginAveraging() {
       models::AveragingFixedOverheadSec() +
       models::AveragingPerPeerOverheadSec() * participants;
 
-  // Two prerequisites before the transfers start: the group-forming
-  // overhead timer and (optionally) the DHT coordination round.
-  round_prerequisites_ = 1;
-  auto arm = [this, gen] {
+  // The transfers start once the group-forming overhead has elapsed.
+  network_->simulator().Schedule(overhead, [this, gen] {
     if (gen != generation_) return;
-    if (--round_prerequisites_ == 0) RunAllReduce();
-  };
-
-  if (config_.dht != nullptr && peers_.size() >= 2) {
-    // Real matchmaking: the round begins once the group has assembled
-    // through the DHT (bounded by the matchmaking window).
-    if (!matchmaker_) {
-      matchmaker_ = std::make_unique<Matchmaker>(
-          config_.dht, StrFormat("run-%llu",
-                                 static_cast<unsigned long long>(
-                                     config_.seed)));
-    }
-    ++round_prerequisites_;
-    matchmaker_->FormGroup(PeerNodes(),
-                           static_cast<int>(completed_.size()),
-                           models::MinMatchmakingSec(),
-                           [arm](GroupResult) { arm(); });
-  }
-  network_->simulator().Schedule(overhead, arm);
+    RunAllReduce();
+  });
 }
 
 void Trainer::RunAllReduce() {
@@ -579,13 +560,6 @@ RunStats Trainer::Stats() const {
     stats.granularity = stats.avg_calc_sec / stats.avg_comm_sec;
   }
   return stats;
-}
-
-std::vector<net::NodeId> Trainer::PeerNodes() const {
-  std::vector<net::NodeId> nodes;
-  nodes.reserve(peers_.size());
-  for (const PeerState& p : peers_) nodes.push_back(p.spec.node);
-  return nodes;
 }
 
 Result<PeerSpec> Trainer::PeerSpecOf(net::NodeId node) const {

@@ -13,8 +13,6 @@
 #include "compute/gpu.h"
 #include "compute/host.h"
 #include "data/loader.h"
-#include "dht/dht.h"
-#include "hivemind/matchmaking.h"
 #include "models/calibration.h"
 #include "models/memory.h"
 #include "models/model_zoo.h"
@@ -48,12 +46,6 @@ struct TrainerConfig {
   collective::Strategy strategy = collective::Strategy::kAuto;
   /// TCP streams per gradient transfer (1 = Hivemind's behaviour).
   int streams_per_transfer = 1;
-  /// Optional: run real DHT matchmaking before every averaging round
-  /// (peers announce under the epoch key and look each other up), so the
-  /// group-forming latency emerges from DHT RPC round-trips instead of a
-  /// constant. Peers must have DHT nodes registered at their endpoints.
-  dht::DhtNetwork* dht = nullptr;
-
   /// Section 7 churn hardening, the preset every chaos run uses: a
   /// 2-minute watchdog aborts rounds a partition froze (its flows stall
   /// at rate zero), retries start after 1 s, and after two failed retries
@@ -150,9 +142,6 @@ class Trainer {
   /// Per-peer dataset bytes streamed from B2 so far (cost accounting).
   Result<double> DataIngressBytes(net::NodeId node) const;
 
-  /// Network endpoints of the current peers (in join order).
-  std::vector<net::NodeId> PeerNodes() const;
-
   const TrainerConfig& config() const { return config_; }
 
  private:
@@ -198,7 +187,6 @@ class Trainer {
   Rng rng_;
   std::vector<PeerState> peers_;
   collective::AllReduce allreduce_;
-  std::unique_ptr<class Matchmaker> matchmaker_;
 
   bool running_ = false;
   double run_start_ = 0;
@@ -212,9 +200,6 @@ class Trainer {
   bool has_averaging_event_ = false;
   sim::EventId watchdog_event_ = 0;
   bool has_watchdog_event_ = false;
-  /// Prerequisites (group-forming timer, DHT matchmaking) the round in
-  /// formation still waits for.
-  int round_prerequisites_ = 0;
   /// Participants of the current averaging attempt; kept across rounds so
   /// its buffer is reused.
   std::vector<collective::Peer> members_;

@@ -310,31 +310,6 @@ bool Network::CancelFlow(FlowId id) {
   return true;
 }
 
-Result<double> Network::MessageDelay(NodeId src, NodeId dst,
-                                     double bytes) const {
-  Path path;
-  HIVESIM_ASSIGN_OR_RETURN(path, topology_->PathBetweenNodes(src, dst));
-  double cap = 0;
-  HIVESIM_ASSIGN_OR_RETURN(cap, topology_->SingleStreamCap(src, dst));
-  const double serialize = cap > 0 ? bytes / cap : 0.0;
-  return path.rtt_sec / 2.0 + serialize;
-}
-
-Status Network::SendMessage(NodeId src, NodeId dst, double bytes,
-                            FlowCallback on_delivered) {
-  double delay = 0;
-  HIVESIM_ASSIGN_OR_RETURN(delay, MessageDelay(src, dst, bytes));
-  messages_counter_.Add();
-  // Metered on delivery, consistent with flow metering: a run stopped
-  // mid-flight must not book undelivered control-plane bytes as egress.
-  sim_->Schedule(delay,
-                 [this, src, dst, bytes, cb = std::move(on_delivered)] {
-                   MeterBytes(src, dst, bytes);
-                   if (cb) cb();
-                 });
-  return Status::OK();
-}
-
 void Network::Refresh() {
   // Topology paths may have changed (WAN degradation/recovery): re-read
   // every resource's capacity, then re-solve all components. Flows keep

@@ -119,16 +119,6 @@ class Network {
   /// false if the flow already completed.
   bool CancelFlow(FlowId id);
 
-  /// Latency-dominated delivery for small control-plane messages (DHT
-  /// RPCs, heartbeats): arrives after RTT/2 plus serialization at the
-  /// single-stream rate, without participating in fair-share contention.
-  /// Bytes are still metered.
-  Status SendMessage(NodeId src, NodeId dst, double bytes,
-                     FlowCallback on_delivered);
-
-  /// The one-way delay SendMessage would incur right now.
-  Result<double> MessageDelay(NodeId src, NodeId dst, double bytes) const;
-
   /// Re-reads the topology and recomputes all flow rates. Call after
   /// changing a path with `Topology::SetPath` mid-simulation (live WAN
   /// degradation/recovery); in-flight flows keep their per-flow stream
@@ -422,7 +412,6 @@ class Network {
   telemetry::CounterHandle flows_started_counter_{"net.flows_started"};
   telemetry::CounterHandle flows_cancelled_counter_{"net.flows_cancelled"};
   telemetry::CounterHandle flows_completed_counter_{"net.flows_completed"};
-  telemetry::CounterHandle messages_counter_{"net.messages"};
   /// Per-site-pair byte counters, laid out like `site_pair_bytes_`;
   /// empty until telemetry meters a first delivery.
   mutable std::vector<std::unique_ptr<telemetry::CounterHandle>>

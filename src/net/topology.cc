@@ -82,20 +82,6 @@ Result<Path> Topology::PathBetweenNodes(NodeId a, NodeId b) const {
   return PathBetween(SiteOf(a), SiteOf(b));
 }
 
-Result<double> Topology::SingleStreamCap(NodeId src, NodeId dst) const {
-  Path path;
-  HIVESIM_ASSIGN_OR_RETURN(path, PathBetweenNodes(src, dst));
-  const NodeNetConfig& cfg = ConfigOf(src);
-  double cap = path.bandwidth_bps;
-  if (path.rtt_sec > 0) {
-    cap = std::min(cap, cfg.tcp_window_bytes / path.rtt_sec);
-  }
-  if (path.single_stream_bps > 0) {
-    cap = std::min(cap, path.single_stream_bps);
-  }
-  return cap;
-}
-
 double Topology::EgressCap(NodeId /*node*/) const { return kNicBps; }
 
 double Topology::IngressCap(NodeId /*node*/) const { return kNicBps; }

@@ -17,8 +17,8 @@ using NodeId = uint32_t;
 
 /// Measured characteristics of the path between two sites. Bandwidth is the
 /// physical multi-stream capacity of the path; what a *single* TCP stream
-/// achieves additionally depends on the sender's TCP window and the RTT
-/// (see `Topology::SingleStreamCap`). This distinction is how the paper's
+/// achieves additionally depends on the endpoints' TCP windows and the RTT
+/// (see `Network::StartFlow`). This distinction is how the paper's
 /// Section 7 observation (80 streams reach 6 Gb/s where one stream gets
 /// 0.5 Gb/s) is reproduced.
 struct Path {
@@ -76,10 +76,6 @@ class Topology {
 
   /// Path between the sites of two nodes.
   Result<Path> PathBetweenNodes(NodeId a, NodeId b) const;
-
-  /// Throughput an individual TCP stream from `src` to `dst` can reach in
-  /// isolation: min(path bandwidth, src window / RTT). Bytes/sec.
-  Result<double> SingleStreamCap(NodeId src, NodeId dst) const;
 
   /// NIC egress capacity of a node, shared by all its outgoing flows:
   /// every host has a 10 Gb/s NIC.

@@ -47,13 +47,15 @@ Result<TraceDataset> DatasetFromChromeJson(std::string_view json_text);
 enum class Phase {
   kCalc,           ///< Gradient accumulation toward the target batch.
   kMatchmakeWait,  ///< Waiting on group formation, no matchmake span.
-  kMatchmake,      ///< Inside a DHT matchmake span.
+  kMatchmake,      ///< Inside a `matchmake` span (external traces; the
+                   ///< simulator models the matchmaking floor and
+                   ///< records none).
   kFlow,           ///< Bound by a WAN transfer (see Segment::flow).
   kOverhead,       ///< Comm window not covered by any flow (serialize,
                    ///< aggregate, apply, retry backoff).
 };
 
-/// A gradient-exchange (or DHT/control) transfer assigned to a round,
+/// A gradient-exchange (or control) transfer assigned to a round,
 /// clipped to the round's communication window.
 struct FlowRef {
   double start_us = 0;

@@ -60,9 +60,10 @@ void TraceRecorder::Instant(double at_sec, std::string_view lane,
 
 std::string TraceRecorder::ToChromeJson() const {
   std::string out;
-  // Sized from measured lines: 127 bytes on average in trace_tour
-  // --seed=7, 143 over the 400 worlds of `hivesim fuzz --seed 1` (the
-  // longest-lined world there averages 157). One allocation then holds
+  // Sized from measured lines: 134 bytes on average in the `hivesim
+  // fleet` tour (tests/golden/fleet_bad_afternoon.trace.json), 143 over
+  // the 400 worlds of `hivesim fuzz --seed 1` (the longest-lined world
+  // there averages 157). One allocation then holds
   // the whole rendering; growing a short guess would briefly hold both
   // the old and the doubled buffer.
   out.reserve(128 + (lanes_.size() + events_.size()) * 160);
@@ -344,13 +345,6 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::Clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  epoch_ = NextRegistryEpoch();  // Invalidate cached counter slots.
-}
-
 void CounterHandle::Rebind(MetricsRegistry& registry) {
   registry_ = &registry;
   epoch_ = registry.epoch();
@@ -401,11 +395,6 @@ Telemetry::ScopedSinks::~ScopedSinks() {
   tls_trace_ = prev_trace_;
   tls_metrics_ = prev_metrics_;
   tls_active_ = prev_active_;
-}
-
-void Telemetry::Reset() {
-  global_trace().Clear();
-  global_metrics().Clear();
 }
 
 }  // namespace hivesim::telemetry

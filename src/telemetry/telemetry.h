@@ -134,14 +134,13 @@ class MetricsRegistry {
   }
 
   /// Stable address of a counter's value slot, creating the counter at
-  /// zero. The pointer stays valid until `Clear()` or destruction (the
-  /// backing map is node-based, so unrelated inserts never move it);
-  /// `CounterHandle` caches it together with `epoch()` to detect both.
+  /// zero. The pointer stays valid until destruction (the backing map is
+  /// node-based, so unrelated inserts never move it); `CounterHandle`
+  /// caches it together with `epoch()` to detect that.
   double* CounterSlot(std::string_view name);
 
-  /// Identity stamp for cached counter-slot pointers: unique per live
-  /// registry instance and re-stamped by `Clear()`, so a handle that
-  /// cached a slot can tell "same registry, same contents generation"
+  /// Identity stamp for cached counter-slot pointers: unique per registry
+  /// instance, so a handle that cached a slot can tell "same registry"
   /// apart from "different registry reusing this address" with one
   /// integer compare.
   uint64_t epoch() const { return epoch_; }
@@ -159,8 +158,6 @@ class MetricsRegistry {
   /// first definition and fold `other`'s observations into a
   /// `<name>#merge_conflicts` counter instead of silently misbinning.
   void Merge(const MetricsRegistry& other);
-
-  void Clear();
 
  private:
   struct Histogram {
@@ -229,10 +226,6 @@ class Telemetry {
     bool prev_active_;
   };
 
-  /// Clears both process-global sinks (fresh run / determinism replay);
-  /// the enabled state and any thread-local overrides are left unchanged.
-  static void Reset();
-
  private:
   static TraceRecorder& global_trace();
   static MetricsRegistry& global_metrics();
@@ -284,8 +277,8 @@ inline void Observe(std::string_view name, double value) {
 /// The cached slot is revalidated with two integer compares per `Add`:
 /// the handle rebinds when the calling thread's active registry changes
 /// (a `Telemetry::ScopedSinks` installed or removed) or when the cached
-/// registry's `epoch()` moved (it was `Clear()`ed, invalidating slot
-/// addresses). Like the sinks themselves, a handle instance must only be
+/// registry's `epoch()` moved (a new registry at the same address).
+/// Like the sinks themselves, a handle instance must only be
 /// bumped from one thread at a time — embed it in the per-simulation
 /// object whose thread owns the recording.
 class CounterHandle {

@@ -4,31 +4,16 @@
 #include <string>
 #include <vector>
 
-#include "common/units.h"
-#include "faults/chaos.h"
-#include "hivemind/monitor.h"
-#include "hivemind/trainer.h"
-#include "net/profiles.h"
-#include "scenario/scenario.h"
-#include "sim/simulator.h"
 #include "telemetry/analysis.h"
 #include "telemetry/round_model.h"
 #include "telemetry/telemetry.h"
+#include "tour_world.h"
 
 namespace hivesim::telemetry {
 namespace {
 
-class AnalysisTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Telemetry::Enable();
-    Telemetry::Reset();
-  }
-  void TearDown() override {
-    Telemetry::Reset();
-    Telemetry::Disable();
-  }
-};
+/// Every test analyzes a trace it built or recorded into its own sinks.
+class AnalysisTest : public ::testing::Test {};
 
 /// The worked example from docs/OBSERVABILITY.md: one round with
 ///   calc [0,10], matchmake-wait [10,12], comm [10,20],
@@ -166,81 +151,24 @@ TEST_F(AnalysisTest, AttachMetricsJsonRejectsNonSnapshots) {
   EXPECT_FALSE(AttachMetricsJson(&report.value(), *doc).ok());
 }
 
-/// One seeded chaos training run with the full stack (DHT matchmaking,
-/// partition, crash/restart) — the same scenario telemetry_test renders.
-void RunChaosTraining(uint64_t seed) {
-  Telemetry::Reset();
-  sim::Simulator sim;
-  net::Topology topo = net::StandardWorld();
-  net::Network network(&sim, &topo);
-
-  std::vector<hivemind::PeerSpec> peers;
-  for (int i = 0; i < 4; ++i) {
-    hivemind::PeerSpec peer;
-    peer.node =
-        topo.AddNode(i < 2 ? net::kGcUs : net::kGcEu, net::CloudVmNetConfig());
-    peers.push_back(peer);
-  }
-
-  dht::DhtNetwork dht(&network);
-  Rng id_rng(seed);
-  std::vector<dht::Node*> nodes;
-  for (const auto& p : peers) {
-    nodes.push_back(dht.CreateNode(p.node, id_rng.Next64()));
-  }
-  for (size_t i = 1; i < nodes.size(); ++i) {
-    nodes[i]->Bootstrap(dht::Contact{nodes[0]->id(), nodes[0]->endpoint()},
-                        [](std::vector<dht::Contact>) {});
-    sim.Run();
-  }
-
-  hivemind::TrainerConfig config;
-  config.seed = seed;
-  config.dht = &dht;
-  config.churn_hardened = true;
-  hivemind::Trainer trainer(&network, config);
-  for (const auto& p : peers) EXPECT_TRUE(trainer.AddPeer(p).ok());
-
-  faults::ChaosInjector injector(&sim, &topo, &network, seed);
-  injector.AttachTrainer(&trainer);
-  injector.AttachDht(&dht);
-  // Minute 10-15: the transatlantic path is gone; minute 20: peer 3
-  // crashes and is back 5 minutes later.
-  scenario::ScenarioPack pack;
-  pack.name = "partition-and-crash";
-  pack.wan.push_back({{"gc-us"}, {"gc-eu"}, {10 * 60, 5 * 60}, 0});
-  pack.crashes.push_back({3, 20 * 60, /*frac=*/false,
-                          /*restart_after_sec=*/300});
-  std::vector<scenario::FleetMember> members;
-  for (const auto& p : peers) {
-    const net::SiteId site = topo.SiteOf(p.node);
-    members.push_back({p.node, site, topo.site(site).continent});
-  }
-  auto schedule = scenario::Compile(
-      pack, scenario::MakeFleetView(std::move(members)), 30 * 60.0);
-  EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
-  EXPECT_TRUE(injector.Arm(schedule.value()).ok());
-
-  EXPECT_TRUE(trainer.Start().ok());
-  sim.RunUntil(30 * 60.0);
-  trainer.Stop();
-}
-
-/// What `--analysis-out` analyzes: the calling thread's trace and
-/// metrics, rendered as the files `--trace-out`/`--metrics-out` hold.
-Result<AnalysisReport> AnalyzeRecorded() {
+/// What `--analysis-out` analyzes for one seeded run of the tour world
+/// (partition, crash/restart) — the same world telemetry_test renders:
+/// its trace and metrics, rendered as the files `--trace-out` and
+/// `--metrics-out` hold.
+Result<AnalysisReport> AnalyzeChaosTraining(uint64_t seed) {
+  TraceRecorder trace;
+  MetricsRegistry metrics;
+  tour::RunWorld(seed, &trace, &metrics);
   AnalysisReport report;
-  HIVESIM_ASSIGN_OR_RETURN(
-      report, AnalyzeChromeJson(Telemetry::trace().ToChromeJson()));
-  JsonValue metrics;
-  HIVESIM_ASSIGN_OR_RETURN(metrics, ParseJson(Telemetry::metrics().ToJson()));
-  HIVESIM_RETURN_IF_ERROR(AttachMetricsJson(&report, metrics));
+  HIVESIM_ASSIGN_OR_RETURN(report, AnalyzeChromeJson(trace.ToChromeJson()));
+  JsonValue metrics_json;
+  HIVESIM_ASSIGN_OR_RETURN(metrics_json, ParseJson(metrics.ToJson()));
+  HIVESIM_RETURN_IF_ERROR(AttachMetricsJson(&report, metrics_json));
   return report;
 }
 
 TEST_F(AnalysisTest, PhaseTotalsReconcileWithTrainerCounters) {
-  RunChaosTraining(11);
-  auto report = AnalyzeRecorded();
+  auto report = AnalyzeChaosTraining(11);
   ASSERT_TRUE(report.ok());
   // The run exercised the interesting paths.
   EXPECT_GT(report->model.rounds.size(), 0u);
@@ -262,18 +190,15 @@ TEST_F(AnalysisTest, PhaseTotalsReconcileWithTrainerCounters) {
 }
 
 TEST_F(AnalysisTest, IdenticallySeededRunsAnalyzeByteIdentically) {
-  RunChaosTraining(17);
-  auto first = AnalyzeRecorded();
+  auto first = AnalyzeChaosTraining(17);
   ASSERT_TRUE(first.ok());
   const std::string first_json = first->ToJson();
 
-  RunChaosTraining(17);
-  auto second = AnalyzeRecorded();
+  auto second = AnalyzeChaosTraining(17);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first_json, second->ToJson());
 
-  RunChaosTraining(18);
-  auto other = AnalyzeRecorded();
+  auto other = AnalyzeChaosTraining(18);
   ASSERT_TRUE(other.ok());
   EXPECT_NE(first_json, other->ToJson());
 }

@@ -187,9 +187,13 @@ TEST_F(TrainerEdgeTest, PeerNodesTracksMembership) {
   auto b = MakePeer();
   ASSERT_TRUE(trainer.AddPeer(a).ok());
   ASSERT_TRUE(trainer.AddPeer(b).ok());
-  EXPECT_EQ(trainer.PeerNodes(), (std::vector<net::NodeId>{a.node, b.node}));
+  EXPECT_TRUE(trainer.PeerSpecOf(a.node).ok());
+  EXPECT_TRUE(trainer.PeerSpecOf(b.node).ok());
+  EXPECT_EQ(trainer.ActivePeers(), 2);
   ASSERT_TRUE(trainer.RemovePeer(a.node).ok());
-  EXPECT_EQ(trainer.PeerNodes(), std::vector<net::NodeId>{b.node});
+  EXPECT_FALSE(trainer.PeerSpecOf(a.node).ok());
+  EXPECT_TRUE(trainer.PeerSpecOf(b.node).ok());
+  EXPECT_EQ(trainer.ActivePeers(), 1);
 }
 
 }  // namespace

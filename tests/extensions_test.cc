@@ -55,12 +55,14 @@ TEST(ReportTest, WriteCsvCreatesReadableFile) {
   const auto path =
       (std::filesystem::temp_directory_path() / "hivesim_report.csv")
           .string();
-  ASSERT_TRUE(report.WriteCsv(path));
+  ASSERT_TRUE(report.WriteCsv(path).ok());
   std::ifstream f(path);
   std::string header;
   std::getline(f, header);
   EXPECT_NE(header.find("usd_per_million"), std::string::npos);
-  EXPECT_FALSE(report.WriteCsv("/nonexistent-dir/x.csv"));
+  const Status bad = report.WriteCsv("/nonexistent-dir/x.csv");
+  EXPECT_EQ(bad.code(), StatusCode::kIOError);
+  EXPECT_EQ(bad.message(), "cannot write /nonexistent-dir/x.csv");
 }
 
 // --- Trainer config validation ---

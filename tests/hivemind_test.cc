@@ -318,28 +318,6 @@ TEST_F(TrainerTest, DataIngressAccountedPerPeer) {
   EXPECT_FALSE(trainer.DataIngressBytes(424242).ok());
 }
 
-TEST_F(TrainerTest, DhtCoordinationAddsBoundedLatency) {
-  TrainerConfig with_dht;
-  with_dht.model = ModelId::kConvNextLarge;
-  dht::DhtNetwork dht(&network_);
-  std::vector<PeerSpec> peers = {GcT4(), GcT4(), GcT4()};
-  Rng rng(3);
-  std::vector<dht::Node*> dht_nodes;
-  for (const auto& p : peers) {
-    dht_nodes.push_back(dht.CreateNode(p.node, rng.Next64()));
-  }
-  for (size_t i = 1; i < dht_nodes.size(); ++i) {
-    dht_nodes[i]->Bootstrap(
-        dht::Contact{dht_nodes[0]->id(), dht_nodes[0]->endpoint()},
-        [](std::vector<dht::Contact>) {});
-    sim_.Run();
-  }
-  with_dht.dht = &dht;
-  const RunStats stats = Run(with_dht, peers, kHour);
-  EXPECT_GT(stats.epochs, 3);
-  EXPECT_GT(stats.throughput_sps, 100);  // DHT RPCs are milliseconds.
-}
-
 TEST_F(TrainerTest, StatsAreConsistent) {
   TrainerConfig config;
   config.model = ModelId::kResNet50;

@@ -13,11 +13,11 @@
 #include "core/catalog.h"
 #include "core/experiment.h"
 #include "data/loader.h"
-#include "dht/dht.h"
 #include "hivemind/monitor.h"
 #include "hivemind/trainer.h"
 #include "net/profiles.h"
 #include "sim/simulator.h"
+#include "tour_world.h"
 
 namespace hivesim {
 namespace {
@@ -91,51 +91,25 @@ TEST(IntegrationTest, DataLoadingCostMatchesProcessedSamples) {
               1e-6);
 }
 
-TEST(IntegrationTest, FullGeoRunWithDhtMonitorAndChurn) {
-  // The whole stack at once: an 8-VM two-continent fleet coordinated
-  // through a real DHT, scraped by the monitor, surviving an
-  // interruption and a replacement join.
-  sim::Simulator sim;
-  net::Topology topo = net::StandardWorld();
-  net::Network network(&sim, &topo);
-  dht::DhtNetwork dht_net(&network);
-
-  hivemind::TrainerConfig config;
-  config.model = ModelId::kConvNextLarge;
-  config.dht = &dht_net;
-  hivemind::Trainer trainer(&network, config);
-
-  Rng rng(99);
-  std::vector<hivemind::PeerSpec> peers;
-  std::vector<dht::Node*> dht_nodes;
-  for (int i = 0; i < 8; ++i) {
-    hivemind::PeerSpec peer;
-    peer.node = topo.AddNode(i < 4 ? net::kGcUs : net::kGcEu,
-                             net::CloudVmNetConfig());
-    peers.push_back(peer);
-    ASSERT_TRUE(trainer.AddPeer(peer).ok());
-    dht_nodes.push_back(dht_net.CreateNode(peer.node, rng.Next64()));
-  }
-  for (size_t i = 1; i < dht_nodes.size(); ++i) {
-    dht_nodes[i]->Bootstrap(
-        dht::Contact{dht_nodes[0]->id(), dht_nodes[0]->endpoint()},
-        [](std::vector<dht::Contact>) {});
-    sim.Run();
-  }
+TEST(IntegrationTest, FullGeoRunWithMonitorAndChurn) {
+  // The whole stack at once: an 8-VM two-continent fleet built and armed
+  // by core::BuildExperimentWorld with the bad-afternoon pack, scraped by
+  // the monitor, surviving a transatlantic partition, a crash and the
+  // replacement's join.
+  core::ExperimentConfig config;
+  config.duration_sec = 2 * kHour;
+  const scenario::ScenarioPack pack = tour::BadAfternoonPack();
+  auto world = core::BuildExperimentWorld(
+      core::ClusterSpec{
+          {core::GcT4s(4, net::kGcUs), core::GcT4s(4, net::kGcEu)}},
+      config, &pack);
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  sim::Simulator& sim = (*world)->sim;
+  hivemind::Trainer& trainer = *(*world)->trainer;
 
   hivemind::TrainingMonitor monitor(&sim, &trainer, 5.0);
   ASSERT_TRUE(trainer.Start().ok());
   monitor.Start();
-
-  // Kill a peer after 30 minutes; bring a replacement 5 minutes later.
-  sim.Schedule(1800, [&] {
-    trainer.RemovePeer(peers[2].node).ok();
-    dht_nodes[2]->GoOffline();
-  });
-  sim.Schedule(2100, [&] {
-    dht_nodes[2]->GoOnline();
-    trainer.JoinPeer(peers[2]).ok();
-  });
 
   sim.RunUntil(2 * kHour);
   trainer.Stop();

@@ -235,24 +235,16 @@ TEST_F(NetworkTest, LatencyAndSlabFlowIdsNeverAlias) {
 
 TEST_F(NetworkTest, LatencyOnlyFlowMetersDeliveredBytes) {
   // Sub-epsilon payloads ride the latency-only path but still count as
-  // delivered traffic for the egress cost engine.
-  BuildTwoSites();
+  // delivered traffic for the egress cost engine, on delivery: a run
+  // stopped mid-flight must not have booked undelivered bytes.
+  BuildTwoSites(10, /*wan_mbps=*/80, /*wan_rtt_ms=*/200);
   ASSERT_TRUE(network_.StartFlow(n0_, n2_, 0.5, nullptr).ok());
+  sim_.RunUntil(0.05);  // In flight: one-way delay is 0.1 s.
+  EXPECT_DOUBLE_EQ(network_.BytesBetweenNodes(n0_, n2_), 0.0);
   sim_.Run();
   EXPECT_DOUBLE_EQ(network_.BytesBetweenNodes(n0_, n2_), 0.5);
   EXPECT_DOUBLE_EQ(network_.NodeEgressBytes(n0_), 0.5);
   EXPECT_DOUBLE_EQ(network_.NodeIngressBytes(n2_), 0.5);
-}
-
-TEST_F(NetworkTest, MessageBytesMeteredOnDeliveryNotAtSend) {
-  // A run stopped mid-flight must not have booked undelivered
-  // control-plane bytes into egress cost.
-  BuildTwoSites(10, /*wan_mbps=*/80, /*wan_rtt_ms=*/200);
-  ASSERT_TRUE(network_.SendMessage(n0_, n2_, 1 * kMB, nullptr).ok());
-  sim_.RunUntil(0.05);  // In flight: one-way delay is 0.2 s.
-  EXPECT_DOUBLE_EQ(network_.BytesBetweenNodes(n0_, n2_), 0.0);
-  sim_.Run();
-  EXPECT_NEAR(network_.BytesBetweenNodes(n0_, n2_), 1 * kMB, 1.0);
 }
 
 TEST_F(NetworkTest, PerStreamCapUsesMinOfEndpointWindows) {
@@ -296,7 +288,7 @@ TEST_F(NetworkTest, SitePairAggregateMatchesNodePairSums) {
   ASSERT_TRUE(network_.StartFlow(n0_, n2_, 10 * kMB, nullptr).ok());
   ASSERT_TRUE(network_.StartFlow(n1_, n2_, 5 * kMB, nullptr).ok());
   ASSERT_TRUE(network_.StartFlow(n0_, n1_, 2 * kMB, nullptr).ok());
-  ASSERT_TRUE(network_.SendMessage(n2_, n0_, 64 * kKB, nullptr).ok());
+  ASSERT_TRUE(network_.StartFlow(n2_, n0_, 0.5, nullptr).ok());
   sim_.RunUntil(0.05);  // Mid-flight: some flows only partially metered.
 
   auto check_all_pairs = [&] {
@@ -369,23 +361,6 @@ TEST_F(NetworkTest, BandwidthFreedWhenFlowFinishes) {
   EXPECT_NEAR(big_done, 0.2, 1e-6);
 }
 
-TEST_F(NetworkTest, MessageDelayIsLatencyPlusSerialization) {
-  BuildTwoSites(10, /*wan_mbps=*/80, /*wan_rtt_ms=*/200);
-  // 1 MB at the single-stream cap (80 Mb/s = 10 MB/s) + RTT/2.
-  auto delay = network_.MessageDelay(n0_, n2_, 1 * kMB);
-  ASSERT_TRUE(delay.ok());
-  EXPECT_NEAR(*delay, 0.1 + 0.1, 1e-6);
-  double delivered_at = -1;
-  ASSERT_TRUE(network_
-                  .SendMessage(n0_, n2_, 1 * kMB,
-                               [&] { delivered_at = sim_.Now(); })
-                  .ok());
-  sim_.Run();
-  EXPECT_NEAR(delivered_at, 0.2, 1e-6);
-  // Message bytes are metered like any traffic.
-  EXPECT_NEAR(network_.BytesBetweenNodes(n0_, n2_), 1 * kMB, 1.0);
-}
-
 TEST_F(NetworkTest, RefreshAppliesLiveLinkDegradation) {
   BuildTwoSites(/*local_gbps=*/10, /*wan_mbps=*/100, /*wan_rtt_ms=*/1);
   double done_at = -1;
@@ -450,24 +425,6 @@ TEST(TopologyTest, UnsetPairsStayNotFoundAcrossTableGrowth) {
   }
   // A site id the topology has never seen is NotFound too.
   EXPECT_EQ(t.PathBetween(a, 9).status().code(), StatusCode::kNotFound);
-}
-
-TEST(TopologyTest, SingleStreamCapMinOfPathAndWindow) {
-  Topology t;
-  SiteId a = t.AddSite("a", Provider::kOnPremise, Continent::kEu);
-  SiteId b = t.AddSite("b", Provider::kGoogleCloud, Continent::kUs);
-  t.SetPath(a, b, MbpsToBytesPerSec(1000), MsToSec(100));
-  NodeNetConfig cfg;
-  cfg.tcp_window_bytes = 1e6;  // 1 MB / 0.1 s = 10 MB/s = 80 Mb/s.
-  NodeId n0 = t.AddNode(a, cfg);
-  NodeId n1 = t.AddNode(b);
-  auto cap = t.SingleStreamCap(n0, n1);
-  ASSERT_TRUE(cap.ok());
-  EXPECT_NEAR(BytesPerSecToMbps(*cap), 80, 0.1);
-  // The cloud node's big window makes the path the limit in reverse.
-  auto rcap = t.SingleStreamCap(n1, n0);
-  ASSERT_TRUE(rcap.ok());
-  EXPECT_NEAR(BytesPerSecToMbps(*rcap), 640, 0.1);  // 8 MB / 0.1 s.
 }
 
 TEST(TopologyTest, InternedConfigsRoundTripMixedNodes) {

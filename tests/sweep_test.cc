@@ -245,7 +245,6 @@ TEST(SweepDeterminismTest, OutputTreesAreByteIdentical) {
 // private per-cell sinks, leaving the global sinks untouched.
 TEST(SweepDeterminismTest, GloballyEnabledTelemetryStaysRaceFreeAndClean) {
   telemetry::Telemetry::Enable();
-  telemetry::Telemetry::Reset();
   SweepSpec spec = SmallGrid();
   spec.clusters.resize(1);
   spec.seeds = {1};
@@ -260,7 +259,6 @@ TEST(SweepDeterminismTest, GloballyEnabledTelemetryStaysRaceFreeAndClean) {
   for (const SweepCellOutcome& outcome : summary->outcomes) {
     EXPECT_GT(outcome.metrics.CounterValue("sim.events_fired"), 0);
   }
-  telemetry::Telemetry::Reset();
 }
 
 // --- Aggregator permutation invariance (property test) ---

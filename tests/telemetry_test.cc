@@ -4,30 +4,20 @@
 #include <vector>
 
 #include "common/units.h"
-#include "faults/chaos.h"
 #include "hivemind/monitor.h"
 #include "hivemind/trainer.h"
 #include "net/profiles.h"
-#include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
+#include "tour_world.h"
 
 namespace hivesim::telemetry {
 namespace {
 
-/// Telemetry is a process-global switchboard, so every test starts from a
-/// clean enabled slate and leaves the process disabled again.
-class TelemetryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Telemetry::Enable();
-    Telemetry::Reset();
-  }
-  void TearDown() override {
-    Telemetry::Reset();
-    Telemetry::Disable();
-  }
-};
+/// Telemetry is a process-global switchboard. Every test that records
+/// does so into its own sinks (`Telemetry::ScopedSinks`), so the global
+/// ones stay disabled and empty for the whole process.
+class TelemetryTest : public ::testing::Test {};
 
 TEST_F(TelemetryTest, ChromeJsonHasMetadataLanesAndMicroseconds) {
   TraceRecorder trace;
@@ -105,21 +95,21 @@ TEST_F(TelemetryTest, HistogramPercentileErrorsOnEmptyOrBadInput) {
 
 TEST_F(TelemetryTest, RegistryCountsGaugesAndHistograms) {
   MetricsRegistry metrics;
-  metrics.Count("net.messages");
-  metrics.Count("net.messages", 2);
+  metrics.Count("net.flows_started");
+  metrics.Count("net.flows_started", 2);
   metrics.SetGauge("trainer.granularity", 4.5);
-  metrics.DefineHistogram("dht.lookup_hops", {1, 2, 5});
-  metrics.Observe("dht.lookup_hops", 2);
-  metrics.Observe("dht.lookup_hops", 100);  // Overflow bucket.
+  metrics.DefineHistogram("collective.stage_transfers", {1, 2, 5});
+  metrics.Observe("collective.stage_transfers", 2);
+  metrics.Observe("collective.stage_transfers", 100);  // Overflow bucket.
 
-  EXPECT_DOUBLE_EQ(metrics.CounterValue("net.messages"), 3.0);
+  EXPECT_DOUBLE_EQ(metrics.CounterValue("net.flows_started"), 3.0);
   EXPECT_DOUBLE_EQ(metrics.CounterValue("never.incremented"), 0.0);
   EXPECT_DOUBLE_EQ(metrics.GaugeOr("trainer.granularity", -1), 4.5);
   EXPECT_DOUBLE_EQ(metrics.GaugeOr("missing.gauge", -1), -1.0);
-  EXPECT_EQ(metrics.HistogramCount("dht.lookup_hops"), 2u);
+  EXPECT_EQ(metrics.HistogramCount("collective.stage_transfers"), 2u);
 
   const std::string json = metrics.ToJson();
-  EXPECT_NE(json.find("\"net.messages\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"net.flows_started\":3"), std::string::npos);
   EXPECT_NE(json.find("\"trainer.granularity\":4.5"), std::string::npos);
   EXPECT_NE(json.find("\"le\":\"inf\""), std::string::npos);
   // Keys come out sorted, so counters precede gauges precede histograms
@@ -149,6 +139,9 @@ TEST_F(TelemetryTest, DisabledFastPathRecordsNothing) {
 }
 
 TEST_F(TelemetryTest, InstrumentedTrainingFillsRegistryAndLanes) {
+  TraceRecorder trace;
+  MetricsRegistry metrics;
+  Telemetry::ScopedSinks sinks(&trace, &metrics);
   sim::Simulator sim;
   net::Topology topo = net::StandardWorld();
   net::Network network(&sim, &topo);
@@ -165,7 +158,6 @@ TEST_F(TelemetryTest, InstrumentedTrainingFillsRegistryAndLanes) {
   ASSERT_TRUE(stats.ok());
   ASSERT_GT(stats->epochs, 0);
 
-  const MetricsRegistry& metrics = Telemetry::metrics();
   EXPECT_DOUBLE_EQ(metrics.CounterValue("trainer.epochs"), stats->epochs);
   EXPECT_GT(metrics.CounterValue("sim.events_fired"), 0.0);
   EXPECT_GT(metrics.CounterValue("net.flows_completed"), 0.0);
@@ -175,7 +167,7 @@ TEST_F(TelemetryTest, InstrumentedTrainingFillsRegistryAndLanes) {
               stats->granularity, 1e-9);
 
   // Per-peer timeline lanes plus the subsystem lanes showed up.
-  const auto& lanes = Telemetry::trace().lanes();
+  const auto& lanes = trace.lanes();
   auto has_lane = [&](const std::string& lane) {
     for (const auto& l : lanes)
       if (l == lane) return true;
@@ -188,6 +180,9 @@ TEST_F(TelemetryTest, InstrumentedTrainingFillsRegistryAndLanes) {
 }
 
 TEST_F(TelemetryTest, MonitorSnapshotsCarryGranularityAndAveragingState) {
+  TraceRecorder trace;
+  MetricsRegistry metrics;
+  Telemetry::ScopedSinks sinks(&trace, &metrics);
   sim::Simulator sim;
   net::Topology topo = net::StandardWorld();
   net::Network network(&sim, &topo);
@@ -217,80 +212,24 @@ TEST_F(TelemetryTest, MonitorSnapshotsCarryGranularityAndAveragingState) {
     saw_in_flight |= snap.averaging_in_flight == 1;
   }
   EXPECT_TRUE(saw_in_flight);
-
-  // The CSV stays column-stable: original five columns first, new ones
-  // appended.
-  const std::string csv = monitor.ToCsv();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')),
-            "time_sec,epoch,progress,active_peers,sps,granularity,"
-            "averaging_in_flight");
 }
 
-/// One seeded chaos training run with the full stack (DHT matchmaking,
-/// partition, crash/restart), returning the rendered telemetry.
+/// One seeded run of the tour world (partition, crash/restart),
+/// returning the rendered telemetry.
 struct RenderedRun {
   std::string trace_json;
   std::string metrics_json;
+  double chaos_events = 0;
 };
 
 RenderedRun ChaosRun(uint64_t seed) {
-  Telemetry::Reset();
-  sim::Simulator sim;
-  net::Topology topo = net::StandardWorld();
-  net::Network network(&sim, &topo);
-
-  std::vector<hivemind::PeerSpec> peers;
-  for (int i = 0; i < 4; ++i) {
-    hivemind::PeerSpec peer;
-    peer.node =
-        topo.AddNode(i < 2 ? net::kGcUs : net::kGcEu, net::CloudVmNetConfig());
-    peers.push_back(peer);
-  }
-
-  dht::DhtNetwork dht(&network);
-  Rng id_rng(seed);
-  std::vector<dht::Node*> nodes;
-  for (const auto& p : peers) nodes.push_back(dht.CreateNode(p.node, id_rng.Next64()));
-  for (size_t i = 1; i < nodes.size(); ++i) {
-    nodes[i]->Bootstrap(dht::Contact{nodes[0]->id(), nodes[0]->endpoint()},
-                        [](std::vector<dht::Contact>) {});
-    sim.Run();
-  }
-
-  hivemind::TrainerConfig config;
-  config.seed = seed;
-  config.dht = &dht;
-  config.churn_hardened = true;
-  hivemind::Trainer trainer(&network, config);
-  for (const auto& p : peers) EXPECT_TRUE(trainer.AddPeer(p).ok());
-
-  faults::ChaosInjector injector(&sim, &topo, &network, seed);
-  injector.AttachTrainer(&trainer);
-  injector.AttachDht(&dht);
-  // Minute 10-15: the transatlantic path is gone; minute 20: peer 3
-  // crashes and is back 5 minutes later.
-  scenario::ScenarioPack pack;
-  pack.name = "partition-and-crash";
-  pack.wan.push_back({{"gc-us"}, {"gc-eu"}, {10 * 60, 5 * 60}, 0});
-  pack.crashes.push_back({3, 20 * 60, /*frac=*/false,
-                          /*restart_after_sec=*/300});
-  std::vector<scenario::FleetMember> members;
-  for (const auto& p : peers) {
-    const net::SiteId site = topo.SiteOf(p.node);
-    members.push_back({p.node, site, topo.site(site).continent});
-  }
-  auto schedule = scenario::Compile(
-      pack, scenario::MakeFleetView(std::move(members)), 30 * 60.0);
-  EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
-  EXPECT_TRUE(injector.Arm(schedule.value()).ok());
-
-  EXPECT_TRUE(trainer.Start().ok());
-  sim.RunUntil(30 * 60.0);
-  trainer.Stop();
-
+  TraceRecorder trace;
+  MetricsRegistry metrics;
+  tour::RunWorld(seed, &trace, &metrics);
   RenderedRun run;
-  run.trace_json = Telemetry::trace().ToChromeJson();
-  run.metrics_json = Telemetry::metrics().ToJson();
+  run.trace_json = trace.ToChromeJson();
+  run.metrics_json = metrics.ToJson();
+  run.chaos_events = metrics.CounterValue("chaos.events");
   return run;
 }
 
@@ -445,7 +384,6 @@ TEST_F(TelemetryTest, ScopedSinksRouteThisThreadAndRestoreOnExit) {
   Count("c", 100);
   EXPECT_DOUBLE_EQ(Telemetry::metrics().CounterValue("c"), 0.0);
   EXPECT_EQ(Telemetry::trace().size(), 0u);
-  Telemetry::Enable();  // Restore the fixture's expected state.
 }
 
 TEST_F(TelemetryTest, IdenticallySeededChaosRunsRenderByteIdentically) {
@@ -455,7 +393,7 @@ TEST_F(TelemetryTest, IdenticallySeededChaosRunsRenderByteIdentically) {
   EXPECT_EQ(first.metrics_json, second.metrics_json);
   // Chaos actually happened, so the equality above covers fault paths.
   EXPECT_NE(first.trace_json.find("chaos"), std::string::npos);
-  EXPECT_GT(Telemetry::metrics().CounterValue("chaos.events"), 0.0);
+  EXPECT_GT(first.chaos_events, 0.0);
 
   const RenderedRun other = ChaosRun(12);
   EXPECT_NE(first.trace_json, other.trace_json);

@@ -331,8 +331,8 @@ int CmdRun(const FlagSet& flags) {
   report.PrintTable(std::cout);
 
   const std::string csv = flags.GetString("csv", "");
-  if (!csv.empty() && !report.WriteCsv(csv)) {
-    return Fail(Status::IOError(StrCat("cannot write ", csv)));
+  if (!csv.empty()) {
+    if (Status s = report.WriteCsv(csv); !s.ok()) return Fail(s);
   }
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
@@ -794,9 +794,10 @@ int CmdFuzz(const FlagSet& flags) {
     return Fail(s);
   }
   fuzz::FuzzOptions options;
-  auto seed = flags.GetInt("seed", 1);
+  // The campaign seed is 64-bit: parsed as such, never cast from an int.
+  auto seed = ParseUint64Arg("flag --seed", flags.GetString("seed", "1"));
   if (!seed.ok()) return Fail(seed.status());
-  options.seed = static_cast<uint64_t>(*seed);
+  options.seed = *seed;
   auto runs = flags.GetInt("runs", 20);
   if (!runs.ok()) return Fail(runs.status());
   options.runs = *runs;

@@ -67,7 +67,7 @@ struct LintConfig {
   /// transitive closure of this map, and the map itself must be acyclic.
   /// Layer order (see docs/STATIC_ANALYSIS.md):
   ///   common -> telemetry -> sim/compute -> net/models ->
-  ///   cloud/data/dht/collective/baselines -> hivemind -> faults ->
+  ///   cloud/data/collective/baselines -> hivemind -> faults ->
   ///   scenario -> core -> fuzz
   std::map<std::string, std::set<std::string>> module_dag = {
       {"common", {}},
@@ -78,13 +78,11 @@ struct LintConfig {
       {"models", {"common", "compute"}},
       {"cloud", {"common", "compute", "net", "sim", "telemetry"}},
       {"data", {"common", "models"}},
-      {"dht", {"common", "net", "sim", "telemetry"}},
       {"collective", {"common", "net", "models", "telemetry"}},
       {"baselines", {"common", "models"}},
       {"hivemind",
-       {"common", "net", "models", "collective", "data", "dht", "telemetry"}},
-      {"faults",
-       {"common", "sim", "net", "cloud", "dht", "hivemind", "telemetry"}},
+       {"common", "net", "models", "collective", "data", "telemetry"}},
+      {"faults", {"common", "sim", "net", "cloud", "hivemind", "telemetry"}},
       {"scenario", {"common", "net", "faults"}},
       {"core",
        {"common", "net", "cloud", "models", "hivemind", "baselines", "faults",
