@@ -235,16 +235,25 @@ TEST_F(NetworkTest, LatencyAndSlabFlowIdsNeverAlias) {
 
 TEST_F(NetworkTest, LatencyOnlyFlowMetersDeliveredBytes) {
   // Sub-epsilon payloads ride the latency-only path but still count as
-  // delivered traffic for the egress cost engine, on delivery: a run
-  // stopped mid-flight must not have booked undelivered bytes.
+  // delivered traffic for the egress cost engine.
+  BuildTwoSites();
+  ASSERT_TRUE(network_.StartFlow(n0_, n2_, 0.5, nullptr).ok());
+  sim_.Run();
+  EXPECT_DOUBLE_EQ(network_.BytesBetweenNodes(n0_, n2_), 0.5);
+  EXPECT_DOUBLE_EQ(network_.NodeEgressBytes(n0_), 0.5);
+  EXPECT_DOUBLE_EQ(network_.NodeIngressBytes(n2_), 0.5);
+}
+
+TEST_F(NetworkTest, MessageBytesMeteredOnDeliveryNotAtSend) {
+  // A run stopped mid-flight must not have booked undelivered
+  // control-plane bytes into egress cost. Control messages are sub-byte
+  // latency-only flows.
   BuildTwoSites(10, /*wan_mbps=*/80, /*wan_rtt_ms=*/200);
   ASSERT_TRUE(network_.StartFlow(n0_, n2_, 0.5, nullptr).ok());
   sim_.RunUntil(0.05);  // In flight: one-way delay is 0.1 s.
   EXPECT_DOUBLE_EQ(network_.BytesBetweenNodes(n0_, n2_), 0.0);
   sim_.Run();
   EXPECT_DOUBLE_EQ(network_.BytesBetweenNodes(n0_, n2_), 0.5);
-  EXPECT_DOUBLE_EQ(network_.NodeEgressBytes(n0_), 0.5);
-  EXPECT_DOUBLE_EQ(network_.NodeIngressBytes(n2_), 0.5);
 }
 
 TEST_F(NetworkTest, PerStreamCapUsesMinOfEndpointWindows) {
