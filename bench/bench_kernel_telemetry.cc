@@ -1,8 +1,9 @@
 // Kernel microbenchmark for the telemetry layer: recording trace spans
-// and rendering a recorder to Chrome JSON plus a metrics snapshot. This
-// is the path `hivesim fuzz` runs twice per world (its trace-identity
-// oracle compares the two renderings), so its cost bounds the fuzz
-// campaign with the sinks on.
+// and rendering a recorder to Chrome JSON plus a metrics snapshot.
+// `hivesim fuzz` records every world twice; its trace-identity oracle
+// compares the two recordings (`TraceRecorder::SameRecording`) without
+// rendering them, so recording bounds the fuzz campaign with the sinks
+// on, and rendering is what `--trace-out` and `--analysis-out` pay.
 //
 //   BM_TraceRecord/N  N flows between sites of the paper's multicloud
 //                     world run to completion under private sinks, so

@@ -1,8 +1,8 @@
 #include "cloud/vm.h"
 
 #include <cmath>
+#include <string>
 
-#include "common/strings.h"
 #include "common/units.h"
 #include "net/location.h"
 #include "telemetry/telemetry.h"
@@ -42,10 +42,10 @@ void VmInstance::EnterInterrupted() {
   if (telemetry::Enabled()) {
     telemetry::Count("spot.interruptions");
     telemetry::Span(running_since_, sim_->Now(), "spot", "vm-uptime");
-    telemetry::Instant(
-        sim_->Now(), "spot", "vm-interrupted",
-        StrFormat("{\"continent\":\"%s\"}",
-                  std::string(net::ContinentName(continent_)).c_str()));
+    std::string args = "{\"continent\":\"";
+    args += net::ContinentName(continent_);
+    args += "\"}";
+    telemetry::Instant(sim_->Now(), "spot", "vm-interrupted", args);
   }
   if (on_interrupted) on_interrupted();
   Start();

@@ -268,15 +268,15 @@ void AllReduce::RunStage() {
     if (telemetry::Enabled()) {
       telemetry::Count("collective.rounds");
       telemetry::Count("collective.transfers", result.transfers);
-      std::string name = "allreduce ";
-      name += StrategyName(result.strategy);
-      std::string args = "{\"transfers\":";
-      AppendInt(&args, result.transfers);
-      args += ",\"peers\":";
-      AppendInt(&args, static_cast<int64_t>(peers_.size()));
-      args += '}';
+      trace_name_ = "allreduce ";
+      trace_name_ += StrategyName(result.strategy);
+      trace_args_ = "{\"transfers\":";
+      AppendInt(&trace_args_, result.transfers);
+      trace_args_ += ",\"peers\":";
+      AppendInt(&trace_args_, static_cast<int64_t>(peers_.size()));
+      trace_args_ += '}';
       telemetry::Span(start_time_, network_->simulator().Now(), "collective",
-                      name, std::move(args));
+                      trace_name_, trace_args_);
     }
     DoneCallback cb = std::move(done_);
     cb(result);
@@ -351,13 +351,14 @@ void AllReduce::FinishStage() {
   network_->simulator().Schedule(std::max(0.0, residual), [this, gen] {
     if (gen != generation_) return;
     if (telemetry::Enabled()) {
-      std::string name = "stage ";
-      AppendInt(&name, static_cast<int64_t>(stage_));
-      std::string args = "{\"transfers\":";
-      AppendInt(&args, static_cast<int64_t>(plan_.stages[stage_].size()));
-      args += '}';
+      trace_name_ = "stage ";
+      AppendInt(&trace_name_, static_cast<int64_t>(stage_));
+      trace_args_ = "{\"transfers\":";
+      AppendInt(&trace_args_,
+                static_cast<int64_t>(plan_.stages[stage_].size()));
+      trace_args_ += '}';
       telemetry::Span(stage_start_, network_->simulator().Now(), "collective",
-                      name, std::move(args));
+                      trace_name_, trace_args_);
     }
     ++stage_;
     RunStage();

@@ -2,6 +2,7 @@
 #define HIVESIM_COLLECTIVE_ALLREDUCE_H_
 
 #include <functional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -151,6 +152,10 @@ class AllReduce {
   std::vector<net::FlowId> stage_flows_;
   // Per-peer CPU aggregation debt for the current stage.
   std::vector<double> aggregate_cpu_;
+  // Name and args of the span being recorded, reused by every round and
+  // stage so recording builds no string of its own.
+  std::string trace_name_;
+  std::string trace_args_;
 };
 
 }  // namespace hivesim::collective

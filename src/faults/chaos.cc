@@ -2,12 +2,26 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
 #include "telemetry/telemetry.h"
 
 namespace hivesim::faults {
+
+namespace {
+// "<prefix><a><-><b>": the chaos log line of an event on site pair a, b.
+std::string PairLine(std::string_view prefix, net::SiteId a, net::SiteId b) {
+  std::string line(prefix);
+  AppendInt(&line, a);
+  line += "<->";
+  AppendInt(&line, b);
+  return line;
+}
+}  // namespace
 
 Status ChaosSchedule::Validate() const {
   for (const SpotStormEvent& s : spot_storms) {
@@ -72,10 +86,16 @@ Status ChaosInjector::Arm(const ChaosSchedule& schedule) {
                               s.start_sec + s.duration_sec,
                               s.hazard_multiplier});
     ++stats_.spot_storms;
-    AddTrace(StrFormat("spot-storm armed: %s x%.1f [%.0fs, %.0fs)",
-                       std::string(net::ContinentName(s.continent)).c_str(),
-                       s.hazard_multiplier, s.start_sec,
-                       s.start_sec + s.duration_sec));
+    std::string line = "spot-storm armed: ";
+    line += net::ContinentName(s.continent);
+    line += " x";
+    AppendFixed(&line, s.hazard_multiplier, 1);
+    line += " [";
+    AppendFixed(&line, s.start_sec, 0);
+    line += "s, ";
+    AppendFixed(&line, s.start_sec + s.duration_sec, 0);
+    line += "s)";
+    AddTrace(std::move(line));
   }
 
   for (const WanEvent& w : schedule.wan_events) {
@@ -110,8 +130,7 @@ void ChaosInjector::ApplyWan(int id, const WanEvent& event) {
   const uint64_t key = PairKey(event.a, event.b);
   auto path = topology_->PathBetween(event.a, event.b);
   if (!path.ok()) {
-    AddTrace(StrFormat("wan event skipped: no path %u<->%u", event.a,
-                       event.b));
+    AddTrace(PairLine("wan event skipped: no path ", event.a, event.b));
     return;
   }
   PairState& state = wan_state_[key];
@@ -120,11 +139,17 @@ void ChaosInjector::ApplyWan(int id, const WanEvent& event) {
   ReapplyPair(key, event.a, event.b);
   ++stats_.wan_degradations;
   telemetry::Count("chaos.wan_degradations");
-  AddTrace(StrFormat(
-      event.bandwidth_factor == 0 ? "partition %u<->%u"
-                                  : "wan degrade %u<->%u x%.2f +%.0fms",
-      event.a, event.b, event.bandwidth_factor,
-      event.extra_rtt_sec * 1000));
+  const bool partition = event.bandwidth_factor == 0;
+  std::string line =
+      PairLine(partition ? "partition " : "wan degrade ", event.a, event.b);
+  if (!partition) {
+    line += " x";
+    AppendFixed(&line, event.bandwidth_factor, 2);
+    line += " +";
+    AppendFixed(&line, event.extra_rtt_sec * 1000, 0);
+    line += "ms";
+  }
+  AddTrace(std::move(line));
 }
 
 void ChaosInjector::RestoreWan(int id, const WanEvent& event) {
@@ -139,7 +164,7 @@ void ChaosInjector::RestoreWan(int id, const WanEvent& event) {
   ReapplyPair(key, event.a, event.b);
   if (active.empty()) wan_state_.erase(it);
   ++stats_.wan_recoveries;
-  AddTrace(StrFormat("wan recover %u<->%u", event.a, event.b));
+  AddTrace(PairLine("wan recover ", event.a, event.b));
 }
 
 void ChaosInjector::ReapplyPair(uint64_t key, net::SiteId a, net::SiteId b) {
@@ -159,7 +184,9 @@ void ChaosInjector::ReapplyPair(uint64_t key, net::SiteId a, net::SiteId b) {
 void ChaosInjector::Crash(net::NodeId node, double restart_after_sec) {
   ++stats_.crashes;
   telemetry::Count("chaos.crashes");
-  AddTrace(StrFormat("crash node %u", node));
+  std::string line = "crash node ";
+  AppendInt(&line, node);
+  AddTrace(std::move(line));
   if (trainer_ != nullptr) {
     auto spec = trainer_->PeerSpecOf(node);
     if (spec.ok()) {
@@ -175,7 +202,9 @@ void ChaosInjector::Crash(net::NodeId node, double restart_after_sec) {
 void ChaosInjector::Restart(net::NodeId node) {
   ++stats_.restarts;
   telemetry::Count("chaos.restarts");
-  AddTrace(StrFormat("restart node %u", node));
+  std::string line = "restart node ";
+  AppendInt(&line, node);
+  AddTrace(std::move(line));
   if (trainer_ != nullptr) {
     auto it = crashed_specs_.find(node);
     if (it != crashed_specs_.end()) {

@@ -21,7 +21,7 @@ struct WorldRun {
   Status status = Status::OK();
   uint64_t fingerprint = 0;
   std::string chaos_trace;
-  std::string trace_json;
+  telemetry::TraceRecorder trace;
   std::string metrics_json;
   std::string digest;
   bool monotone = true;
@@ -138,7 +138,9 @@ WorldRun DoRun(const FuzzCase& fuzz_case, const FuzzOptions& options,
   out.chaos_trace = ChaosTraceText(*(*world)->chaos);
   out.digest = ResultDigest(*result);
   out.stats = result->train;
-  out.trace_json = trace.ToChromeJson();
+  // Moved out before the world tears down, so the oracle compares what
+  // the run recorded; anything teardown records stays in `trace`.
+  out.trace = std::move(trace);
   out.metrics_json = metrics.ToJson();
   return out;
 }
@@ -199,8 +201,8 @@ Verdict RunOracles(const FuzzCase& fuzz_case, const FuzzOptions& options) {
   if (a.chaos_trace != b.chaos_trace) {
     return Fail("chaos-trace", "applied-event logs differ between runs");
   }
-  if (a.trace_json != b.trace_json) {
-    return Fail("telemetry-trace", "trace JSON differs between runs");
+  if (!a.trace.SameRecording(b.trace)) {
+    return Fail("telemetry-trace", "trace recordings differ between runs");
   }
   if (a.metrics_json != b.metrics_json) {
     return Fail("metrics", "metrics JSON differs between runs");

@@ -33,14 +33,15 @@ const RoundRecovery& RecoveryOf(const TrainerConfig& config) {
   return config.churn_hardened ? kChurnHardenedRecovery : kCalmRecovery;
 }
 
-// {"<key>":<value>}, the args of the epoch spans and round retries.
-std::string IntArgs(std::string_view key, int value) {
-  std::string args = "{\"";
-  args += key;
-  args += "\":";
-  AppendInt(&args, value);
-  args += '}';
-  return args;
+// {"<key>":<value>}, the args of the epoch spans and round retries,
+// written over `*args` (the trainer's reused buffer).
+std::string_view IntArgs(std::string* args, std::string_view key, int value) {
+  args->assign("{\"");
+  *args += key;
+  *args += "\":";
+  AppendInt(args, value);
+  *args += '}';
+  return *args;
 }
 }  // namespace
 
@@ -317,7 +318,7 @@ void Trainer::FailRound() {
   if (telemetry::Enabled()) {
     telemetry::Count("trainer.round_retries");
     telemetry::Instant(network_->simulator().Now(), "trainer", "round-retry",
-                       IntArgs("attempt", round_retries_));
+                       IntArgs(&trace_args_, "attempt", round_retries_));
   }
   if (round_retries_ > RecoveryOf(config_).max_retries &&
       !degraded_round_) {
@@ -423,7 +424,7 @@ void Trainer::FinishEpoch() {
 
   if (telemetry::Enabled()) {
     const int epoch = static_cast<int>(completed_.size()) - 1;
-    const std::string epoch_args = IntArgs("epoch", epoch);
+    const std::string_view epoch_args = IntArgs(&trace_args_, "epoch", epoch);
     telemetry::Span(epoch_start_, calc_end, "trainer", "calc", epoch_args);
     telemetry::Span(calc_end, now, "trainer", "comm", epoch_args);
     if (averaging_started_ > calc_end) {

@@ -208,6 +208,9 @@ class Trainer {
   uint64_t generation_ = 0;
   std::vector<EpochStats> completed_;
   double last_epoch_end_ = 0;
+  /// Args of the trainer events being recorded, reused by every event so
+  /// recording builds no string of its own.
+  std::string trace_args_;
 };
 
 }  // namespace hivesim::hivemind

@@ -16,37 +16,39 @@ uint64_t NodePairKey(NodeId src, NodeId dst) {
   return (static_cast<uint64_t>(src) << 32) | dst;
 }
 
-// "flow 3->7" / "flow-cancel 3->7": a flow span's or instant's name.
-std::string FlowEventName(std::string_view prefix, NodeId src, NodeId dst) {
-  std::string name(prefix);
-  AppendInt(&name, src);
-  name += "->";
-  AppendInt(&name, dst);
-  return name;
+// "flow 3->7" / "flow-cancel 3->7": a flow span's or instant's name,
+// written over `*name` (a buffer the network reuses for every event).
+std::string_view FlowEventName(std::string* name, std::string_view prefix,
+                               NodeId src, NodeId dst) {
+  name->assign(prefix);
+  AppendInt(name, src);
+  *name += "->";
+  AppendInt(name, dst);
+  return *name;
 }
 
 // A flow event's args: {"<bytes_key>":<bytes as %.0f>,"src_zone":"...",
 // "dst_zone":"..."}, without the bytes field when `bytes_key` is empty.
 // Zone identity lets the critical-path analyzer (telemetry/analysis.h)
 // attribute flow time to WAN links without re-deriving the topology.
-std::string ZoneArgs(std::string_view bytes_key, double bytes,
-                     std::string_view src_zone, std::string_view dst_zone) {
-  std::string args;
-  args.reserve(48 + src_zone.size() + dst_zone.size());
-  args += '{';
+// Written over `*args`, like `FlowEventName`.
+std::string_view ZoneArgs(std::string* args, std::string_view bytes_key,
+                          double bytes, std::string_view src_zone,
+                          std::string_view dst_zone) {
+  args->assign(1, '{');
   if (!bytes_key.empty()) {
-    args += '"';
-    args += bytes_key;
-    args += "\":";
-    AppendFixed(&args, bytes, 0);
-    args += ',';
+    *args += '"';
+    *args += bytes_key;
+    *args += "\":";
+    AppendFixed(args, bytes, 0);
+    *args += ',';
   }
-  args += "\"src_zone\":\"";
-  args += src_zone;
-  args += "\",\"dst_zone\":\"";
-  args += dst_zone;
-  args += "\"}";
-  return args;
+  *args += "\"src_zone\":\"";
+  *args += src_zone;
+  *args += "\",\"dst_zone\":\"";
+  *args += dst_zone;
+  *args += "\"}";
+  return *args;
 }
 }  // namespace
 
@@ -277,8 +279,9 @@ bool Network::CancelFlow(FlowId id) {
       flows_cancelled_counter_.Add();
       telemetry::Instant(
           sim_->Now(), "net",
-          FlowEventName("flow-cancel ", lit->second.src, lit->second.dst),
-          ZoneArgs("", 0,
+          FlowEventName(&trace_name_, "flow-cancel ", lit->second.src,
+                        lit->second.dst),
+          ZoneArgs(&trace_args_, "", 0,
                    topology_->site(topology_->SiteOf(lit->second.src)).name,
                    topology_->site(topology_->SiteOf(lit->second.dst)).name));
     }
@@ -295,8 +298,9 @@ bool Network::CancelFlow(FlowId id) {
   if (telemetry::Enabled()) {
     flows_cancelled_counter_.Add();
     telemetry::Instant(sim_->Now(), "net",
-                       FlowEventName("flow-cancel ", flow.src, flow.dst),
-                       ZoneArgs("delivered_bytes",
+                       FlowEventName(&trace_name_, "flow-cancel ", flow.src,
+                                     flow.dst),
+                       ZoneArgs(&trace_args_, "delivered_bytes",
                                 flow.total_bytes - flow.remaining_bytes,
                                 topology_->site(flow.src_site).name,
                                 topology_->site(flow.dst_site).name));
@@ -715,8 +719,8 @@ void Network::FinishFlow(FlowSlot slot) {
   if (telemetry::Enabled()) {
     flows_completed_counter_.Add();
     telemetry::Span(flow.started_sec, sim_->Now(), "net",
-                    FlowEventName("flow ", flow.src, flow.dst),
-                    ZoneArgs("bytes", flow.total_bytes,
+                    FlowEventName(&trace_name_, "flow ", flow.src, flow.dst),
+                    ZoneArgs(&trace_args_, "bytes", flow.total_bytes,
                              topology_->site(flow.src_site).name,
                              topology_->site(flow.dst_site).name));
   }
@@ -738,8 +742,8 @@ void Network::FinishLatencyFlow(FlowId id) {
   if (telemetry::Enabled()) {
     flows_completed_counter_.Add();
     telemetry::Span(lf.started_sec, sim_->Now(), "net",
-                    FlowEventName("flow ", lf.src, lf.dst),
-                    ZoneArgs("bytes", lf.bytes,
+                    FlowEventName(&trace_name_, "flow ", lf.src, lf.dst),
+                    ZoneArgs(&trace_args_, "bytes", lf.bytes,
                              topology_->site(topology_->SiteOf(lf.src)).name,
                              topology_->site(topology_->SiteOf(lf.dst)).name));
   }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -416,6 +417,10 @@ class Network {
   /// empty until telemetry meters a first delivery.
   mutable std::vector<std::unique_ptr<telemetry::CounterHandle>>
       zone_counters_;
+  /// Name and args of the flow event being recorded, reused by every
+  /// event so recording builds no string of its own.
+  std::string trace_name_;
+  std::string trace_args_;
 };
 
 }  // namespace hivesim::net

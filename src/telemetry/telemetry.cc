@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <fstream>
 
@@ -34,28 +35,33 @@ int TraceRecorder::LaneId(std::string_view lane) {
   return id;
 }
 
+void TraceRecorder::Record(double ts_sec, double dur_sec, bool instant,
+                           std::string_view lane, std::string_view name,
+                           std::string_view args_json) {
+  Event e;
+  e.ts_sec = ts_sec;
+  e.dur_sec = dur_sec;
+  e.offset = arena_.size();
+  e.name_len = static_cast<uint32_t>(name.size());
+  e.args_len = static_cast<uint32_t>(args_json.size());
+  e.lane = LaneId(lane);
+  e.instant = instant;
+  arena_ += name;
+  arena_ += args_json;
+  events_.push_back(e);
+}
+
 void TraceRecorder::Span(double start_sec, double end_sec,
                          std::string_view lane, std::string_view name,
-                         std::string args_json) {
-  Event e;
-  e.ts_sec = start_sec;
-  e.dur_sec = end_sec > start_sec ? end_sec - start_sec : 0.0;
-  e.instant = false;
-  e.lane = LaneId(lane);
-  e.name = std::string(name);
-  e.args_json = std::move(args_json);
-  events_.push_back(std::move(e));
+                         std::string_view args_json) {
+  Record(start_sec, end_sec > start_sec ? end_sec - start_sec : 0.0,
+         /*instant=*/false, lane, name, args_json);
 }
 
 void TraceRecorder::Instant(double at_sec, std::string_view lane,
-                            std::string_view name, std::string args_json) {
-  Event e;
-  e.ts_sec = at_sec;
-  e.instant = true;
-  e.lane = LaneId(lane);
-  e.name = std::string(name);
-  e.args_json = std::move(args_json);
-  events_.push_back(std::move(e));
+                            std::string_view name,
+                            std::string_view args_json) {
+  Record(at_sec, 0.0, /*instant=*/true, lane, name, args_json);
 }
 
 std::string TraceRecorder::ToChromeJson() const {
@@ -78,6 +84,7 @@ std::string TraceRecorder::ToChromeJson() const {
     AppendJsonEscaped(&out, lanes_[i]);
     out += "\"}}";
   }
+  const std::string_view arena = arena_;
   for (const Event& e : events_) {
     // Chrome trace timestamps are microseconds (%.6f, picosecond
     // resolution); sim time is seconds.
@@ -93,11 +100,11 @@ std::string TraceRecorder::ToChromeJson() const {
       AppendFixed(&out, e.dur_sec * 1e6, 6);
     }
     out += ",\"name\":\"";
-    AppendJsonEscaped(&out, e.name);
+    AppendJsonEscaped(&out, arena.substr(e.offset, e.name_len));
     out += '"';
-    if (!e.args_json.empty()) {
+    if (e.args_len != 0) {
       out += ",\"args\":";
-      out += e.args_json;
+      out += arena.substr(e.offset + e.name_len, e.args_len);
     }
     out += '}';
   }
@@ -109,10 +116,34 @@ bool TraceRecorder::WriteChromeJson(const std::string& path) const {
   return WriteFile(path, ToChromeJson());
 }
 
+bool TraceRecorder::SameRecording(const TraceRecorder& other) const {
+  if (lanes_ != other.lanes_ || arena_ != other.arena_ ||
+      events_.size() != other.events_.size()) {
+    return false;
+  }
+  // Bit patterns, not ==: -0.0 and 0.0 render differently, and a NaN
+  // timestamp must still equal itself.
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  };
+  for (size_t i = 0; i < events_.size(); ++i) {
+    const Event& a = events_[i];
+    const Event& b = other.events_[i];
+    if (!same_bits(a.ts_sec, b.ts_sec) || !same_bits(a.dur_sec, b.dur_sec) ||
+        a.offset != b.offset || a.name_len != b.name_len ||
+        a.args_len != b.args_len || a.lane != b.lane ||
+        a.instant != b.instant) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void TraceRecorder::Clear() {
   lanes_.clear();
   lane_ids_.clear();
   events_.clear();
+  arena_.clear();
 }
 
 // --- MetricsRegistry ---

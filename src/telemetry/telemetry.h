@@ -23,17 +23,24 @@ namespace hivesim::telemetry {
 /// Callers pass timestamps explicitly (`Simulator::Now()`); the recorder
 /// itself has no clock and no dependencies beyond hivesim_common, which is
 /// what lets the simulator kernel itself be instrumented without a cycle.
+///
+/// Storage: each event is one fixed-size record (timestamps, lane, kind,
+/// and where its bytes sit), and every event's name and args bytes are
+/// appended to one byte arena. Recording copies into two buffers that
+/// only grow, so once they hold a run's worth a span allocates nothing.
+/// Nothing is rendered until `ToChromeJson`, a pure function of the
+/// recorded state; `SameRecording` compares that state directly.
 class TraceRecorder {
  public:
   /// A completed span [start_sec, end_sec] on `lane`. `args_json`, when
   /// non-empty, must be a compact JSON object ("{\"bytes\":42}") and is
   /// embedded verbatim as the event's args.
   void Span(double start_sec, double end_sec, std::string_view lane,
-            std::string_view name, std::string args_json = "");
+            std::string_view name, std::string_view args_json = {});
 
   /// An instant event at `at_sec` on `lane` (faults, cancellations, ...).
   void Instant(double at_sec, std::string_view lane, std::string_view name,
-               std::string args_json = "");
+               std::string_view args_json = {});
 
   /// The trace as Chrome `trace_event` JSON: load the file in
   /// https://ui.perfetto.dev or chrome://tracing. One metadata-named
@@ -43,20 +50,34 @@ class TraceRecorder {
   /// Writes `ToChromeJson()` to a file; false on I/O failure.
   bool WriteChromeJson(const std::string& path) const;
 
+  /// True when both recorders hold the same recording: the same lanes in
+  /// the same first-use order, the same arena bytes, and the same events,
+  /// field by field, with timestamps and durations compared bit for bit.
+  /// `ToChromeJson` reads nothing else, so equal recordings render equal
+  /// bytes; this is at least as strict as comparing the renderings.
+  bool SameRecording(const TraceRecorder& other) const;
+
   size_t size() const { return events_.size(); }
   const std::vector<std::string>& lanes() const { return lanes_; }
+  /// Empties the recorder, lanes included. The event list and the arena
+  /// keep their capacity, so a recorder refilled to at most its previous
+  /// size records without allocating (lanes excepted).
   void Clear();
 
  private:
   struct Event {
     double ts_sec = 0;
     double dur_sec = 0;  ///< 0 for instants.
-    bool instant = false;
+    size_t offset = 0;   ///< Name bytes at arena_[offset], args after them.
+    uint32_t name_len = 0;
+    uint32_t args_len = 0;
     int lane = 0;  ///< Index into lanes_.
-    std::string name;
-    std::string args_json;
+    bool instant = false;
   };
 
+  void Record(double ts_sec, double dur_sec, bool instant,
+              std::string_view lane, std::string_view name,
+              std::string_view args_json);
   int LaneId(std::string_view lane);
 
   // Transparent hashing lets `LaneId` look a lane up by string_view
@@ -71,6 +92,7 @@ class TraceRecorder {
   std::vector<std::string> lanes_;  ///< tid = index + 1, first-use order.
   std::unordered_map<std::string, int, LaneHash, std::equal_to<>> lane_ids_;
   std::vector<Event> events_;
+  std::string arena_;  ///< Every event's name then args, in event order.
 };
 
 /// Counters, gauges, and fixed-bucket histograms, keyed by flat metric
@@ -241,16 +263,15 @@ class Telemetry {
 inline bool Enabled() { return Telemetry::Enabled(); }
 
 inline void Span(double start_sec, double end_sec, std::string_view lane,
-                 std::string_view name, std::string args_json = "") {
+                 std::string_view name, std::string_view args_json = {}) {
   if (Telemetry::Disabled()) return;
-  Telemetry::trace().Span(start_sec, end_sec, lane, name,
-                          std::move(args_json));
+  Telemetry::trace().Span(start_sec, end_sec, lane, name, args_json);
 }
 
 inline void Instant(double at_sec, std::string_view lane,
-                    std::string_view name, std::string args_json = "") {
+                    std::string_view name, std::string_view args_json = {}) {
   if (Telemetry::Disabled()) return;
-  Telemetry::trace().Instant(at_sec, lane, name, std::move(args_json));
+  Telemetry::trace().Instant(at_sec, lane, name, args_json);
 }
 
 inline void Count(std::string_view name, double delta = 1.0) {

@@ -1,7 +1,8 @@
-// Steady-state all-reduce rounds must not touch the heap. This binary
-// replaces the global operator new with a counting one, so it runs alone:
-// every allocation in the process, gtest's included, is counted, and each
-// test reads the counter only around the rounds it measures.
+// Steady-state all-reduce rounds must not touch the heap, with the
+// telemetry sinks off or recording. This binary replaces the global
+// operator new with a counting one, so it runs alone: every allocation
+// in the process, gtest's included, is counted, and each test reads the
+// counter only around the rounds it measures.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "net/network.h"
 #include "net/profiles.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -126,6 +128,36 @@ TEST_F(AllocTest, AutoRoundsAllocateNothing) {
   EXPECT_EQ(SteadyStateAllocations(Strategy::kAuto), 0u);
   EXPECT_EQ(rounds_ok_, kRounds + 1);
   EXPECT_EQ(strategy_, Strategy::kHierarchical);
+}
+
+// With private sinks on, every round records its flows, stages and the
+// round itself into the trace recorder and bumps its counters. Warm-up:
+// kRounds + 1 recorded rounds grow the recorder's event list and byte
+// arena to hold that many rounds and create every counter; Clear() keeps
+// both capacities but forgets the lanes, so SteadyStateAllocations' own
+// warm-up round learns them again. Its kRounds measured rounds then
+// refill the recorder to exactly the warm-up's size.
+TEST_F(AllocTest, RecordedRoundsAllocateNothing) {
+  AddPeers(net::kGcUs, 3);
+  AddPeers(net::kGcEu, 2);
+  telemetry::TraceRecorder trace;
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(&trace, &metrics);
+  for (int k = 0; k <= kRounds; ++k) RunRound(Strategy::kHierarchical);
+  const size_t warm_events = trace.size();
+  trace.Clear();
+
+  EXPECT_EQ(SteadyStateAllocations(Strategy::kHierarchical), 0u);
+  EXPECT_EQ(rounds_ok_, 2 * (kRounds + 1));
+  EXPECT_EQ(strategy_, Strategy::kHierarchical);
+  // The measured rounds did record: flows, stages and rounds, on the
+  // lanes the warm-up saw.
+  EXPECT_GT(warm_events, static_cast<size_t>(3 * (kRounds + 1)));
+  EXPECT_EQ(trace.size(), warm_events);
+  ASSERT_EQ(trace.lanes().size(), 2u);
+  EXPECT_EQ(trace.lanes()[0], "net");
+  EXPECT_EQ(trace.lanes()[1], "collective");
+  EXPECT_EQ(metrics.CounterValue("collective.rounds"), 2.0 * (kRounds + 1));
 }
 
 }  // namespace

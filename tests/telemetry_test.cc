@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -397,6 +398,62 @@ TEST_F(TelemetryTest, IdenticallySeededChaosRunsRenderByteIdentically) {
 
   const RenderedRun other = ChaosRun(12);
   EXPECT_NE(first.trace_json, other.trace_json);
+}
+
+// The calls every SameRecording case feeds a recorder, with at most one
+// difference from the reference sequence.
+enum class Tweak {
+  kNone,
+  kTsUlp,       // The instant's timestamp one ulp later.
+  kDurUlp,      // The span's end, and so its duration, one ulp later.
+  kArgsByte,    // One args byte differs.
+  kNameByte,    // One name byte differs.
+  kLaneOrder,   // The same events, but the two lanes swap names.
+  kExtraEvent,  // One more instant at the end.
+};
+
+void Feed(TraceRecorder* trace, Tweak tweak) {
+  const double end = 2.5;
+  const bool swap_lanes = tweak == Tweak::kLaneOrder;
+  trace->Span(1.25, tweak == Tweak::kDurUlp ? std::nextafter(end, 3.0) : end,
+              swap_lanes ? "chaos" : "net",
+              tweak == Tweak::kNameByte ? "flow 1->3" : "flow 1->2",
+              tweak == Tweak::kArgsByte ? "{\"bytes\":43}"
+                                        : "{\"bytes\":42}");
+  const double at = 3.0;
+  trace->Instant(tweak == Tweak::kTsUlp ? std::nextafter(at, 4.0) : at,
+                 swap_lanes ? "net" : "chaos", "crash node 1");
+  trace->Span(3.0, 3.0, "net", "flow 2->1");
+  if (tweak == Tweak::kExtraEvent) trace->Instant(4.0, "chaos", "restart");
+}
+
+TEST_F(TelemetryTest, SameCallsAreTheSameRecordingAndRenderAlike) {
+  TraceRecorder a;
+  TraceRecorder b;
+  // Stale state must not survive Clear: b starts from a cleared recorder
+  // that held other lanes, names and args.
+  b.Span(0.0, 9.0, "stale", "old span", "{\"old\":true}");
+  b.Clear();
+  Feed(&a, Tweak::kNone);
+  Feed(&b, Tweak::kNone);
+  EXPECT_TRUE(a.SameRecording(b));
+  EXPECT_TRUE(b.SameRecording(a));
+  EXPECT_EQ(a.ToChromeJson(), b.ToChromeJson());
+}
+
+TEST_F(TelemetryTest, SameRecordingSeesEveryDifference) {
+  TraceRecorder reference;
+  Feed(&reference, Tweak::kNone);
+  for (const Tweak tweak :
+       {Tweak::kTsUlp, Tweak::kDurUlp, Tweak::kArgsByte, Tweak::kNameByte,
+        Tweak::kLaneOrder, Tweak::kExtraEvent}) {
+    TraceRecorder tweaked;
+    Feed(&tweaked, tweak);
+    EXPECT_FALSE(reference.SameRecording(tweaked))
+        << "tweak " << static_cast<int>(tweak);
+    EXPECT_FALSE(tweaked.SameRecording(reference))
+        << "tweak " << static_cast<int>(tweak);
+  }
 }
 
 }  // namespace

@@ -393,18 +393,18 @@ int CmdFleet(const FlagSet& flags) {
   return WriteTelemetryOutputs(flags);
 }
 
-/// Splits a comma list and parses each field as a non-negative integer.
-Result<std::vector<int64_t>> ParseIntList(const std::string& text,
-                                          const char* what) {
-  std::vector<int64_t> values;
+/// Splits a comma list and parses each field as a non-negative int; a
+/// field out of int's range is refused, never clamped.
+Result<std::vector<int>> ParseIntList(const std::string& text,
+                                      const char* what) {
+  std::vector<int> values;
   for (const std::string& field : StrSplit(text, ',')) {
-    char* end = nullptr;
-    const long long v = std::strtoll(field.c_str(), &end, 10);
-    if (end == field.c_str() || *end != '\0' || v < 0) {
+    const Result<int> v = ParseIntArg(what, field);
+    if (!v.ok() || *v < 0) {
       return Status::InvalidArgument(
           StrCat("bad ", what, " '", field, "' (want a non-negative int)"));
     }
-    values.push_back(v);
+    values.push_back(*v);
   }
   return values;
 }
@@ -423,11 +423,11 @@ int CmdAdvise(const FlagSet& flags) {
   auto sizes = ParseIntList(flags.GetString("sizes", "2,4,8"), "--sizes");
   if (!sizes.ok()) return Fail(sizes.status());
   request.fleet_sizes.clear();
-  for (const int64_t size : *sizes) {
+  for (const int size : *sizes) {
     if (size == 0) {
       return Fail(Status::InvalidArgument("--sizes entries must be >= 1"));
     }
-    request.fleet_sizes.push_back(static_cast<int>(size));
+    request.fleet_sizes.push_back(size);
   }
   auto options = core::RankTrainingOptions(request);
   if (!options.ok()) return Fail(options.status());
@@ -528,9 +528,14 @@ int CmdSweep(const FlagSet& flags) {
   if (!tbs_list.ok()) return Fail(tbs_list.status());
   spec.target_batch_sizes.assign(tbs_list->begin(), tbs_list->end());
 
-  auto seed_list = ParseIntList(flags.GetString("seeds", "1"), "--seeds");
-  if (!seed_list.ok()) return Fail(seed_list.status());
-  spec.seeds.assign(seed_list->begin(), seed_list->end());
+  // Seeds are 64-bit: each entry takes the whole unsigned range.
+  spec.seeds.clear();
+  for (const std::string& field :
+       StrSplit(flags.GetString("seeds", "1"), ',')) {
+    auto seed = ParseUint64Arg("--seeds entry", field);
+    if (!seed.ok()) return Fail(seed.status());
+    spec.seeds.push_back(*seed);
+  }
 
   // The chaos axis: --chaos names ("none" or a builtin pack), then the
   // --scenarios packs, each labelled with the pack's own name.
